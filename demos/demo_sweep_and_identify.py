@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from synergy_es import ExperimentConfig, run_sweep
+from synergy_es import ExperimentConfig, run_episode
 from synergy_es.subject import subject_a
 from synergy_es.svgplot import line_plot
 from synergy_es.sysid import identify_from_records
@@ -23,13 +23,13 @@ os.makedirs(OUT, exist_ok=True)
 # Sweep the synergy linearly and record performance.
 
 cfg = ExperimentConfig(subject="A", algorithm="sweep", seeds=(0,))
-trace = run_sweep(cfg)
+trace = run_episode(cfg)
 thetas = trace.column("theta_applied")
 js = trace.column("J")
 print(f"sweep: {len(js)} iterations, theta {thetas[0]:.2f} -> {thetas[-1]:.2f}")
 
-base = run_sweep(ExperimentConfig(subject="A", algorithm="sweep",
-                                  noise_std=0.0))
+base = run_episode(ExperimentConfig(subject="A", algorithm="sweep",
+                                    noise_std=0.0))
 line_plot(os.path.join(OUT, "sweep_subject_a.svg"),
           [("measured", thetas, js),
            ("noise-free", base.column("theta_applied"), base.column("J"))],

@@ -9,20 +9,17 @@ experiment harness.
 from .baseline import BlackBoxEs, BlackBoxEsConfig
 from .harness import (EpisodeTrace, ExperimentConfig, compare_traces,
                       convergence_iteration, read_trace_csv, run_batch,
-                      run_episode, run_sweep, summarize_batch,
-                      write_trace_csv)
+                      run_episode, summarize_batch, write_trace_csv)
 from .personalizer import (BandPassFilter, DitherGenerator, GradCurvObserver,
-                           Personalizer, PersonalizerConfig,
-                           SwitchedOptimizer, design_bandpass,
-                           optimizer_step, personalizer_step)
+                           Personalizer, PersonalizerConfig, StepRecord,
+                           SwitchedOptimizer)
 from .plant import (ArmGeometry, ReachOutcome, ReachTask, ShoulderProfile,
                     default_geometry, default_profile, default_task,
                     export_hand_path, objective, reach_performance,
                     simulate_reach)
 from .subject import (AdaptationDynamics, MotorNoise, NonConcaveMapError,
-                      PreferenceMap, SimulatedSubject, lti_step, load_subject,
-                      normalize_gain, save_subject, static_subject,
-                      steady_state_gain, subject_a, subject_b)
+                      PreferenceMap, SimulatedSubject, load_subject,
+                      save_subject, static_subject, subject_a, subject_b)
 from .sysid import (SteadyStateSample, WhitenessReport, fit_adaptation_lti,
                     fit_preference_map, identify_from_records,
                     read_iteration_csv, whiteness_test)

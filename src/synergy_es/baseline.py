@@ -6,7 +6,7 @@ dither back. Shares (a, omega_o, bounds) with the grey-box personalizer;
 the integrator gain defaults to the comparison value k = 0.005.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class BlackBoxEs:
             iteration=self.iteration,
             theta_applied=theta_applied,
             theta_hat=self.theta_hat,
-            performance=j,
+            J=j,
             filtered_output=self._hp_y,
             grad_est=float("nan"),
             curv_est=float("nan"),

@@ -4,11 +4,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import read_config
 from .harness import (ExperimentConfig, compare_traces, read_trace_csv,
-                      run_batch, run_episode, run_sweep, write_trace_csv)
+                      run_batch, run_episode, write_trace_csv)
 from .personalizer import PersonalizerConfig
 from .sysid import (identify_from_records, read_iteration_csv,
                     write_fitted_subject, write_identification_report)
@@ -18,79 +16,51 @@ def _parse_seeds(text):
     return tuple(int(s) for s in text.replace(",", " ").split())
 
 
-def _experiment_config(args):
+# [experiment] key -> parser of its value
+EXPERIMENT_KEYS = {"subject": str, "algorithm": str, "iterations": int,
+                   "seeds": _parse_seeds, "noise_std": float,
+                   "fixed_theta": float}
+
+
+def _experiment_config(args, **overrides):
+    """Config file sections, then command-line flags, then overrides."""
     kwargs = {}
-    if getattr(args, "config", None):
+    if args.config:
         cp = read_config(args.config)
         if cp.has_section("experiment"):
             sec = cp["experiment"]
-            if "subject" in sec:
-                kwargs["subject"] = sec["subject"]
-            if "algorithm" in sec:
-                kwargs["algorithm"] = sec["algorithm"]
-            if "iterations" in sec:
-                kwargs["iterations"] = int(sec["iterations"])
-            if "seeds" in sec:
-                kwargs["seeds"] = _parse_seeds(sec["seeds"])
-            if "noise_std" in sec:
-                kwargs["noise_std"] = float(sec["noise_std"])
-            if "fixed_theta" in sec:
-                kwargs["fixed_theta"] = float(sec["fixed_theta"])
+            unknown = sorted(set(sec) - set(EXPERIMENT_KEYS))
+            if unknown:
+                raise ValueError(f"unknown experiment keys {unknown}")
+            kwargs.update((k, EXPERIMENT_KEYS[k](v)) for k, v in sec.items())
         if cp.has_section("personalizer"):
-            from .config import parse_vector
-            sec = cp["personalizer"]
-            defaults = PersonalizerConfig()
-            pc = PersonalizerConfig(
-                omega_o=float(sec.get("omega_o", np.pi / 4)),
-                dither_amplitude=float(sec.get("a", 0.02)),
-                gain=float(sec.get("k", 0.05)),
-                epsilon=float(sec.get("epsilon", 0.1)),
-                filter_gain=float(sec.get("H", 0.5)),
-                filter_q=float(sec.get("Q", 5.0)),
-                observer_gain=(tuple(parse_vector(sec["L"])) if "L" in sec
-                               else defaults.observer_gain),
-                theta_0=float(sec.get("theta_0", 1.0)),
-                bounds=(tuple(parse_vector(sec["bounds"])) if "bounds" in sec
-                        else defaults.bounds),
-                warmup_iterations=int(sec.get("warmup_iterations", 8)),
-            )
-            kwargs["personalizer"] = pc
-    if getattr(args, "subject", None):
-        kwargs["subject"] = args.subject
-    if getattr(args, "algorithm", None):
-        kwargs["algorithm"] = args.algorithm
-    if getattr(args, "seed", None):
-        kwargs["seeds"] = _parse_seeds(args.seed)
-    if getattr(args, "iterations", None):
-        kwargs["iterations"] = args.iterations
-    if getattr(args, "out", None):
-        kwargs["output_dir"] = args.out
+            kwargs["personalizer"] = PersonalizerConfig.from_mapping(cp["personalizer"])
+    flags = {"subject": args.subject, "algorithm": args.algorithm,
+             "seeds": None if args.seed is None else _parse_seeds(args.seed),
+             "iterations": args.iterations, "output_dir": args.out}
+    kwargs.update((k, v) for k, v in flags.items() if v is not None)
+    kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
 
-def _cmd_run(args):
-    cfg = _experiment_config(args)
+def _write_episode(cfg, prefix):
     trace = run_episode(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(
-        cfg.output_dir,
-        f"trace_{cfg.algorithm}_{trace.metadata['subject_id']}"
-        f"_s{trace.metadata['seed']}.csv")
-    write_trace_csv(trace, path)
-    print(f"wrote {path} ({len(trace.rows)} iterations)")
-    return 0
-
-
-def _cmd_sweep(args):
-    cfg = _experiment_config(args)
-    trace = run_sweep(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir,
-                        f"sweep_{trace.metadata['subject_id']}"
+                        f"{prefix}_{trace.metadata['subject_id']}"
                         f"_s{trace.metadata['seed']}.csv")
     write_trace_csv(trace, path)
     print(f"wrote {path} ({len(trace.rows)} iterations)")
     return 0
+
+
+def _cmd_run(args):
+    cfg = _experiment_config(args)
+    return _write_episode(cfg, f"trace_{cfg.algorithm}")
+
+
+def _cmd_sweep(args):
+    return _write_episode(_experiment_config(args, algorithm="sweep"), "sweep")
 
 
 def _cmd_batch(args):

@@ -40,10 +40,11 @@ def read_config(path):
 
 
 def write_config(path, sections):
-    """Write {section: {key: str}} to an INI file."""
+    """Write {section: {key: value}} to an INI file; sequences as vectors."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
     for name, kv in sections.items():
-        cp[name] = {k: str(v) for k, v in kv.items()}
+        cp[name] = {k: format_vector(v) if isinstance(v, (list, tuple, np.ndarray))
+                    else str(v) for k, v in kv.items()}
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)

@@ -6,20 +6,19 @@ Traces are UTF-8 CSV with a header row; run metadata travels in leading
 
 import csv
 import hashlib
-import io
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .baseline import BlackBoxEs, BlackBoxEsConfig
-from .personalizer import Personalizer, PersonalizerConfig
+from .personalizer import Personalizer, PersonalizerConfig, StepRecord
 from .subject import SimulatedSubject, load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
-TRACE_COLUMNS = ["iteration", "theta_applied", "theta_hat", "J",
-                 "filtered_output", "grad_est", "curv_est", "branch"]
+TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
 
 SWEEP_START = 0.8
 SWEEP_SLOPE = 1.0 / 125.0
@@ -31,33 +30,29 @@ CONVERGENCE_HOLD = 25
 
 @dataclass
 class EpisodeTrace:
-    rows: list  # list of dicts keyed by TRACE_COLUMNS
+    rows: list  # one StepRecord per iteration
     metadata: dict  # config_hash, seed, subject_id, algorithm
 
     def __post_init__(self):
         for i, row in enumerate(self.rows):
-            if int(row["iteration"]) != i:
+            if row.iteration != i:
                 raise ValueError("trace iterations must be contiguous from 0")
 
     def column(self, name):
         if name == "branch":
-            return [r[name] for r in self.rows]
-        return np.array([float(r[name]) for r in self.rows])
+            return [r.branch for r in self.rows]
+        return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
     def __eq__(self, other):
+        """Row-by-row equality in which NaN equals NaN."""
         if not isinstance(other, EpisodeTrace):
             return NotImplemented
         if self.metadata != other.metadata or len(self.rows) != len(other.rows):
             return False
         for a, b in zip(self.rows, other.rows):
-            if set(a) != set(b):
-                return False
-            for key in a:
-                va, vb = a[key], b[key]
-                if isinstance(va, float) and isinstance(vb, float):
-                    if not (va == vb or (np.isnan(va) and np.isnan(vb))):
-                        return False
-                elif va != vb:
+            for key in TRACE_COLUMNS:
+                va, vb = getattr(a, key), getattr(b, key)
+                if va != vb and not (va != va and vb != vb):  # NaN != NaN
                     return False
         return True
 
@@ -115,72 +110,33 @@ def make_subject(subject, seed, noise_std=None):
     return subj
 
 
-def _records_to_rows(records):
-    rows = []
-    for r in records:
-        rows.append({
-            "iteration": r.iteration,
-            "theta_applied": r.theta_applied,
-            "theta_hat": r.theta_hat,
-            "J": r.performance,
-            "filtered_output": r.filtered_output,
-            "grad_est": r.grad_est,
-            "curv_est": r.curv_est,
-            "branch": r.branch,
-        })
-    return rows
-
-
 def run_episode(config, seed=None):
-    """One closed-loop episode; returns its trace (deterministic per seed)."""
+    """One episode; returns its trace (deterministic per seed).
+
+    greybox and blackbox close the loop through their controller; sweep
+    (theta_i = 0.8 + i/125, i = 0..200) and fixed apply an open-loop
+    synergy schedule and record no filter output, estimates or branch.
+    """
     seed = config.seeds[0] if seed is None else seed
     subject = make_subject(config.subject, seed, config.noise_std)
     algo = config.algorithm
-    if algo == "sweep":
-        return _sweep_trace(config, subject, seed)
-    rows = []
-    if algo == "greybox":
-        loop = Personalizer(config.personalizer)
+    if algo in ("greybox", "blackbox"):
+        loop = (Personalizer(config.personalizer) if algo == "greybox"
+                else BlackBoxEs(config.baseline))
         theta = loop.applied_theta()
-    elif algo == "blackbox":
-        loop = BlackBoxEs(config.baseline)
-        theta = loop.applied_theta()
-    else:  # fixed
-        loop = None
-        theta = config.fixed_theta
-    for i in range(config.iterations):
-        j = subject.step(theta)
-        if loop is None:
-            rows.append({"iteration": i, "theta_applied": theta,
-                         "theta_hat": theta, "J": j, "filtered_output": 0.0,
-                         "grad_est": 0.0, "curv_est": 0.0, "branch": ""})
+        for _ in range(config.iterations):
+            theta = loop.step(subject.step(theta))
+        rows = loop.records
+    else:
+        if algo == "sweep":
+            thetas = [SWEEP_START + SWEEP_SLOPE * i for i in range(SWEEP_ITERATIONS)]
         else:
-            theta = loop.step(j)
-    if loop is not None:
-        rows = _records_to_rows(loop.records)
+            thetas = [config.fixed_theta] * config.iterations
+        rows = [StepRecord(i, th, th, subject.step(th), 0.0, 0.0, 0.0, "")
+                for i, th in enumerate(thetas)]
     meta = {"config_hash": config.config_hash(), "seed": seed,
             "subject_id": subject.subject_id, "algorithm": algo}
     return EpisodeTrace(rows, meta)
-
-
-def _sweep_trace(config, subject, seed):
-    rows = []
-    for i in range(SWEEP_ITERATIONS):
-        theta = SWEEP_START + SWEEP_SLOPE * i
-        j = subject.step(theta)
-        rows.append({"iteration": i, "theta_applied": theta, "theta_hat": theta,
-                     "J": j, "filtered_output": 0.0, "grad_est": 0.0,
-                     "curv_est": 0.0, "branch": ""})
-    meta = {"config_hash": config.config_hash(), "seed": seed,
-            "subject_id": subject.subject_id, "algorithm": "sweep"}
-    return EpisodeTrace(rows, meta)
-
-
-def run_sweep(config, seed=None):
-    """Linear synergy sweep theta_i = 0.8 + i/125 over i = 0..200."""
-    seed = config.seeds[0] if seed is None else seed
-    subject = make_subject(config.subject, seed, config.noise_std)
-    return _sweep_trace(config, subject, seed)
 
 
 def convergence_iteration(theta_hats, theta_star, tol=CONVERGENCE_TOL,
@@ -194,40 +150,54 @@ def convergence_iteration(theta_hats, theta_star, tol=CONVERGENCE_TOL,
     return None
 
 
+def _format_float(v):
+    v = float(v)
+    return repr(v) if math.isfinite(v) else ""  # empty for n/a
+
+
+def _parse_float(text):
+    return float(text) if text != "" else float("nan")
+
+
+# per trace column, by StepRecord field type: cell formatter and parser
+_FORMAT = [{int: int, float: _format_float, str: str}[f.type]
+           for f in fields(StepRecord)]
+_PARSE = [{int: int, float: _parse_float, str: str}[f.type]
+          for f in fields(StepRecord)]
+
+
 def write_trace_csv(trace, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key in ("config_hash", "seed", "subject_id", "algorithm"):
             fh.write(f"# {key}: {trace.metadata[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        for row in trace.rows:
-            out = dict(row)
-            out["iteration"] = int(row["iteration"])
-            for k in ("theta_applied", "theta_hat", "J", "filtered_output",
-                      "grad_est", "curv_est"):
-                v = float(row[k])
-                out[k] = repr(v) if np.isfinite(v) else ""  # empty for n/a
-            writer.writerow(out)
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows([fmt(getattr(r, k)) for k, fmt in zip(TRACE_COLUMNS, _FORMAT)]
+                         for r in trace.rows)
 
 
 def read_trace_csv(path):
     metadata = {}
-    body = io.StringIO()
+    body = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("#"):
                 key, _, val = line[1:].partition(":")
                 metadata[key.strip()] = val.strip()
             else:
-                body.write(line)
-    body.seek(0)
+                body.append(line)
+    reader = csv.reader(body)
+    header = next(reader, None)
+    if header != TRACE_COLUMNS:
+        raise ValueError(f"{path}: trace header {header} is not {TRACE_COLUMNS}")
     rows = []
-    for row in csv.DictReader(body):
-        parsed = {"iteration": int(row["iteration"]), "branch": row["branch"]}
-        for k in ("theta_applied", "theta_hat", "J", "filtered_output",
-                  "grad_est", "curv_est"):
-            parsed[k] = float(row[k]) if row[k] != "" else float("nan")
-        rows.append(parsed)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(TRACE_COLUMNS):
+            raise ValueError(f"{path}: trace row {row} has {len(row)} cells, "
+                             f"expected {len(TRACE_COLUMNS)}")
+        rows.append(StepRecord(*[parse(cell) for parse, cell in zip(_PARSE, row)]))
     if "seed" in metadata:
         metadata["seed"] = int(metadata["seed"])
     return EpisodeTrace(rows, metadata)

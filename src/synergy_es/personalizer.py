@@ -28,11 +28,13 @@ Implementation notes, fixed by numerical analysis of the printed design:
   applied synergy never clips against them (clipping starves excitation).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.signal import cont2discrete
+
+from .config import parse_vector
 
 OBSERVER_PHI = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -95,10 +97,6 @@ class BandPassFilter:
         out = float(self.cd @ self.state + self.dd * j_value)
         self.state = self.ad @ self.state + self.bd * j_value
         return out
-
-
-def design_bandpass(omega_o, n=2, H=0.5, Q=5.0):
-    return BandPassFilter(omega_o, n, H, Q)
 
 
 class GradCurvObserver:
@@ -197,8 +195,9 @@ class SwitchedOptimizer:
         return self.theta_hat
 
 
-def optimizer_step(opt, grad_est, curv_est):
-    return opt.update(grad_est, curv_est)
+# config field -> INI key, where the paper names the parameter by a symbol
+INI_KEYS = {"dither_amplitude": "a", "gain": "k", "filter_gain": "H",
+            "filter_q": "Q", "observer_gain": "L"}
 
 
 @dataclass
@@ -213,29 +212,40 @@ class PersonalizerConfig:
     theta_0: float = 1.0
     bounds: tuple = (0.8, 2.4)
     warmup_iterations: int = 8
-    harmonics: int = 2
 
     def as_dict(self):
-        return {
-            "omega_o": self.omega_o,
-            "a": self.dither_amplitude,
-            "k": self.gain,
-            "epsilon": self.epsilon,
-            "H": self.filter_gain,
-            "Q": self.filter_q,
-            "L": list(self.observer_gain),
-            "theta_0": self.theta_0,
-            "bounds": list(self.bounds),
-            "warmup_iterations": self.warmup_iterations,
-        }
+        """Every field under its INI key (see INI_KEYS), e.g. for hashing."""
+        return {INI_KEYS.get(f.name, f.name): getattr(self, f.name)
+                for f in fields(self)}
+
+    @classmethod
+    def from_mapping(cls, mapping):
+        """Inverse of as_dict for string values, such as an INI section.
+
+        Each value is parsed as the type of its field's default: int,
+        float, or a tuple of floats (comma- or space-separated).
+        """
+        by_key = {INI_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        unknown = sorted(set(mapping) - set(by_key))
+        if unknown:
+            raise ValueError(f"unknown personalizer keys {unknown}")
+        kwargs = {}
+        for key, text in mapping.items():
+            f = by_key[key]
+            kwargs[f.name] = (tuple(parse_vector(text))
+                              if isinstance(f.default, tuple)
+                              else type(f.default)(text))
+        return cls(**kwargs)
 
 
 @dataclass
 class StepRecord:
+    """One iteration of a trace; the field names are the trace CSV header."""
+
     iteration: int
     theta_applied: float
     theta_hat: float
-    performance: float
+    J: float
     filtered_output: float
     grad_est: float
     curv_est: float
@@ -248,8 +258,8 @@ class Personalizer:
     def __init__(self, config=None):
         self.config = config or PersonalizerConfig()
         cfg = self.config
-        self.filter = BandPassFilter(cfg.omega_o, cfg.harmonics,
-                                     cfg.filter_gain, cfg.filter_q)
+        # pass band [w, 2w]: the dither's two tones
+        self.filter = BandPassFilter(cfg.omega_o, 2, cfg.filter_gain, cfg.filter_q)
         self.observer = GradCurvObserver(cfg.omega_o, np.asarray(cfg.observer_gain))
         a = cfg.dither_amplitude
         # update bounded by the dither span; hat kept one span inside bounds
@@ -277,24 +287,6 @@ class Personalizer:
         return float(np.clip(self.optimizer.theta_hat + self.dither.value(self.iteration),
                              lo, hi))
 
-    def estimate_derivatives(self):
-        """Latest (gradient, curvature) estimates in map units.
-
-        The demodulated channels are divided by the known chain gains, by
-        the dither amplitude scaling (a for the gradient channel) and by
-        -a^2/4 for the curvature channel (the rectified second-order
-        response at 2w has amplitude -u'' a^2/4 on the cosine reference,
-        matching the -0.25 output weight of the observer).
-        """
-        a = self.config.dither_amplitude
-        if a <= 0:
-            return 0.0, 0.0
-        g_chan, c_chan = self.observer.demodulate(self.iteration,
-                                                  self._phase1, self._phase2)
-        grad = g_chan / (a * self._gain1)
-        curv = c_chan / (a * a * self._gain2)
-        return grad, curv
-
     def step(self, performance):
         """Consume J_i, update all states, return theta_{i+1} to apply."""
         if not np.isfinite(performance):
@@ -303,30 +295,31 @@ class Personalizer:
         theta_applied = self.applied_theta()
         filtered = self.filter.step(float(performance))
         self.observer.step(filtered)
-        advanced = self.iteration + 1
-        self.iteration = advanced
-        grad_phys, curv_phys = self.estimate_derivatives()
+        self.iteration += 1
         a = cfg.dither_amplitude
-        branch = self.optimizer.last_branch
-        if advanced - 1 >= cfg.warmup_iterations and a > 0:
-            # optimizer runs on demodulated-signal units: the scale the
-            # published gain was tuned for (see module docstring)
-            g_chan, c_chan = self.observer.demodulate(advanced,
+        grad_phys = curv_phys = 0.0
+        if a > 0:
+            g_chan, c_chan = self.observer.demodulate(self.iteration,
                                                       self._phase1, self._phase2)
-            self.optimizer.update(g_chan, c_chan)
-            branch = self.optimizer.last_branch
+            # map units: divide by the known chain gains, by the dither
+            # amplitude scaling (a for the gradient channel) and by -a^2/4
+            # for the curvature channel (the rectified second-order response
+            # at 2w has amplitude -u'' a^2/4 on the cosine reference,
+            # matching the -0.25 output weight of the observer)
+            grad_phys = g_chan / (a * self._gain1)
+            curv_phys = c_chan / (a * a * self._gain2)
+            if self.iteration - 1 >= cfg.warmup_iterations:
+                # the optimizer runs on demodulated-signal units: the scale
+                # the published gain was tuned for (see module docstring)
+                self.optimizer.update(g_chan, c_chan)
         self.records.append(StepRecord(
-            iteration=advanced - 1,
+            iteration=self.iteration - 1,
             theta_applied=theta_applied,
             theta_hat=self.optimizer.theta_hat,
-            performance=float(performance),
+            J=float(performance),
             filtered_output=filtered,
             grad_est=grad_phys,
             curv_est=curv_phys,
-            branch=branch,
+            branch=self.optimizer.last_branch,
         ))
         return self.applied_theta()
-
-
-def personalizer_step(state, performance):
-    return state.step(performance)

@@ -11,7 +11,7 @@ Distances are in centimeters and times in seconds; that is the only
 reading under which both terms normalize to a 0..100 range.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

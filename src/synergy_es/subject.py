@@ -12,7 +12,7 @@ Note the relative degree: J_i reflects the synergy applied one iteration
 earlier.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,18 +122,6 @@ class AdaptationDynamics:
         z = np.exp(1j * float(omega))
         return complex(self.psi @ np.linalg.solve(z * np.eye(self.order) - self.phi,
                                                   self.gamma))
-
-
-def lti_step(dyn, state, u):
-    return dyn.step(state, u)
-
-
-def steady_state_gain(dyn):
-    return dyn.steady_state_gain()
-
-
-def normalize_gain(dyn):
-    return dyn.normalized()
 
 
 @dataclass

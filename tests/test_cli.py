@@ -29,7 +29,7 @@ def test_sweep_command(tmp_path):
     assert rc == 0
     trace = read_trace_csv(tmp_path / "sweep_B_s0.csv")
     assert len(trace.rows) == 201
-    assert trace.rows[0]["theta_applied"] == 0.8
+    assert trace.rows[0].theta_applied == 0.8
 
 
 def test_batch_command(tmp_path, capsys):
@@ -71,6 +71,19 @@ def test_compare_command(tmp_path, capsys):
     assert "set_a_success" in out
 
 
+def test_compare_short_row_exits_2(tmp_path, capsys):
+    rc = main(["run", "--subject", "A", "--algorithm", "fixed",
+               "--seed", "0", "--out", str(tmp_path), "--iterations", "5"])
+    assert rc == 0
+    path = tmp_path / "trace_fixed_A_s0.csv"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("5,1.0\n")
+    rc = main(["compare", "--a", str(path), "--b", str(path),
+               "--theta-star", "1.0"])
+    assert rc == 2
+    assert "cells" in capsys.readouterr().err
+
+
 def test_config_file_drives_experiment(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
@@ -86,3 +99,11 @@ def test_error_exit_code(tmp_path, capsys):
     rc = main(["identify", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_zero_iterations_rejected(tmp_path, capsys):
+    rc = main(["run", "--subject", "A", "--algorithm", "fixed",
+               "--iterations", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,15 +1,22 @@
-"""Tests for episode running, traces, batches, and comparisons."""
+"""Tests for episode running, traces, batches, configs and comparisons."""
 
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from synergy_es.baseline import BlackBoxEsConfig
+from synergy_es.cli import main
+from synergy_es.config import read_config, write_config
 from synergy_es.harness import (ExperimentConfig, compare_traces,
                                 convergence_iteration, read_trace_csv,
-                                run_batch, run_episode, run_sweep,
-                                summarize_batch, write_trace_csv)
+                                run_batch, run_episode, summarize_batch,
+                                write_trace_csv)
+from synergy_es.personalizer import PersonalizerConfig
 from synergy_es.subject import subject_a
 
 
@@ -54,13 +61,13 @@ class TestEpisode:
         cfg = ExperimentConfig(subject="B", algorithm="blackbox",
                                iterations=40)
         trace = run_episode(cfg)
-        assert [r["iteration"] for r in trace.rows] == list(range(40))
+        assert [r.iteration for r in trace.rows] == list(range(40))
 
 
 class TestSweep:
     def test_sweep_law_spot_values(self):
         cfg = ExperimentConfig(subject="A", algorithm="sweep", noise_std=0.0)
-        trace = run_sweep(cfg)
+        trace = run_episode(cfg)
         thetas = trace.column("theta_applied")
         assert_allclose(thetas[0], 0.8, atol=1e-12)
         assert_allclose(thetas[125], 1.8, atol=1e-12)
@@ -69,7 +76,7 @@ class TestSweep:
 
     def test_noise_free_sweep_peak_near_optimum(self):
         cfg = ExperimentConfig(subject="A", algorithm="sweep", noise_std=0.0)
-        trace = run_sweep(cfg)
+        trace = run_episode(cfg)
         thetas = trace.column("theta_applied")
         js = trace.column("J")
         ths = subject_a().optimum()
@@ -77,15 +84,15 @@ class TestSweep:
         assert abs(thetas[int(np.argmax(js))] - ths) < 0.1
 
     def test_noisy_sweep_mean_tracks_noise_free(self):
-        base = run_sweep(ExperimentConfig(subject="A", algorithm="sweep",
-                                          noise_std=0.0))
+        base = run_episode(ExperimentConfig(subject="A", algorithm="sweep",
+                                            noise_std=0.0))
         ref = base.column("J")
         acc = np.zeros_like(ref)
         nseeds = 20
         for seed in range(nseeds):
             cfg = ExperimentConfig(subject="A", algorithm="sweep",
                                    seeds=(seed,))
-            acc += run_sweep(cfg).column("J")
+            acc += run_episode(cfg).column("J")
         mean = acc / nseeds
         band = 2 * 16.81 / np.sqrt(nseeds)
         assert np.mean(np.abs(mean - ref) <= band) > 0.93
@@ -111,6 +118,15 @@ class TestTraceCsv:
         assert "# config_hash:" in text
         assert "iteration,theta_applied,theta_hat,J" in text
 
+    def test_blank_lines_skipped(self, tmp_path):
+        cfg = ExperimentConfig(subject="A", algorithm="fixed", iterations=5)
+        trace = run_episode(cfg)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n\n")
+        assert read_trace_csv(path) == trace
+
     def test_config_hash_changes_with_fields(self):
         c1 = ExperimentConfig(subject="A")
         c2 = ExperimentConfig(subject="B")
@@ -118,6 +134,56 @@ class TestTraceCsv:
         assert c1.config_hash() != c2.config_hash()
         assert c1.config_hash() != c3.config_hash()
         assert c1.config_hash() == ExperimentConfig(subject="A").config_hash()
+
+    @pytest.mark.parametrize("algorithm", ["greybox", "blackbox", "sweep",
+                                           "fixed"])
+    @pytest.mark.parametrize("subject", ["A", "B"])
+    @given(seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=3, deadline=None, database=None, derandomize=True)
+    def test_round_trip_property(self, tmp_path_factory, algorithm, subject,
+                                 seed):
+        """A seed gives the same trace every run, and the trace survives a
+        CSV write and read exactly (NaN cells included)."""
+        cfg = ExperimentConfig(subject=subject, algorithm=algorithm)
+        trace = run_episode(cfg, seed)
+        assert run_episode(cfg, seed) == trace
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
+
+
+def _changed(value):
+    if isinstance(value, tuple):
+        return tuple(v + 0.1 for v in value)
+    return value + 1 if isinstance(value, int) else value * 1.5
+
+
+class TestConfig:
+    @pytest.mark.parametrize("section,cls", [("personalizer", PersonalizerConfig),
+                                             ("baseline", BlackBoxEsConfig)])
+    def test_every_nested_field_enters_hash(self, section, cls):
+        base = ExperimentConfig()
+        for f in fields(cls):
+            nested = replace(getattr(base, section),
+                             **{f.name: _changed(f.default)})
+            changed = replace(base, **{section: nested})
+            assert changed.config_hash() != base.config_hash(), f.name
+
+    def test_personalizer_ini_round_trip(self, tmp_path):
+        cfg = PersonalizerConfig(**{f.name: _changed(f.default)
+                                    for f in fields(PersonalizerConfig)})
+        path = tmp_path / "p.ini"
+        write_config(path, {"personalizer": cfg.as_dict()})
+        back = PersonalizerConfig.from_mapping(read_config(path)["personalizer"])
+        assert back == cfg
+
+    @pytest.mark.parametrize("section", ["experiment", "personalizer"])
+    def test_unknown_ini_key_exits_2(self, tmp_path, capsys, section):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\nno_such_key = 1\n")
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "no_such_key" in capsys.readouterr().err
 
 
 class TestBatch:
