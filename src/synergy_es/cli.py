@@ -1,12 +1,13 @@
 """Command-line surface: run, sweep, batch, identify, compare."""
 
 import argparse
+import csv
 import os
 import sys
 
 from .config import read_config
-from .harness import (ExperimentConfig, compare_traces, read_trace_csv,
-                      run_batch, run_episode, write_trace_csv)
+from .harness import (TRACE_COLUMNS, ExperimentConfig, compare_traces,
+                      read_trace_csv, run_batch, run_episode, write_trace_csv)
 from .personalizer import PersonalizerConfig
 from .sysid import (identify_from_records, read_iteration_csv,
                     write_fitted_subject, write_identification_report)
@@ -72,14 +73,26 @@ def _cmd_batch(args):
           f"{summary.get('median_convergence_iteration')}")
     print(f"median final theta: {summary.get('median_final_theta')}")
     if summary.get("aborted"):
-        print(f"batch aborted with failures: {summary['failures']}",
-              file=sys.stderr)
+        for fail in summary["failures"]:
+            print(f"batch aborted at seed {fail['seed']}: "
+                  f"{fail['type']}: {fail['message']}", file=sys.stderr)
         return 1
     return 0
 
 
+def _read_record(path):
+    """(theta, J) from a trace CSV or an iteration,theta,performance CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(line for line in fh if not line.startswith("#")), None)
+    if header == TRACE_COLUMNS:
+        trace = read_trace_csv(path)
+        return trace.column("theta_applied"), trace.column("J")
+    _, thetas, perfs = read_iteration_csv(path)
+    return thetas, perfs
+
+
 def _cmd_identify(args):
-    _, thetas, perfs = read_iteration_csv(args.input)
+    thetas, perfs = _read_record(args.input)
     pref, dyn, mse, resid, report = identify_from_records(
         thetas, perfs, order=args.order)
     os.makedirs(args.out, exist_ok=True)
@@ -130,7 +143,8 @@ def build_parser():
     p_batch.set_defaults(func=_cmd_batch)
 
     p_id = sub.add_parser("identify", help="grey-box identification from CSV")
-    p_id.add_argument("input", help="CSV with iteration,theta,performance")
+    p_id.add_argument("input", help="trace CSV (e.g. from sweep) or CSV with "
+                      "iteration,theta,performance")
     p_id.add_argument("--order", type=int, default=2, choices=[2, 3])
     p_id.add_argument("--out", default=".")
     p_id.set_defaults(func=_cmd_identify)

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -230,7 +231,11 @@ def summarize_batch(traces, theta_star):
 
 
 def run_batch(config, theta_star=None):
-    """Per-seed episodes + aggregation + summary CSV + SVG plots."""
+    """Per-seed episodes + aggregation + summary CSV + SVG plots.
+
+    The first failing seed aborts the batch; summary["failures"] records its
+    seed, exception type name, message and formatted traceback.
+    """
     os.makedirs(config.output_dir, exist_ok=True)
     traces = []
     failures = []
@@ -238,13 +243,15 @@ def run_batch(config, theta_star=None):
         try:
             tr = run_episode(config, seed)
         except Exception as exc:  # partial results flagged, batch aborted
-            failures.append((seed, str(exc)))
+            failures.append({"seed": seed, "type": type(exc).__name__,
+                             "message": str(exc),
+                             "traceback": traceback.format_exc()})
             break
         traces.append(tr)
         write_trace_csv(tr, os.path.join(
             config.output_dir,
             f"trace_{config.algorithm}_{tr.metadata['subject_id']}_s{seed}.csv"))
-    if theta_star is None:
+    if theta_star is None and traces:
         probe = make_subject(config.subject, config.seeds[0], config.noise_std)
         theta_star = probe.optimum()
     summary = summarize_batch(traces, theta_star) if traces else {}

@@ -2,15 +2,17 @@
 
 The LTI fitter searches real pole sets inside (0, 1) on a refinable grid
 (over-damped by construction) with an inner linear least-squares solve for
-the numerator, then normalizes to unity steady-state gain. Residuals are
-always evaluated from sample index 3 onward so that order-2 and order-3
-fits are scored on the same samples.
+the numerator, then normalizes to unity steady-state gain. The grid
+candidates are scored in closed form from one least-squares solve per
+order. Residuals are always evaluated from sample index 1 onward (zero
+history before sample 0) so that order-2 and order-3 fits are scored on
+the same samples.
 """
 
 import csv
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.stats import norm
@@ -68,10 +70,11 @@ def fit_preference_map(samples):
 
 
 def _poles_to_denominator(poles):
-    # monic z-polynomial with the given roots; coefficients [1, a1, ..., an]
-    coeffs = np.array([1.0])
-    for p in poles:
-        coeffs = np.convolve(coeffs, [1.0, -p])
+    # one monic z-polynomial per row of roots; coefficients [1, a1, ..., an]
+    coeffs = np.zeros((poles.shape[0], poles.shape[1] + 1))
+    coeffs[:, 0] = 1.0
+    for j, p in enumerate(poles.T, start=1):  # multiply by (z - p)
+        coeffs[:, 1:j + 1] -= coeffs[:, :j] * p[:, None]
     return coeffs
 
 
@@ -81,6 +84,24 @@ def _lagged(series, lag):
     if lag < len(series):
         out[lag:] = series[:len(series) - lag]
     return out
+
+
+def _lag_columns(series, lags):
+    """Columns of `series` delayed by each lag, rows from _RESIDUAL_START."""
+    return np.column_stack([_lagged(series, k)[_RESIDUAL_START:] for k in lags])
+
+
+def _lag_residual_basis(u, y, n):
+    """Residual of y lagged 0..n after least squares on u lagged 1..n.
+
+    `_arx_residuals` solves for target = (y lagged 0..n) @ den, and `lstsq` is
+    linear in the right-hand side (QR is not, for rank-deficient u), so
+    `basis @ den` is every candidate's residual from this one solve.
+    """
+    ylag = _lag_columns(y, range(n + 1))
+    regress = _lag_columns(u, range(1, n + 1))
+    coef, *_ = np.linalg.lstsq(regress, ylag, rcond=None)
+    return ylag - regress @ coef
 
 
 def _arx_residuals(u, y, den):
@@ -95,7 +116,7 @@ def _arx_residuals(u, y, den):
     target = y[rows].astype(float).copy()
     for kk in range(1, n + 1):
         target += den[kk] * _lagged(y, kk)[rows]
-    regress = np.column_stack([_lagged(u, kk)[rows] for kk in range(1, n + 1)])
+    regress = _lag_columns(u, range(1, n + 1))
     b, *_ = np.linalg.lstsq(regress, target, rcond=None)
     resid = target - regress @ b
     return b, float(np.mean(resid ** 2))
@@ -112,13 +133,6 @@ def _companion_realization(b, den):
     gamma[0] = 1.0
     psi = np.asarray(b, dtype=float)
     return AdaptationDynamics(phi, gamma, psi)
-
-
-def _pole_grids(order, lo, hi, npts):
-    base = np.linspace(lo, hi, npts)
-    for combo in product(base, repeat=order):
-        if all(combo[j] <= combo[j + 1] for j in range(order - 1)):
-            yield combo
 
 
 def fit_adaptation_lti(u_series, j_series, order=2):
@@ -141,27 +155,26 @@ def fit_adaptation_lti(u_series, j_series, order=2):
     p_min, p_max = 1e-4, 1.0 - 1e-4
 
     def search(order_n, extra=()):
+        basis = _lag_residual_basis(u, y, order_n)
         best = None
         lo, hi, npts = p_min, p_max, 13
+        # grid-point indices of every nondecreasing pole tuple, in scan order
+        tuples = np.array(list(combinations_with_replacement(range(npts), order_n)))
         for _ in range(4):  # refinable grid
-            cands = list(_pole_grids(order_n, lo, hi, npts)) + list(extra)
-            for poles in cands:
-                den = _poles_to_denominator(poles)
-                b, mse = _arx_residuals(u, y, den)
-                if best is None or mse < best[0]:
-                    best = (mse, poles, b, den)
-            center = best[1]
+            cands = np.vstack([np.linspace(lo, hi, npts)[tuples], *extra])
+            dens = _poles_to_denominator(cands)
+            mses = np.mean((basis @ dens.T) ** 2, axis=0)
+            k = int(np.argmin(mses))  # first minimum, as a sequential scan
+            if best is None or mses[k] < best[0]:
+                best = (mses[k], cands[k], dens[k])
             span = (hi - lo) / (npts - 1)
-            lo = max(p_min, min(center) - span)
-            hi = min(p_max, max(center) + span)
+            lo = max(p_min, min(best[1]) - span)
+            hi = min(p_max, max(best[1]) + span)
         return best
 
-    if order == 2:
-        mse, poles, b, den = search(2)
-    else:
-        best2 = search(2)
-        embedded = ((0.0,) + tuple(sorted(best2[1])),)
-        mse, poles, b, den = search(3, extra=embedded)
+    # order 3 also scores the best order-2 pair behind a pole at zero
+    den = search(order, () if order == 2 else [(0.0, *search(2)[1])])[2]
+    b, mse = _arx_residuals(u, y, den)
 
     dyn = _companion_realization(b, den)
     gain = dyn.steady_state_gain()
@@ -180,9 +193,8 @@ def fit_adaptation_lti(u_series, j_series, order=2):
 
 def _unconstrained_arx(u, y, n):
     rows = np.arange(_RESIDUAL_START, len(y))
-    regress = np.column_stack(
-        [-_lagged(y, kk)[rows] for kk in range(1, n + 1)]
-        + [_lagged(u, kk)[rows] for kk in range(1, n + 1)])
+    regress = np.column_stack([-_lag_columns(y, range(1, n + 1)),
+                               _lag_columns(u, range(1, n + 1))])
     theta, *_ = np.linalg.lstsq(regress, y[rows], rcond=None)
     resid = y[rows] - regress @ theta
     return theta, float(np.mean(resid ** 2))
@@ -238,15 +250,11 @@ def identify_from_records(thetas, performances, order=2, confidence=0.95):
     """
     thetas = np.asarray(thetas, dtype=float)
     performances = np.asarray(performances, dtype=float)
-    samples = []
-    for th in np.unique(thetas):
-        sel = thetas == th
-        samples.append(SteadyStateSample(
-            theta=float(th),
-            mean_performance=float(np.mean(performances[sel])),
-            std_performance=float(np.std(performances[sel])),
-            count=int(np.sum(sel))))
-    pref = fit_preference_map(samples)
+    levels, which, counts = np.unique(thetas, return_inverse=True, return_counts=True)
+    means = np.bincount(which, performances) / counts
+    stds = np.sqrt(np.bincount(which, (performances - means[which]) ** 2) / counts)
+    pref = fit_preference_map([SteadyStateSample(float(th), float(m), float(s), int(c))
+                               for th, m, s, c in zip(levels, means, stds, counts)])
     u = pref.value(thetas)
     dyn, mse = fit_adaptation_lti(u, performances, order)
 

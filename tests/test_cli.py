@@ -56,6 +56,23 @@ def test_identify_command(tmp_path, capsys):
     assert (tmp_path / "identified_subject.ini").exists()
 
 
+def test_identify_reads_sweep_trace(tmp_path):
+    rc = main(["sweep", "--subject", "A", "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    rc = main(["identify", str(tmp_path / "sweep_A_s0.csv"), "--order", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "lti order: 3" in (tmp_path / "identification_report.txt").read_text()
+    assert (tmp_path / "identified_subject.ini").exists()
+
+
+def test_batch_failure_prints_type(tmp_path, capsys):
+    rc = main(["batch", "--subject", str(tmp_path / "missing.ini"),
+               "--algorithm", "fixed", "--seed", "4", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "seed 4: FileNotFoundError: " in capsys.readouterr().err
+
+
 def test_compare_command(tmp_path, capsys):
     for algo in ("greybox", "blackbox"):
         rc = main(["run", "--subject", "A", "--algorithm", algo,

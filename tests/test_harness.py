@@ -198,6 +198,18 @@ class TestBatch:
         assert (tmp_path / "theta_greybox.svg").exists()
         assert (tmp_path / "performance_greybox.svg").exists()
 
+    def test_failure_records_type_and_traceback(self, tmp_path):
+        cfg = ExperimentConfig(subject=str(tmp_path / "missing.ini"),
+                               algorithm="fixed", output_dir=str(tmp_path))
+        summary, traces = run_batch(cfg, theta_star=1.5)
+        assert summary["aborted"] and traces == []
+        (fail,) = summary["failures"]
+        assert fail["seed"] == 0
+        assert fail["type"] == "FileNotFoundError"
+        assert "missing.ini" in fail["message"]
+        assert fail["traceback"].startswith("Traceback")
+        assert "FileNotFoundError" in fail["traceback"]
+
     def test_summary_recomputable_from_traces(self, tmp_path):
         cfg = ExperimentConfig(subject="A", algorithm="greybox",
                                seeds=tuple(range(5)), output_dir=str(tmp_path),

@@ -1,15 +1,21 @@
 """Tests for the identification toolkit."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, subject_a)
-from synergy_es.sysid import (SteadyStateSample, fit_adaptation_lti,
-                              fit_preference_map, identify_from_records,
-                              read_iteration_csv, whiteness_test,
-                              write_fitted_subject,
+from synergy_es.sysid import (SteadyStateSample, _arx_residuals,
+                              _lag_residual_basis, _poles_to_denominator,
+                              fit_adaptation_lti, fit_preference_map,
+                              identify_from_records, read_iteration_csv,
+                              whiteness_test, write_fitted_subject,
                               write_identification_report)
 
 
@@ -153,6 +159,113 @@ class TestLtiFit:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             fit_adaptation_lti(np.ones(50), np.ones(50), order=4)
+
+
+def reference_search(u, y, order):
+    """Per-candidate lstsq pole-grid search, as scored before the closed form.
+
+    Returns (mse, poles, den) of the selected candidate.
+    """
+    def search(order_n, extra=()):
+        best = None
+        lo, hi = 1e-4, 1.0 - 1e-4
+        for _ in range(4):
+            base = np.linspace(lo, hi, 13)
+            cands = [c for c in product(base, repeat=order_n)
+                     if all(c[j] <= c[j + 1] for j in range(order_n - 1))]
+            for poles in cands + list(extra):
+                den = np.poly(poles)
+                _, mse = _arx_residuals(u, y, den)
+                if best is None or mse < best[0]:
+                    best = (mse, poles, den)
+            span = (hi - lo) / 12
+            lo = max(1e-4, min(best[1]) - span)
+            hi = min(1.0 - 1e-4, max(best[1]) + span)
+        return best
+
+    if order == 2:
+        return search(2)
+    return search(3, [(0.0,) + tuple(sorted(search(2)[1]))])
+
+
+def criterion7_data():
+    """The (u, y) records of acceptance criterion 7's LTI checks."""
+    gen = AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
+                             np.array([1.0, 0.0]),
+                             np.array([0.18, 0.12])).normalized()
+    u = np.ones(80)
+    data = [(u, simulate(gen, u))]
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        uu = rng.standard_normal(70)
+        yy = simulate(subject_a(noise_std=0.0).dynamics, uu)
+        data.append((uu, yy + 1.5 * rng.standard_normal(70)))
+    return data
+
+
+class TestClosedFormScoring:
+    @pytest.mark.parametrize("u_kind", ["random", "zeros", "zero_first_half",
+                                        "late_spike"])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_equals_per_candidate_lstsq(self, order, u_kind):
+        rng = np.random.default_rng(100 + order)
+        u = rng.standard_normal(60)
+        if u_kind == "zeros":  # lagged inputs all zero: rank 0
+            u[:] = 0.0
+        elif u_kind == "zero_first_half":  # still full rank
+            u[:30] = 0.0
+        elif u_kind == "late_spike":  # only lag 1 sees it: rank 1 of order
+            u[:] = 0.0
+            u[-2] = 2.5
+        y = 10.0 + 3.0 * rng.standard_normal(60)
+        poles = rng.uniform(0.0, 1.0, (40, order))
+        dens = _poles_to_denominator(poles)
+        for den, p in zip(dens, poles):
+            assert_allclose(den, np.poly(p), rtol=0, atol=1e-15)
+        basis = _lag_residual_basis(u, y, order)
+        closed = np.mean((basis @ dens.T) ** 2, axis=0)
+        per_candidate = [_arx_residuals(u, y, den)[1] for den in dens]
+        assert_allclose(closed, per_candidate, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("subject", ["A", "B"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sweep_selection_matches_reference(self, seed, subject, order):
+        trace = run_episode(ExperimentConfig(subject=subject, algorithm="sweep"), seed)
+        thetas, perfs = trace.column("theta_applied"), trace.column("J")
+        pref, dyn, mse, _, _ = identify_from_records(thetas, perfs, order)
+        ref_mse, _, ref_den = reference_search(pref.value(thetas), perfs, order)
+        assert_allclose(-dyn.phi[0], ref_den[1:], rtol=0, atol=1e-12)
+        assert_allclose(mse, ref_mse, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_criterion7_selection_matches_reference(self, order):
+        for u, y in criterion7_data():
+            dyn, mse = fit_adaptation_lti(u, y, order)
+            ref_mse, _, ref_den = reference_search(u, y, order)
+            assert_allclose(-dyn.phi[0], ref_den[1:], rtol=0, atol=1e-12)
+            assert_allclose(mse, ref_mse, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=5, deadline=None, database=None, derandomize=True)
+    def test_fit_invariants_property(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 120))
+        u = rng.uniform(0.1, 10.0) * rng.standard_normal(n)
+        y = simulate(subject_a(noise_std=0.0).dynamics, u)
+        y += rng.uniform(0.0, 3.0) * rng.standard_normal(n)
+        fits = {order: fit_adaptation_lti(u, y, order) for order in (2, 3)}
+        for dyn, _ in fits.values():
+            # grid poles may repeat, and eigvals of a repeated root carry
+            # O(eps ** (1 / multiplicity)) error, hence the 1e-5 slack
+            poles = np.linalg.eigvals(dyn.phi)
+            assert np.max(np.abs(poles.imag)) < 1e-5
+            assert ((poles.real > -1e-5) & (poles.real < 1.0)).all()
+            assert_allclose(dyn.steady_state_gain(), 1.0, atol=1e-9)
+        assert fits[3][1] <= fits[2][1] + 1e-12
 
 
 class TestWhiteness:
