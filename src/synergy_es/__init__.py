@@ -20,8 +20,7 @@ from .plant import (ArmGeometry, ReachOutcome, ReachTask, ShoulderProfile,
 from .subject import (AdaptationDynamics, MotorNoise, NonConcaveMapError,
                       PreferenceMap, SimulatedSubject, load_subject,
                       save_subject, static_subject, subject_a, subject_b)
-from .sysid import (SteadyStateSample, WhitenessReport, fit_adaptation_lti,
-                    fit_preference_map, identify_from_records,
-                    read_iteration_csv, whiteness_test)
+from .sysid import (WhitenessReport, fit_adaptation_lti, fit_preference_map,
+                    identify_from_records, read_iteration_csv, whiteness_test)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baseline import BlackBoxEs, BlackBoxEsConfig
 from .personalizer import Personalizer, PersonalizerConfig, StepRecord
-from .subject import SimulatedSubject, load_subject, subject_a, subject_b
+from .subject import load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
 TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
@@ -95,9 +95,6 @@ class ExperimentConfig:
 
 
 def make_subject(subject, seed, noise_std=None):
-    if isinstance(subject, SimulatedSubject):
-        subject.reset(seed)
-        return subject
     if subject == "A":
         subj = subject_a(seed)
     elif subject == "B":

@@ -51,24 +51,22 @@ GRADIENT = "gradient"
 
 
 class BandPassFilter:
-    """Second-order discrete band-pass over the dither band [w, n w].
+    """Second-order discrete band-pass over the dither band [w, 2w].
 
     Continuous prototype H (wc/Q) s / (s^2 + (wc/Q) s + wc^2) with
-    wc = sqrt(n) w, prewarped and bilinear-discretized at unit iteration
+    wc = sqrt(2) w, prewarped and bilinear-discretized at unit iteration
     step, so the peak gain is exactly H at wc. The first processed sample
     initializes the state at its DC solution, which removes the switch-on
     transient (the large constant offset would otherwise ring through the
     passband for tens of iterations).
     """
 
-    def __init__(self, omega_o, n=2, H=0.5, Q=5.0):
+    def __init__(self, omega_o, H=0.5, Q=5.0):
         if omega_o <= 0 or H <= 0 or Q <= 0:
             raise ValueError("omega_o, H, Q must be positive")
-        if n * omega_o >= np.pi:
-            raise ValueError("n*omega_o must stay below the iteration-domain Nyquist rate")
-        self.omega_o, self.n, self.H, self.Q = float(omega_o), int(n), float(H), float(Q)
-        self.omega_c = np.sqrt(n) * omega_o
-        wa = 2.0 * np.tan(self.omega_c / 2.0)  # prewarped analog center
+        if 2 * omega_o >= np.pi:
+            raise ValueError("2*omega_o must stay below the iteration-domain Nyquist rate")
+        wa = 2.0 * np.tan(np.sqrt(2) * omega_o / 2.0)  # prewarped analog center
         a_mat = np.array([[-wa / Q, -wa * wa], [1.0, 0.0]])
         b_mat = np.array([[1.0], [0.0]])
         c_mat = np.array([[H * wa / Q, 0.0]])
@@ -86,9 +84,6 @@ class BandPassFilter:
         z = np.exp(1j * float(omega))
         return complex(self.cd @ np.linalg.solve(z * np.eye(2) - self.ad, self.bd)
                        + self.dd)
-
-    def reset(self):
-        self.state = None
 
     def step(self, j_value):
         """Filter one sample; returns the band-passed output."""
@@ -122,9 +117,6 @@ class GradCurvObserver:
         if rho >= 1.0:
             raise ValueError(f"observer closed loop is unstable (spectral radius {rho:.4f})")
         self.closed_loop_radius = rho
-        self.z = np.zeros(5)
-
-    def reset(self):
         self.z = np.zeros(5)
 
     def step(self, filtered_value):
@@ -213,6 +205,16 @@ class PersonalizerConfig:
     bounds: tuple = (0.8, 2.4)
     warmup_iterations: int = 8
 
+    def __post_init__(self):
+        # values come from user INI files: reject what cannot work
+        if len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
+            raise ValueError(f"bounds {self.bounds} must be two increasing values")
+        if self.dither_amplitude < 0 or self.warmup_iterations < 0:
+            raise ValueError("dither amplitude and warmup iterations must be >= 0")
+        if 4 * self.dither_amplitude >= self.bounds[1] - self.bounds[0]:
+            raise ValueError(f"dither span 4a = {4 * self.dither_amplitude} does not "
+                             f"fit inside bounds {self.bounds}")
+
     def as_dict(self):
         """Every field under its INI key (see INI_KEYS), e.g. for hashing."""
         return {INI_KEYS.get(f.name, f.name): getattr(self, f.name)
@@ -259,7 +261,7 @@ class Personalizer:
         self.config = config or PersonalizerConfig()
         cfg = self.config
         # pass band [w, 2w]: the dither's two tones
-        self.filter = BandPassFilter(cfg.omega_o, 2, cfg.filter_gain, cfg.filter_q)
+        self.filter = BandPassFilter(cfg.omega_o, cfg.filter_gain, cfg.filter_q)
         self.observer = GradCurvObserver(cfg.omega_o, np.asarray(cfg.observer_gain))
         a = cfg.dither_amplitude
         # update bounded by the dither span; hat kept one span inside bounds
@@ -274,6 +276,9 @@ class Personalizer:
         g2 = self.filter.frequency_response(2 * cfg.omega_o) * np.exp(-2j * cfg.omega_o)
         self._phase1, self._gain1 = float(np.angle(g1)), float(abs(g1))
         self._phase2, self._gain2 = float(np.angle(g2)), float(abs(g2))
+        if a > 0 and a * a * self._gain2 == 0:  # step() divides by it
+            raise ValueError(f"dither amplitude {a} is too small: the curvature "
+                             "scale a^2 x chain gain underflows to 0")
         self.iteration = 0
         self.records = []
 

@@ -47,13 +47,10 @@ class ShoulderProfile:
     duration_s: float = 1.5
     sample_rate_hz: float = 90.0
     start_flexion_rad: float = 0.45
-    profile_kind: str = "minimum_jerk"
 
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.profile_kind != "minimum_jerk":
-            raise ValueError(f"unsupported profile kind {self.profile_kind!r}")
 
     def angle(self, t):
         """Shoulder flexion angle at time t (monotone, zero end velocity)."""
@@ -82,12 +79,11 @@ def _hand_position(geom, shoulder_angle, elbow_flexion):
     fa = shoulder_angle + elbow_flexion
     hx = ex + geom.forearm_hand_cm * np.sin(fa)
     hy = ey - geom.forearm_hand_cm * np.cos(fa)
-    return np.array([hx, hy]), np.array([ex, ey])
+    return np.array([hx, hy])
 
 
 def initial_hand_position(geom, profile):
-    hand, _ = _hand_position(geom, profile.start_flexion_rad, _ELBOW_START_RAD)
-    return hand
+    return _hand_position(geom, profile.start_flexion_rad, _ELBOW_START_RAD)
 
 
 def default_geometry():
@@ -123,9 +119,8 @@ def simulate_reach(geom, task, theta, profile):
     elbow = _ELBOW_START_RAD - float(theta) * (shoulder - shoulder[0])
     path = np.empty((times.size, 3))
     for i, t in enumerate(times):
-        hand, _ = _hand_position(geom, shoulder[i], elbow[i])
         path[i, 0] = t
-        path[i, 1:] = hand
+        path[i, 1:] = _hand_position(geom, shoulder[i], elbow[i])
     speeds = np.linalg.norm(np.diff(path[:, 1:], axis=0), axis=1) / dt
     moving = speeds >= STOP_SPEED_CM_S
     stop_idx = times.size - 1

@@ -31,37 +31,27 @@ class PreferenceMap:
     """Quadratic synergy-to-steady-state-performance map."""
 
     lam: np.ndarray
-    basis: str = "quadratic"
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
-        if self.basis == "quadratic" and self.lam.shape != (3,):
+        if self.lam.shape != (3,):
             raise ValueError("quadratic basis needs 3 coefficients")
 
     def value(self, theta):
         """Steady-state performance at a synergy value (exact polynomial)."""
-        if self.basis != "quadratic":
-            raise ValueError(f"unsupported basis {self.basis!r}")
         th = np.asarray(theta, dtype=float)
         return self.lam[0] * th * th + self.lam[1] * th + self.lam[2]
 
     def derivatives(self, theta):
         """Analytic (first, second) derivatives at theta."""
-        if self.basis != "quadratic":
-            raise ValueError(f"unsupported basis {self.basis!r}")
         return 2.0 * self.lam[0] * theta + self.lam[1], 2.0 * self.lam[0]
 
     def optimum(self):
         """Unique maximizer -lam1/(2 lam0); requires strict concavity."""
-        if self.basis != "quadratic":
-            raise ValueError(f"unsupported basis {self.basis!r}")
         if self.lam[0] >= 0:
             raise NonConcaveMapError(
                 "map is not strictly concave (lam[0] >= 0); no unique maximum")
         return -self.lam[1] / (2.0 * self.lam[0])
-
-    def optimum_value(self):
-        return self.value(self.optimum())
 
 
 @dataclass
@@ -116,12 +106,6 @@ class AdaptationDynamics:
         if g == 0.0:
             raise ValueError("zero steady-state gain cannot be normalized")
         return AdaptationDynamics(self.phi.copy(), self.gamma / g, self.psi.copy())
-
-    def frequency_response(self, omega):
-        """Psi (e^{jw} I - Phi)^-1 Gamma at iteration-domain frequency omega."""
-        z = np.exp(1j * float(omega))
-        return complex(self.psi @ np.linalg.solve(z * np.eye(self.order) - self.phi,
-                                                  self.gamma))
 
 
 @dataclass
@@ -209,19 +193,18 @@ def subject_b(seed=0, noise_std=NOISE_STD_B):
     )
 
 
-def static_subject(pref_map, seed=0, noise_std=0.0, subject_id="static",
-                   steady_at=None):
-    """Subject with no learning dynamics beyond the one-iteration latency.
+def static_subject(pref_map, steady_at=None):
+    """Noise-free subject with no learning dynamics beyond the one-iteration
+    latency.
 
-    Order-1 dynamics Phi=0, Gamma=Psi=1: J_i = u(theta_{i-1}) + v_i, which is
-    the memoryless limit of the grey-box model (unity gain, relative degree
+    Order-1 dynamics Phi=0, Gamma=Psi=1: J_i = u(theta_{i-1}), which is the
+    memoryless limit of the grey-box model (unity gain, relative degree
     one preserved). With steady_at set, the first output already reflects
     that synergy (a truly static plant has no settling transient).
     """
     dyn = AdaptationDynamics(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
     x0 = None if steady_at is None else np.array([pref_map.value(steady_at)])
-    return SimulatedSubject(pref_map, dyn, MotorNoise(0.0, noise_std, seed),
-                            initial_state=x0, subject_id=subject_id)
+    return SimulatedSubject(pref_map, dyn, initial_state=x0, subject_id="static")
 
 
 def save_subject(path, subject):

@@ -4,16 +4,17 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+_TICKS = 5  # per axis
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="",
-              width=720, height=440):
-    """Write an SVG with one polyline per (label, xs, ys) in series."""
+def _ticks(lo, hi):
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
+
+
+def line_plot(path, series, title="", xlabel="", ylabel=""):
+    """Write a 720 x 440 SVG with one polyline per (label, xs, ys) in series."""
+    width, height = 720, 440
     ml, mr, mt, mb = 60, 20, 36, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]

@@ -17,30 +17,16 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.stats import norm
 
-from .config import format_matrix, format_vector, write_config
-from .subject import AdaptationDynamics, PreferenceMap
+from .config import format_matrix, format_vector
+from .subject import (AdaptationDynamics, MotorNoise, PreferenceMap,
+                      SimulatedSubject, save_subject)
 
 _RESIDUAL_START = 1  # predictions start at sample 1 with zero-padded history
+_MAX_LAG = 10  # whiteness test: autocorrelation lags 1.._MAX_LAG at most
 
 
 class ConstrainedFitWarning(UserWarning):
     """The pole-constrained fit is much worse than the unconstrained one."""
-
-
-@dataclass
-class SteadyStateSample:
-    """Per-synergy steady-state performance statistics."""
-
-    theta: float
-    mean_performance: float
-    std_performance: float = 0.0
-    count: int = 1
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.std_performance < 0:
-            raise ValueError("std must be >= 0")
 
 
 @dataclass
@@ -53,13 +39,14 @@ class WhitenessReport:
     residual_std: float
 
 
-def fit_preference_map(samples):
+def fit_preference_map(thetas, mean_performances):
     """Ordinary least squares on the basis [theta^2, theta, 1].
 
-    Warns (but still returns the fit) when the fitted map is not concave.
+    Takes the steady-state performance at each synergy value. Warns (but
+    still returns the fit) when the fitted map is not concave.
     """
-    thetas = np.array([s.theta for s in samples], dtype=float)
-    y = np.array([s.mean_performance for s in samples], dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    y = np.asarray(mean_performances, dtype=float)
     if np.unique(thetas).size < 3:
         raise ValueError("need at least 3 distinct synergy values for a quadratic fit")
     design = np.column_stack([thetas ** 2, thetas, np.ones_like(thetas)])
@@ -141,7 +128,9 @@ def fit_adaptation_lti(u_series, j_series, order=2):
     Returns (AdaptationDynamics, mse). The order-3 search also scores the
     best order-2 pole pair with the third pole at exactly zero (a pure
     delay, whose predictor residuals equal the order-2 ones), so the
-    order-3 MSE never exceeds the order-2 MSE on the same data.
+    order-3 MSE never exceeds the order-2 MSE on the same data. A record
+    with constant input and output warns (the fit is still returned): it
+    shows no transient to identify poles from.
     """
     u = np.asarray(u_series, dtype=float).ravel()
     y = np.asarray(j_series, dtype=float).ravel()
@@ -151,6 +140,11 @@ def fit_adaptation_lti(u_series, j_series, order=2):
         raise ValueError("order must be 2 or 3")
     if len(u) < 10 * order:
         raise ValueError(f"need at least {10 * order} samples for an order-{order} fit")
+    if np.ptp(u) == 0 and np.ptp(y) == 0:
+        # constant u from rest is a step (zero history), but with y constant
+        # too every candidate fits exactly and the argmin picks rounding noise
+        warnings.warn("no excitation (u and y are constant); the poles "
+                      "cannot be identified")
 
     p_min, p_max = 1e-4, 1.0 - 1e-4
 
@@ -200,10 +194,10 @@ def _unconstrained_arx(u, y, n):
     return theta, float(np.mean(resid ** 2))
 
 
-def whiteness_test(residuals, confidence=0.95, max_lag=10):
+def whiteness_test(residuals, confidence=0.95):
     """Max-normalized-autocorrelation whiteness test.
 
-    threshold = z((1+confidence)/2) / sqrt(N); lags 1..min(max_lag, N//4).
+    threshold = z((1+confidence)/2) / sqrt(N); lags 1..min(10, N//4).
     At N=50, confidence 0.95 this reproduces the 0.277 validation criterion.
     """
     e = np.asarray(residuals, dtype=float).ravel()
@@ -212,7 +206,7 @@ def whiteness_test(residuals, confidence=0.95, max_lag=10):
         raise ValueError("need at least 20 residual samples")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    lags = min(max_lag, n // 4)
+    lags = min(_MAX_LAG, n // 4)
     r0 = float(e @ e)
     if r0 == 0.0:
         acs = np.zeros(lags)
@@ -241,7 +235,7 @@ def read_iteration_csv(path):
     return np.array(its), np.array(thetas), np.array(perfs)
 
 
-def identify_from_records(thetas, performances, order=2, confidence=0.95):
+def identify_from_records(thetas, performances, order=2):
     """Full identification pass over an (theta_i, J_i) record.
 
     Steady-state samples are formed per distinct theta (mean over its
@@ -251,10 +245,7 @@ def identify_from_records(thetas, performances, order=2, confidence=0.95):
     thetas = np.asarray(thetas, dtype=float)
     performances = np.asarray(performances, dtype=float)
     levels, which, counts = np.unique(thetas, return_inverse=True, return_counts=True)
-    means = np.bincount(which, performances) / counts
-    stds = np.sqrt(np.bincount(which, (performances - means[which]) ** 2) / counts)
-    pref = fit_preference_map([SteadyStateSample(float(th), float(m), float(s), int(c))
-                               for th, m, s, c in zip(levels, means, stds, counts)])
+    pref = fit_preference_map(levels, np.bincount(which, performances) / counts)
     u = pref.value(thetas)
     dyn, mse = fit_adaptation_lti(u, performances, order)
 
@@ -265,8 +256,7 @@ def identify_from_records(thetas, performances, order=2, confidence=0.95):
         pred[i] = float(dyn.psi @ x)
         x = dyn.phi @ x + dyn.gamma * u[i]
     resid = performances - pred
-    report = whiteness_test(resid, confidence) if resid.size >= 20 else None
-    return pref, dyn, mse, resid, report
+    return pref, dyn, mse, resid, whiteness_test(resid)
 
 
 def write_identification_report(path, pref, dyn, mse, report):
@@ -281,31 +271,18 @@ def write_identification_report(path, pref, dyn, mse, report):
         f"lti psi: {format_vector(dyn.psi)}",
         f"lti steady-state gain: {dyn.steady_state_gain():.9f}",
         f"one-step mse: {mse:.6g}",
+        f"whiteness max autocorr: {report.max_normalized_autocorr:.4f}",
+        f"whiteness threshold: {report.threshold:.4f}",
+        f"whiteness passed: {report.passed}",
+        f"residual mean: {report.residual_mean:.4f}",
+        f"residual std: {report.residual_std:.4f}",
     ]
-    if report is not None:
-        lines += [
-            f"whiteness max autocorr: {report.max_normalized_autocorr:.4f}",
-            f"whiteness threshold: {report.threshold:.4f}",
-            f"whiteness passed: {report.passed}",
-            f"residual mean: {report.residual_mean:.4f}",
-            f"residual std: {report.residual_std:.4f}",
-        ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_fitted_subject(path, pref, dyn, report, seed=0):
-    """Emit a subject config consumable by the simulator."""
-    noise_mean = report.residual_mean if report is not None else 0.0
-    noise_std = report.residual_std if report is not None else 0.0
-    write_config(path, {"subject": {
-        "lambda": format_vector(pref.lam),
-        "phi": format_matrix(dyn.phi),
-        "gamma": format_vector(dyn.gamma),
-        "psi": format_vector(dyn.psi),
-        "noise_mean": repr(float(noise_mean)),
-        "noise_std": repr(float(noise_std)),
-        "seed": str(int(seed)),
-        "initial_state": format_vector(np.zeros(dyn.order)),
-        "id": "identified",
-    }})
+def write_fitted_subject(path, pref, dyn, report):
+    """Emit a subject config consumable by the simulator; the residual
+    mean and std become its motor noise."""
+    noise = MotorNoise(report.residual_mean, report.residual_std, 0)
+    save_subject(path, SimulatedSubject(pref, dyn, noise, subject_id="identified"))

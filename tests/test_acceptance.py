@@ -22,7 +22,7 @@ from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, static_subject, subject_a,
                                 subject_b)
 from synergy_es.sysid import fit_adaptation_lti, fit_preference_map, \
-    SteadyStateSample, whiteness_test
+    whiteness_test
 
 THETA_STAR_A = 529.18 / (2 * 158.15)  # vertex oracle, = 1.6730...
 THETA_STAR_B = 342.13 / (2 * 96.18)   # = 1.7786...
@@ -176,9 +176,7 @@ def test_c7_sysid_round_trip():
     """Criterion 7: map recovery, over-damped LTI fit, MSE monotonicity."""
     # exact quadratic recovery
     thetas = [0.8, 1.2, 1.6, 2.0, 2.4]
-    samples = [SteadyStateSample(th, float(PreferenceMap(LAMBDA_B).value(th)))
-               for th in thetas]
-    lam = fit_preference_map(samples).lam
+    lam = fit_preference_map(thetas, PreferenceMap(LAMBDA_B).value(thetas)).lam
     map_ok = np.max(np.abs(lam - LAMBDA_B)) < 1e-9
 
     # over-damped generator, noise-free step data

@@ -112,6 +112,20 @@ def test_config_file_drives_experiment(tmp_path):
     assert (tmp_path / "trace_blackbox_B_s5.csv").exists()
 
 
+@pytest.mark.parametrize("section", [
+    "a = 0.5\n",  # dither span 4a wider than the bounds
+    "bounds = 2.4 0.8\n",  # bounds not increasing
+], ids=["dither_span", "bounds_order"])
+def test_invalid_personalizer_config_exits_2(tmp_path, capsys, section):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[personalizer]\n" + section)
+    rc = main(["run", "--config", str(cfg), "--subject", "A",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_error_exit_code(tmp_path, capsys):
     rc = main(["identify", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
     assert rc == 2

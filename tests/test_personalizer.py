@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from synergy_es.personalizer import (DEFAULT_L, GRADIENT, NEWTON, OBSERVER_PHI,
@@ -17,39 +19,39 @@ W = np.pi / 4
 
 class TestBandPass:
     def test_design_gain_at_center(self):
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         wc = np.sqrt(2) * W
         assert_allclose(abs(f.frequency_response(wc)), 0.5, atol=0.025)
 
     def test_dc_rejection(self):
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         assert abs(f.frequency_response(1e-9)) <= 0.02
 
     def test_constant_input_decays(self):
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         out = 0.0
         for _ in range(200):
             out = f.step(123.4)
         assert abs(out) < 1e-6
 
     def test_stability(self):
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         assert f.spectral_radius() < 1.0
 
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError):
-            BandPassFilter(np.pi / 2, 2, 0.5, 5.0)
+            BandPassFilter(np.pi / 2, 0.5, 5.0)
 
     def test_zero_state_zero_output(self):
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         assert f.step(0.0) == 0.0
 
     def test_impulse_matches_direct_recursion(self):
         # state-space trace vs transfer-function recursion oracle
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         outs = [f.step(1.0 if i == 0 else 0.0) for i in range(40)]
         # oracle: same filter re-materialized, run on the same input
-        g = BandPassFilter(W, 2, 0.5, 5.0)
+        g = BandPassFilter(W, 0.5, 5.0)
         x = np.zeros(2)
         ref = []
         for i in range(40):
@@ -61,13 +63,19 @@ class TestBandPass:
         assert_allclose(outs, ref, atol=1e-12)
 
     def test_sinusoid_gain_at_center(self):
-        f = BandPassFilter(W, 2, 0.5, 5.0)
+        f = BandPassFilter(W, 0.5, 5.0)
         wc = np.sqrt(2) * W
         outs = []
         for i in range(600):
             outs.append(f.step(np.sin(wc * i)))
         amp = (max(outs[-100:]) - min(outs[-100:])) / 2
         assert_allclose(amp, 0.5, atol=0.03)
+
+    @given(omega_o=st.floats(0.01, np.pi / 2 - 0.01),
+           H=st.floats(0.01, 10.0), Q=st.floats(0.1, 100.0))
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    def test_stable_for_any_valid_design_property(self, omega_o, H, Q):
+        assert BandPassFilter(omega_o, H, Q).spectral_radius() < 1.0
 
 
 class TestObserver:
@@ -210,6 +218,39 @@ class TestPersonalizerLoop:
                 th = p.step(subj.step(th))
                 assert 0.8 <= th <= 2.4
                 assert 0.8 <= p.theta_hat <= 2.4
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bounds": (2.4, 0.8)}, {"bounds": (1.0, 1.0)}, {"bounds": (0.8, 1.6, 2.4)},
+        {"dither_amplitude": -0.01}, {"warmup_iterations": -1},
+        {"dither_amplitude": 0.4}, {"dither_amplitude": 0.5},
+        {"dither_amplitude": 1e-200},  # a^2 underflows in the estimate scaling
+    ])
+    def test_rejects_unworkable_config(self, kwargs):
+        with pytest.raises(ValueError):
+            Personalizer(PersonalizerConfig(**kwargs))
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), name=st.sampled_from("AB"),
+           lo=st.floats(0.5, 1.5), span=st.floats(0.1, 2.0),
+           dither_share=st.floats(0.0, 0.99), theta_0=st.floats(0.0, 4.0))
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    def test_synergies_stay_in_bounds_property(self, seed, name, lo, span,
+                                               dither_share, theta_0):
+        a = dither_share * span / 4  # dither span 4a fits inside the bounds
+        hi = lo + span
+        cfg = PersonalizerConfig(dither_amplitude=a, bounds=(lo, hi),
+                                 theta_0=theta_0)
+        try:
+            p = Personalizer(cfg)
+        except ValueError as exc:  # only an a > 0 whose square underflows
+            assert "underflows" in str(exc)
+            return
+        subj = (subject_a if name == "A" else subject_b)(seed=seed)
+        th = p.applied_theta()
+        for _ in range(150):
+            th = p.step(subj.step(th))
+        for r in p.records:
+            assert lo <= r.theta_applied <= hi
+            assert lo + 2 * a <= r.theta_hat <= hi - 2 * a
 
     def test_zero_dither_immobility(self):
         cfg = PersonalizerConfig(dither_amplitude=0.0)

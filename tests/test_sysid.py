@@ -11,23 +11,20 @@ from numpy.testing import assert_allclose
 from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, subject_a)
-from synergy_es.sysid import (SteadyStateSample, _arx_residuals,
-                              _lag_residual_basis, _poles_to_denominator,
-                              fit_adaptation_lti, fit_preference_map,
-                              identify_from_records, read_iteration_csv,
-                              whiteness_test, write_fitted_subject,
+from synergy_es.sysid import (_arx_residuals, _lag_residual_basis,
+                              _poles_to_denominator, fit_adaptation_lti,
+                              fit_preference_map, identify_from_records,
+                              read_iteration_csv, whiteness_test,
+                              write_fitted_subject,
                               write_identification_report)
 
 
 def samples_from(lam, thetas, noise=None):
-    m = PreferenceMap(lam)
-    out = []
-    for i, th in enumerate(thetas):
-        y = m.value(th)
-        if noise is not None:
-            y += noise[i]
-        out.append(SteadyStateSample(theta=th, mean_performance=float(y)))
-    return out
+    """(thetas, mean performances) of the map at each theta."""
+    y = PreferenceMap(lam).value(thetas)
+    if noise is not None:
+        y = y + noise
+    return thetas, y
 
 
 def simulate(dyn, u):
@@ -42,19 +39,18 @@ def simulate(dyn, u):
 class TestPreferenceFit:
     def test_exact_recovery_subject_a(self):
         thetas = [0.8, 1.2, 1.6, 2.0, 2.4]
-        lam = fit_preference_map(samples_from(LAMBDA_A, thetas)).lam
+        lam = fit_preference_map(*samples_from(LAMBDA_A, thetas)).lam
         assert_allclose(lam, LAMBDA_A, atol=1e-9)
 
     def test_constant_data(self):
-        samples = [SteadyStateSample(th, 5.0) for th in (0.9, 1.3, 1.8, 2.2)]
-        lam = fit_preference_map(samples).lam
+        lam = fit_preference_map([0.9, 1.3, 1.8, 2.2], [5.0] * 4).lam
         assert_allclose(lam, [0.0, 0.0, 5.0], atol=1e-9)
 
     def test_perturbed_recovery_subject_b(self):
         rng = np.random.default_rng(0)
         thetas = np.linspace(0.8, 2.4, 9)
         noise = rng.uniform(-1e-3, 1e-3, len(thetas))
-        lam = fit_preference_map(samples_from(LAMBDA_B, thetas, noise)).lam
+        lam = fit_preference_map(*samples_from(LAMBDA_B, thetas, noise)).lam
         assert np.max(np.abs(lam - LAMBDA_B)) < 0.1
 
     def test_round_trip_random_concave(self):
@@ -65,20 +61,18 @@ class TestPreferenceFit:
             thetas = np.sort(rng.uniform(0.8, 2.4, 6))
             if np.unique(np.round(thetas, 6)).size < 3:
                 continue
-            fit = fit_preference_map(samples_from(lam, thetas)).lam
+            fit = fit_preference_map(*samples_from(lam, thetas)).lam
             assert_allclose(fit, lam, atol=1e-9 * max(1, np.abs(lam).max()))
 
     def test_too_few_distinct_thetas(self):
         with pytest.raises(ValueError):
-            fit_preference_map([SteadyStateSample(1.0, 2.0),
-                                SteadyStateSample(1.0, 2.1),
-                                SteadyStateSample(1.5, 3.0)])
+            fit_preference_map([1.0, 1.0, 1.5], [2.0, 2.1, 3.0])
 
     def test_non_concave_warns(self):
         samples = samples_from(np.array([5.0, -1.0, 0.0]),
                                [0.8, 1.2, 1.6, 2.0])
         with pytest.warns(UserWarning):
-            fit_preference_map(samples)
+            fit_preference_map(*samples)
 
 
 class TestLtiFit:
@@ -113,7 +107,8 @@ class TestLtiFit:
 
     def test_static_data(self):
         u = np.full(40, 3.7)
-        fit, mse = fit_adaptation_lti(u, u.copy(), order=2)
+        with pytest.warns(UserWarning, match="no excitation"):
+            fit, mse = fit_adaptation_lti(u, u.copy(), order=2)
         assert_allclose(fit.steady_state_gain(), 1.0, atol=1e-9)
         assert mse < 1e-9
 
