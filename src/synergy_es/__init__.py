@@ -21,6 +21,6 @@ from .subject import (AdaptationDynamics, MotorNoise, NonConcaveMapError,
                       PreferenceMap, SimulatedSubject, load_subject,
                       save_subject, static_subject, subject_a, subject_b)
 from .sysid import (WhitenessReport, fit_adaptation_lti, fit_preference_map,
-                    identify_from_records, read_iteration_csv, whiteness_test)
+                    identify_from_records, whiteness_test)
 
 __version__ = "0.1.0"

@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("iteration count must be >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.noise_std is not None and not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
 
     def config_hash(self):
         blob = json.dumps({
@@ -137,13 +139,13 @@ def run_episode(config, seed=None):
     return EpisodeTrace(rows, meta)
 
 
-def convergence_iteration(theta_hats, theta_star, tol=CONVERGENCE_TOL,
-                          hold=CONVERGENCE_HOLD):
-    """First iteration i from which |theta_hat - theta*| < tol holds for
-    `hold` consecutive iterations; None when never reached."""
-    ok = np.abs(np.asarray(theta_hats) - theta_star) < tol
-    for i in range(len(ok) - hold + 1):
-        if ok[i:i + hold].all():
+def convergence_iteration(theta_hats, theta_star):
+    """First iteration i from which |theta_hat - theta*| < CONVERGENCE_TOL
+    holds for CONVERGENCE_HOLD consecutive iterations; None when never
+    reached."""
+    ok = np.abs(np.asarray(theta_hats) - theta_star) < CONVERGENCE_TOL
+    for i in range(len(ok) - CONVERGENCE_HOLD + 1):
+        if ok[i:i + CONVERGENCE_HOLD].all():
             return i
     return None
 

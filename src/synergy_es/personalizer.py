@@ -12,6 +12,7 @@ Implementation notes, fixed by numerical analysis of the printed design:
   iteration: the transition becomes expm(w Phi_o) (unit-circle rotations
   at the dither frequencies, i.e. an exact discrete internal model) and
   the injection gain is the matched integral of the flow applied to w L.
+  Both are block rotations, computed in closed form.
   The closed loop then has spectral radius 0.915 and the tracked states
   converge to the exact Fourier components of the filtered signal.
 
@@ -31,8 +32,6 @@ Implementation notes, fixed by numerical analysis of the printed design:
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.signal import cont2discrete
 
 from .config import parse_vector
 
@@ -67,14 +66,15 @@ class BandPassFilter:
         if 2 * omega_o >= np.pi:
             raise ValueError("2*omega_o must stay below the iteration-domain Nyquist rate")
         wa = 2.0 * np.tan(np.sqrt(2) * omega_o / 2.0)  # prewarped analog center
-        a_mat = np.array([[-wa / Q, -wa * wa], [1.0, 0.0]])
-        b_mat = np.array([[1.0], [0.0]])
-        c_mat = np.array([[H * wa / Q, 0.0]])
-        d_mat = np.array([[0.0]])
-        ad, bd, cd, dd, _ = cont2discrete((a_mat, b_mat, c_mat, d_mat), 1.0,
-                                          method="bilinear")
-        self.ad, self.bd = ad, bd.ravel()
-        self.cd, self.dd = cd.ravel(), float(dd[0, 0])
+        a = np.array([[-wa / Q, -wa * wa], [1.0, 0.0]])
+        b = np.array([1.0, 0.0])
+        c = np.array([H * wa / Q, 0.0])
+        # bilinear (Tustin) transform at unit step, with d = 0
+        m = np.eye(2) - a / 2.0
+        self.ad = np.linalg.solve(m, np.eye(2) + a / 2.0)
+        self.bd = np.linalg.solve(m, b)
+        self.cd = np.linalg.solve(m.T, c)
+        self.dd = float(c @ self.bd) / 2.0
         self.state = None
 
     def spectral_radius(self):
@@ -106,11 +106,15 @@ class GradCurvObserver:
         if self.L.shape != (5,):
             raise ValueError("observer gain must be a 5-vector")
         w = self.omega_o
-        self.transition = expm(w * OBSERVER_PHI)  # block rotations at w, 2w
-        aug = np.zeros((10, 10))
-        aug[:5, :5] = w * OBSERVER_PHI
-        aug[:5, 5:] = np.eye(5)
-        flow_integral = expm(aug)[:5, 5:]
+        # expm(w Phi_o) and its flow integral over one iteration, in closed
+        # form: 1 for the offset, then per k = 1, 2 a rotation by k w
+        self.transition = np.eye(5)
+        flow_integral = np.eye(5)
+        for k in (1, 2):
+            s, c = np.sin(k * w), np.cos(k * w)
+            blk = slice(2 * k - 1, 2 * k + 1)
+            self.transition[blk, blk] = [[c, s], [-s, c]]
+            flow_integral[blk, blk] = np.array([[s, 1.0 - c], [c - 1.0, s]]) / (k * w)
         self.injection = flow_integral @ (w * self.L)
         closed = self.transition - np.outer(self.injection, OBSERVER_PSI)
         rho = float(np.max(np.abs(np.linalg.eigvals(closed))))
@@ -124,7 +128,7 @@ class GradCurvObserver:
         self.z = self.transition @ self.z + self.injection * innovation
         return self.z
 
-    def demodulate(self, index, phase1=0.0, phase2=0.0):
+    def demodulate(self, index, phase1, phase2):
         """(sin-amplitude at w, sin/cos pair at 2w) with phased references.
 
         Returns the gradient-channel and curvature-channel demodulated

@@ -117,8 +117,9 @@ class MotorNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("noise std must be >= 0")
+        if not (np.isfinite(self.mean) and 0 <= self.std < np.inf):  # NaN fails
+            raise ValueError(f"noise mean {self.mean} must be finite and "
+                             f"std {self.std} finite and >= 0")
         self._rng = np.random.default_rng(self.seed)
 
     def sample(self):

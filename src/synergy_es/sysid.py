@@ -9,13 +9,12 @@ history before sample 0) so that order-2 and order-3 fits are scored on
 the same samples.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .config import format_matrix, format_vector
 from .subject import (AdaptationDynamics, MotorNoise, PreferenceMap,
@@ -23,6 +22,7 @@ from .subject import (AdaptationDynamics, MotorNoise, PreferenceMap,
 
 _RESIDUAL_START = 1  # predictions start at sample 1 with zero-padded history
 _MAX_LAG = 10  # whiteness test: autocorrelation lags 1.._MAX_LAG at most
+_Z_95 = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile, 1.96
 
 
 class ConstrainedFitWarning(UserWarning):
@@ -194,25 +194,23 @@ def _unconstrained_arx(u, y, n):
     return theta, float(np.mean(resid ** 2))
 
 
-def whiteness_test(residuals, confidence=0.95):
-    """Max-normalized-autocorrelation whiteness test.
+def whiteness_test(residuals):
+    """Max-normalized-autocorrelation whiteness test at the 95% level.
 
-    threshold = z((1+confidence)/2) / sqrt(N); lags 1..min(10, N//4).
-    At N=50, confidence 0.95 this reproduces the 0.277 validation criterion.
+    threshold = z(0.975) / sqrt(N); lags 1..min(10, N//4).
+    At N=50 this reproduces the 0.277 validation criterion.
     """
     e = np.asarray(residuals, dtype=float).ravel()
     n = e.size
     if n < 20:
         raise ValueError("need at least 20 residual samples")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
     lags = min(_MAX_LAG, n // 4)
     r0 = float(e @ e)
     if r0 == 0.0:
         acs = np.zeros(lags)
     else:
         acs = np.array([abs(float(e[:-k] @ e[k:])) / r0 for k in range(1, lags + 1)])
-    threshold = float(norm.ppf(0.5 + confidence / 2.0) / np.sqrt(n))
+    threshold = float(_Z_95 / np.sqrt(n))
     max_ac = float(np.max(acs))
     return WhitenessReport(
         max_normalized_autocorr=max_ac,
@@ -222,17 +220,6 @@ def whiteness_test(residuals, confidence=0.95):
         residual_mean=float(np.mean(e)),
         residual_std=float(np.std(e, ddof=1)),
     )
-
-
-def read_iteration_csv(path):
-    """Read (iteration, theta, performance) columns from a CSV file."""
-    its, thetas, perfs = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            its.append(int(row["iteration"]))
-            thetas.append(float(row["theta"]))
-            perfs.append(float(row["performance"]))
-    return np.array(its), np.array(thetas), np.array(perfs)
 
 
 def identify_from_records(thetas, performances, order=2):

@@ -94,13 +94,13 @@ def test_c3_differential_baseline_failure():
 def test_c4_whiteness_criterion():
     """Criterion 4: threshold value and Monte Carlo calibration rates."""
     rng = np.random.default_rng(0)
-    rep = whiteness_test(rng.standard_normal(50), confidence=0.95)
+    rep = whiteness_test(rng.standard_normal(50))
     thr_ok = abs(rep.threshold - 0.277) <= 0.001
 
     white_passes = 0
     for seed in range(100):
         r = np.random.default_rng(seed)
-        if whiteness_test(r.standard_normal(50), 0.95).passed:
+        if whiteness_test(r.standard_normal(50)).passed:
             white_passes += 1
     ar_fails = 0
     for seed in range(100):
@@ -109,7 +109,7 @@ def test_c4_whiteness_criterion():
         e[0] = r.standard_normal()
         for i in range(1, 50):
             e[i] = 0.8 * e[i - 1] + r.standard_normal()
-        if not whiteness_test(e, 0.95).passed:
+        if not whiteness_test(e).passed:
             ar_fails += 1
     ok = thr_ok and white_passes >= 90 and ar_fails >= 95
     detail = (f"threshold={rep.threshold:.4f} white_pass={white_passes}/100 "

@@ -42,6 +42,7 @@ def test_batch_command(tmp_path, capsys):
 
 
 def test_identify_command(tmp_path, capsys):
+    # identify reads trace CSVs only: any other header exits 2
     data = tmp_path / "record.csv"
     subj = subject_a(seed=0, noise_std=1.0)
     with open(data, "w", newline="") as fh:
@@ -50,10 +51,10 @@ def test_identify_command(tmp_path, capsys):
         for i in range(200):
             th = 0.8 + i / 125.0
             writer.writerow([i, th, subj.step(th)])
-    rc = main(["identify", str(data), "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "identification_report.txt").exists()
-    assert (tmp_path / "identified_subject.ini").exists()
+    rc = main(["identify", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "trace header" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_identify_reads_sweep_trace(tmp_path):
@@ -130,6 +131,17 @@ def test_error_exit_code(tmp_path, capsys):
     rc = main(["identify", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise_std", ["-5", "nan", "inf"])
+def test_invalid_noise_std_exits_2(tmp_path, capsys, noise_std):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nnoise_std = {noise_std}\n")
+    rc = main(["run", "--config", str(cfg), "--subject", "A",
+               "--algorithm", "fixed", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "noise_std" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_iterations_rejected(tmp_path, capsys):

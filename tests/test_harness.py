@@ -142,14 +142,17 @@ class TestTraceCsv:
     @settings(max_examples=3, deadline=None, database=None, derandomize=True)
     def test_round_trip_property(self, tmp_path_factory, algorithm, subject,
                                  seed):
-        """A seed gives the same trace every run, and the trace survives a
-        CSV write and read exactly (NaN cells included)."""
+        """A seed gives the same trace and the same CSV bytes every run, and
+        the trace survives a CSV write and read exactly (NaN cells
+        included)."""
         cfg = ExperimentConfig(subject=subject, algorithm=algorithm)
-        trace = run_episode(cfg, seed)
-        assert run_episode(cfg, seed) == trace
-        path = tmp_path_factory.mktemp("trace") / "trace.csv"
-        write_trace_csv(trace, path)
-        assert read_trace_csv(path) == trace
+        trace, again = run_episode(cfg, seed), run_episode(cfg, seed)
+        assert again == trace
+        out = tmp_path_factory.mktemp("trace")
+        write_trace_csv(trace, out / "trace.csv")
+        write_trace_csv(again, out / "again.csv")
+        assert (out / "trace.csv").read_bytes() == (out / "again.csv").read_bytes()
+        assert read_trace_csv(out / "trace.csv") == trace
 
 
 def _changed(value):
@@ -227,7 +230,7 @@ class TestBatch:
         wob = np.full(100, 2.0)
         wob[:40] = 1.0
         wob[50] = 2.5  # breaks every window that covers it
-        assert convergence_iteration(wob, 2.0, hold=25) == 51
+        assert convergence_iteration(wob, 2.0) == 51
 
 
 class TestCompare:

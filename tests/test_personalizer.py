@@ -1,11 +1,16 @@
 """Tests for the grey-box extremum-seeking loop."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import synergy_es
 from synergy_es.personalizer import (DEFAULT_L, GRADIENT, NEWTON, OBSERVER_PHI,
                                      OBSERVER_PSI, BandPassFilter,
                                      DitherGenerator, GradCurvObserver,
@@ -117,7 +122,7 @@ class TestObserver:
                  + want["c2"] * np.cos(2 * W * i))
             obs.step(u)
         i = 400
-        g_chan, c_chan = obs.demodulate(i)
+        g_chan, c_chan = obs.demodulate(i, 0.0, 0.0)
         # gradient channel returns the sin amplitude at w
         assert_allclose(g_chan, want["s1"], atol=1e-6)
         # curvature channel returns -4x the cos amplitude at 2w
@@ -360,3 +365,17 @@ class TestPersonalizerLoop:
             assert np.isfinite(r.theta_applied)
             assert np.isfinite(r.grad_est)
             assert r.branch in (NEWTON, GRADIENT)
+
+
+def test_runtime_does_not_import_scipy():
+    # numpy is the only runtime dependency: the filter and observer designs
+    # and the whiteness threshold are closed forms
+    code = ("import sys, numpy as np, synergy_es\n"
+            "synergy_es.Personalizer().step(1.0)\n"
+            "synergy_es.whiteness_test(np.random.default_rng(0).standard_normal(50))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(synergy_es.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -238,6 +238,12 @@ class TestSimulatedSubject:
         assert_allclose(subj.step(2.0), MAP_A.value(1.0), atol=1e-12)
         assert_allclose(subj.dynamics.steady_state_gain(), 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("mean, std", [(0.0, -5.0), (0.0, np.nan),
+                                           (0.0, np.inf), (np.nan, 1.0)])
+    def test_invalid_noise_rejected(self, mean, std):
+        with pytest.raises(ValueError):
+            MotorNoise(mean, std, 0)
+
     def test_unstable_dynamics_rejected(self):
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])
         with pytest.raises(ValueError):

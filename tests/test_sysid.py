@@ -14,8 +14,7 @@ from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
 from synergy_es.sysid import (_arx_residuals, _lag_residual_basis,
                               _poles_to_denominator, fit_adaptation_lti,
                               fit_preference_map, identify_from_records,
-                              read_iteration_csv, whiteness_test,
-                              write_fitted_subject,
+                              whiteness_test, write_fitted_subject,
                               write_identification_report)
 
 
@@ -266,20 +265,20 @@ class TestClosedFormScoring:
 class TestWhiteness:
     def test_paper_criterion_value(self):
         rng = np.random.default_rng(0)
-        rep = whiteness_test(rng.standard_normal(50), confidence=0.95)
+        rep = whiteness_test(rng.standard_normal(50))
         assert_allclose(rep.threshold, 0.277, atol=1e-3)
         assert rep.lags_tested == 10
 
     def test_threshold_scales_inverse_sqrt(self):
         rng = np.random.default_rng(1)
-        r1 = whiteness_test(rng.standard_normal(100), 0.95)
-        r2 = whiteness_test(rng.standard_normal(200), 0.95)
+        r1 = whiteness_test(rng.standard_normal(100))
+        r2 = whiteness_test(rng.standard_normal(200))
         assert_allclose(r1.threshold / r2.threshold, np.sqrt(2.0), atol=1e-12)
 
     def test_pass_iff_below_threshold(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            rep = whiteness_test(rng.standard_normal(60), 0.95)
+            rep = whiteness_test(rng.standard_normal(60))
             assert rep.passed == (rep.max_normalized_autocorr < rep.threshold)
 
     def test_ar1_fails(self):
@@ -291,7 +290,7 @@ class TestWhiteness:
             e[0] = rng.standard_normal()
             for i in range(1, 50):
                 e[i] = 0.8 * e[i - 1] + rng.standard_normal()
-            if not whiteness_test(e, 0.95).passed:
+            if not whiteness_test(e).passed:
                 fails += 1
         assert fails >= 95
 
@@ -301,18 +300,18 @@ class TestWhiteness:
         passes = 0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
-            if whiteness_test(rng.standard_normal(50), 0.95).passed:
+            if whiteness_test(rng.standard_normal(50)).passed:
                 passes += 1
         assert passes >= 50  # see acceptance suite for the strict gate
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            whiteness_test(np.ones(19), 0.95)
+            whiteness_test(np.ones(19))
 
     def test_reports_moments(self):
         rng = np.random.default_rng(3)
         e = 2.0 + 3.0 * rng.standard_normal(500)
-        rep = whiteness_test(e, 0.95)
+        rep = whiteness_test(e)
         assert abs(rep.residual_mean - 2.0) < 0.5
         assert abs(rep.residual_std - 3.0) < 0.5
 
@@ -341,12 +340,3 @@ def test_identify_pipeline_and_outputs(tmp_path):
     from synergy_es.subject import load_subject
     fitted = load_subject(spath)
     assert_allclose(fitted.map.lam, pref.lam, atol=1e-12)
-
-
-def test_read_iteration_csv(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("iteration,theta,performance\n0,0.8,10.5\n1,0.9,11.25\n")
-    its, thetas, perfs = read_iteration_csv(path)
-    assert its.tolist() == [0, 1]
-    assert_allclose(thetas, [0.8, 0.9])
-    assert_allclose(perfs, [10.5, 11.25])
