@@ -15,8 +15,7 @@ from .personalizer import (BandPassFilter, DitherGenerator, GradCurvObserver,
                            SwitchedOptimizer)
 from .plant import (ArmGeometry, ReachOutcome, ReachTask, ShoulderProfile,
                     default_geometry, default_profile, default_task,
-                    export_hand_path, objective, reach_performance,
-                    simulate_reach)
+                    export_hand_path, objective, simulate_reach)
 from .subject import (AdaptationDynamics, MotorNoise, NonConcaveMapError,
                       PreferenceMap, SimulatedSubject, load_subject,
                       save_subject, static_subject, subject_a, subject_b)

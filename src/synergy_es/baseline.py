@@ -2,24 +2,25 @@
 
 Classic single-tone structure: high-pass the measured performance,
 demodulate with the dither sinusoid, integrate with a small gain, add the
-dither back. Shares (a, omega_o, bounds) with the grey-box personalizer;
-the integrator gain defaults to the comparison value k = 0.005.
+dither back. Shares the defaults of (a, omega_o, bounds, theta_0) with the
+grey-box personalizer; the integrator gain defaults to the comparison
+value k = 0.005.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .personalizer import StepRecord
+from .personalizer import PersonalizerConfig, StepRecord
 
 
 @dataclass
 class BlackBoxEsConfig:
-    omega_o: float = np.pi / 4
-    dither_amplitude: float = 0.02
+    omega_o: float = PersonalizerConfig.omega_o
+    dither_amplitude: float = PersonalizerConfig.dither_amplitude
     gain: float = 0.005
-    bounds: tuple = (0.8, 2.4)
-    theta_0: float = 1.0
+    bounds: tuple = PersonalizerConfig.bounds
+    theta_0: float = PersonalizerConfig.theta_0
     highpass_cutoff_ratio: float = 0.2  # cutoff = omega_o / 5
 
 

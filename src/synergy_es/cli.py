@@ -5,8 +5,9 @@ import os
 import sys
 
 from .config import read_config
-from .harness import (ExperimentConfig, compare_traces, read_trace_csv,
-                      run_batch, run_episode, write_trace_csv)
+from .harness import (ALGORITHMS, CONVERGENCE_TOL, ExperimentConfig,
+                      compare_traces, read_trace_csv, run_batch, run_episode,
+                      write_trace_csv)
 from .personalizer import PersonalizerConfig
 from .sysid import (identify_from_records, write_fitted_subject,
                     write_identification_report)
@@ -22,8 +23,8 @@ EXPERIMENT_KEYS = {"subject": str, "algorithm": str, "iterations": int,
                    "fixed_theta": float}
 
 
-def _experiment_config(args, **overrides):
-    """Config file sections, then command-line flags, then overrides."""
+def _experiment_config(args):
+    """Config file sections, then command-line flags."""
     kwargs = {}
     if args.config:
         cp = read_config(args.config)
@@ -39,7 +40,6 @@ def _experiment_config(args, **overrides):
              "seeds": None if args.seed is None else _parse_seeds(args.seed),
              "iterations": args.iterations, "output_dir": args.out}
     kwargs.update((k, v) for k, v in flags.items() if v is not None)
-    kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
 
@@ -60,7 +60,7 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    return _write_episode(_experiment_config(args, algorithm="sweep"), "sweep")
+    return _write_episode(_experiment_config(args), "sweep")
 
 
 def _cmd_batch(args):
@@ -109,26 +109,21 @@ def build_parser():
         description="grey-box extremum-seeking personalization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_run = sub.add_parser("run", help="run a single episode")
+    p_run.set_defaults(func=_cmd_run)
+    # the sweep schedule is fixed: 201 iterations, no algorithm to choose
+    p_sweep = sub.add_parser("sweep", help="linear synergy sweep (0.8 + i/125)")
+    p_sweep.set_defaults(func=_cmd_sweep, algorithm="sweep", iterations=None)
+    p_batch = sub.add_parser("batch", help="Monte Carlo batch with summary")
+    p_batch.set_defaults(func=_cmd_batch)
+    for p in (p_run, p_sweep, p_batch):
         p.add_argument("--config", help="experiment config file (INI)")
         p.add_argument("--seed", help="seed or whitespace/comma-separated list")
         p.add_argument("--out", help="output directory", default=".")
-        p.add_argument("--algorithm",
-                       choices=["greybox", "blackbox", "sweep", "fixed"])
         p.add_argument("--subject", help="subject id (A|B) or config path")
+    for p in (p_run, p_batch):
+        p.add_argument("--algorithm", choices=ALGORITHMS)
         p.add_argument("--iterations", type=int)
-
-    p_run = sub.add_parser("run", help="run a single episode")
-    common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="linear synergy sweep (0.8 + i/125)")
-    common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_batch = sub.add_parser("batch", help="Monte Carlo batch with summary")
-    common(p_batch)
-    p_batch.set_defaults(func=_cmd_batch)
 
     p_id = sub.add_parser("identify", help="grey-box identification from a trace")
     p_id.add_argument("input", help="trace CSV, e.g. from sweep")
@@ -141,7 +136,7 @@ def build_parser():
     p_cmp.add_argument("--b", nargs="+", required=True, help="trace CSVs, set B")
     p_cmp.add_argument("--theta-star", type=float, required=True,
                        dest="theta_star")
-    p_cmp.add_argument("--tol", type=float, default=0.1)
+    p_cmp.add_argument("--tol", type=float, default=CONVERGENCE_TOL)
     p_cmp.set_defaults(func=_cmd_compare)
     return parser
 

@@ -20,6 +20,7 @@ from .subject import load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
 TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
+ALGORITHMS = ("greybox", "blackbox", "sweep", "fixed")
 
 SWEEP_START = 0.8
 SWEEP_SLOPE = 1.0 / 125.0
@@ -61,7 +62,7 @@ class EpisodeTrace:
 @dataclass
 class ExperimentConfig:
     subject: str = "A"  # "A", "B", or a subject-config path
-    algorithm: str = "greybox"  # greybox | blackbox | sweep | fixed
+    algorithm: str = "greybox"  # one of ALGORITHMS
     iterations: int = 150
     seeds: tuple = (0,)
     output_dir: str = "."
@@ -71,7 +72,7 @@ class ExperimentConfig:
     baseline: BlackBoxEsConfig = field(default_factory=BlackBoxEsConfig)
 
     def __post_init__(self):
-        if self.algorithm not in ("greybox", "blackbox", "sweep", "fixed"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ("greybox", "blackbox") and \
                 self.iterations < self.personalizer.warmup_iterations:
@@ -198,6 +199,8 @@ def read_trace_csv(path):
             raise ValueError(f"{path}: trace row {row} has {len(row)} cells, "
                              f"expected {len(TRACE_COLUMNS)}")
         rows.append(StepRecord(*[parse(cell) for parse, cell in zip(_PARSE, row)]))
+    if not rows:
+        raise ValueError(f"{path}: trace has no rows")
     if "seed" in metadata:
         metadata["seed"] = int(metadata["seed"])
     return EpisodeTrace(rows, metadata)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import parse_vector
+from .config import format_vector, parse_vector
 
 OBSERVER_PHI = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -60,11 +60,7 @@ class BandPassFilter:
     passband for tens of iterations).
     """
 
-    def __init__(self, omega_o, H=0.5, Q=5.0):
-        if omega_o <= 0 or H <= 0 or Q <= 0:
-            raise ValueError("omega_o, H, Q must be positive")
-        if 2 * omega_o >= np.pi:
-            raise ValueError("2*omega_o must stay below the iteration-domain Nyquist rate")
+    def __init__(self, omega_o, H, Q):
         wa = 2.0 * np.tan(np.sqrt(2) * omega_o / 2.0)  # prewarped analog center
         a = np.array([[-wa / Q, -wa * wa], [1.0, 0.0]])
         b = np.array([1.0, 0.0])
@@ -100,11 +96,9 @@ class GradCurvObserver:
     State layout: [offset, (sin, cos) pair at w, (sin, cos) pair at 2w].
     """
 
-    def __init__(self, omega_o, gain_l=None):
+    def __init__(self, omega_o, gain_l):
         self.omega_o = float(omega_o)
-        self.L = np.asarray(DEFAULT_L if gain_l is None else gain_l, dtype=float)
-        if self.L.shape != (5,):
-            raise ValueError("observer gain must be a 5-vector")
+        self.L = np.asarray(gain_l, dtype=float)
         w = self.omega_o
         # expm(w Phi_o) and its flow integral over one iteration, in closed
         # form: 1 for the offset, then per k = 1, 2 a rotation by k w
@@ -146,8 +140,8 @@ class GradCurvObserver:
 class DitherGenerator:
     """Two-tone sinusoidal perturbation a sin(w i) + a sin(2w i)."""
 
-    amplitude: float = 0.02
-    omega_o: float = np.pi / 4
+    amplitude: float
+    omega_o: float
 
     def value(self, index):
         if index < 0:
@@ -165,18 +159,16 @@ class SwitchedOptimizer:
     bounds.
     """
 
-    gain: float = 0.05
-    omega_o: float = np.pi / 4
-    epsilon: float = 0.1
-    bounds: tuple = (0.8, 2.4)
-    theta_hat: float = 1.0
-    step_max: float = np.inf
-    last_branch: str = GRADIENT
+    gain: float
+    omega_o: float
+    epsilon: float
+    bounds: tuple
+    theta_hat: float
+    step_max: float
 
     def __post_init__(self):
-        if self.gain <= 0 or self.epsilon <= 0:
-            raise ValueError("gain and epsilon must be positive")
         self.theta_hat = float(np.clip(self.theta_hat, *self.bounds))
+        self.last_branch = GRADIENT
 
     def update(self, grad_est, curv_est):
         if abs(grad_est) < -self.epsilon * curv_est:
@@ -210,7 +202,21 @@ class PersonalizerConfig:
     warmup_iterations: int = 8
 
     def __post_init__(self):
-        # values come from user INI files: reject what cannot work
+        # values come from user INI files: reject what cannot work. The
+        # parts built from a config trust it; the two checks that need a
+        # built design (observer stability, a^2 underflow) are in them.
+        ini = self.as_dict()
+        for key, value in ini.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{key} = {format_vector(value)} must be finite")
+        for key in ("omega_o", "k", "epsilon", "H", "Q"):
+            if ini[key] <= 0:
+                raise ValueError(f"{key} = {ini[key]} must be positive")
+        if 2 * self.omega_o >= np.pi:
+            raise ValueError(f"omega_o = {self.omega_o} must be below pi/2: the "
+                             "2 omega_o tone must stay below the Nyquist rate")
+        if len(self.observer_gain) != 5:
+            raise ValueError(f"L must have 5 values, not {len(self.observer_gain)}")
         if len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
             raise ValueError(f"bounds {self.bounds} must be two increasing values")
         if self.dither_amplitude < 0 or self.warmup_iterations < 0:
@@ -266,14 +272,13 @@ class Personalizer:
         cfg = self.config
         # pass band [w, 2w]: the dither's two tones
         self.filter = BandPassFilter(cfg.omega_o, cfg.filter_gain, cfg.filter_q)
-        self.observer = GradCurvObserver(cfg.omega_o, np.asarray(cfg.observer_gain))
+        self.observer = GradCurvObserver(cfg.omega_o, cfg.observer_gain)
         a = cfg.dither_amplitude
         # update bounded by the dither span; hat kept one span inside bounds
         self.optimizer = SwitchedOptimizer(
             gain=cfg.gain, omega_o=cfg.omega_o, epsilon=cfg.epsilon,
-            bounds=(cfg.bounds[0] + 2 * a, cfg.bounds[1] - 2 * a) if a > 0 else cfg.bounds,
-            theta_hat=cfg.theta_0,
-            step_max=2 * a if a > 0 else np.inf)
+            bounds=(cfg.bounds[0] + 2 * a, cfg.bounds[1] - 2 * a),
+            theta_hat=cfg.theta_0, step_max=2 * a)
         self.dither = DitherGenerator(a, cfg.omega_o)
         # design-known demodulation chain: band-pass response x one-step latency
         g1 = self.filter.frequency_response(cfg.omega_o) * np.exp(-1j * cfg.omega_o)

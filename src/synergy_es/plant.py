@@ -35,7 +35,7 @@ class ArmGeometry:
 class ReachTask:
     start_target: tuple
     end_target: tuple
-    time_limit_s: float = 3.0
+    time_limit_s: float = T_MAX_S
     success_radius_cm: float = 5.0
 
 
@@ -82,10 +82,6 @@ def _hand_position(geom, shoulder_angle, elbow_flexion):
     return np.array([hx, hy])
 
 
-def initial_hand_position(geom, profile):
-    return _hand_position(geom, profile.start_flexion_rad, _ELBOW_START_RAD)
-
-
 def default_geometry():
     return ArmGeometry()
 
@@ -98,7 +94,7 @@ def default_task(geom=None, profile=None):
     """Targets 23 cm apart: start at the initial hand point, end forward."""
     geom = geom or default_geometry()
     profile = profile or default_profile()
-    start = initial_hand_position(geom, profile)
+    start = _hand_position(geom, profile.start_flexion_rad, _ELBOW_START_RAD)
     end = start + np.array([23.0, 0.0])
     return ReachTask(tuple(start), tuple(end))
 
@@ -142,14 +138,6 @@ def objective(outcome):
     accuracy = 0.25 * P_MAX_CM ** 2 / max(0.25, err_sq)
     speed = 16.67 * T_MAX_S / max(0.5, outcome.completion_time_s)
     return accuracy + speed
-
-
-def reach_performance(theta, geom=None, task=None, profile=None):
-    """Convenience composition objective(simulate_reach(theta))."""
-    geom = geom or default_geometry()
-    profile = profile or default_profile()
-    task = task or default_task(geom, profile)
-    return objective(simulate_reach(geom, task, theta, profile))
 
 
 def export_hand_path(path_array, csv_path):

@@ -231,6 +231,9 @@ def identify_from_records(thetas, performances, order=2):
     """
     thetas = np.asarray(thetas, dtype=float)
     performances = np.asarray(performances, dtype=float)
+    bad = ~(np.isfinite(thetas) & np.isfinite(performances))
+    if bad.any():
+        raise ValueError(f"non-finite sample at index {int(np.argmax(bad))}")
     levels, which, counts = np.unique(thetas, return_inverse=True, return_counts=True)
     pref = fit_preference_map(levels, np.bincount(which, performances) / counts)
     u = pref.value(thetas)

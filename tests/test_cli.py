@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synergy_es.cli import main
-from synergy_es.harness import read_trace_csv
+from synergy_es.harness import TRACE_COLUMNS, read_trace_csv
 from synergy_es.subject import subject_a
 
 
@@ -100,6 +100,13 @@ def test_compare_short_row_exits_2(tmp_path, capsys):
                "--theta-star", "1.0"])
     assert rc == 2
     assert "cells" in capsys.readouterr().err
+    # a trace with its header and no rows
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:5]), encoding="utf-8")
+    rc = main(["compare", "--a", str(path), "--b", str(path),
+               "--theta-star", "1.0"])
+    assert rc == 2
+    assert "no rows" in capsys.readouterr().err
 
 
 def test_config_file_drives_experiment(tmp_path):
@@ -113,18 +120,68 @@ def test_config_file_drives_experiment(tmp_path):
     assert (tmp_path / "trace_blackbox_B_s5.csv").exists()
 
 
-@pytest.mark.parametrize("section", [
-    "a = 0.5\n",  # dither span 4a wider than the bounds
-    "bounds = 2.4 0.8\n",  # bounds not increasing
-], ids=["dither_span", "bounds_order"])
-def test_invalid_personalizer_config_exits_2(tmp_path, capsys, section):
+# case id -> ([personalizer] line, text the error must contain)
+INVALID_PERSONALIZER = {
+    "dither_span": ("a = 0.5", "dither span 4a"),  # 4a wider than the bounds
+    "bounds_order": ("bounds = 2.4 0.8", "bounds"),  # bounds not increasing
+    "k_zero": ("k = 0", "k = 0"),
+    "k_negative": ("k = -1", "k = -1"),
+    "epsilon_nan": ("epsilon = nan", "epsilon = nan"),
+    "k_inf": ("k = inf", "k = inf"),
+    "omega_o_nyquist": ("omega_o = 1.5707963267948966", "omega_o"),
+    "H_zero": ("H = 0", "H = 0"),
+    "Q_inf": ("Q = inf", "Q = inf"),
+    "L_short": ("L = 1.5 0.25 0.25", "L must have 5 values"),
+}
+# command prefix of the case id -> arguments; run keeps the bare case ids
+COMMANDS = {"": ["run"], "batch-": ["batch"],
+            "blackbox-": ["run", "--algorithm", "blackbox"]}
+
+
+@pytest.mark.parametrize("command, section, message", [
+    pytest.param(command, section, message, id=prefix + case)
+    for prefix, command in COMMANDS.items()
+    for case, (section, message) in INVALID_PERSONALIZER.items()])
+def test_invalid_personalizer_config_exits_2(tmp_path, capsys, command,
+                                             section, message):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[personalizer]\n" + section)
-    rc = main(["run", "--config", str(cfg), "--subject", "A",
-               "--out", str(tmp_path / "out")])
+    cfg.write_text(f"[personalizer]\n{section}\n")
+    rc = main(command + ["--config", str(cfg), "--subject", "A",
+                         "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_loop_flags(tmp_path):
+    # the sweep schedule is fixed at 201 iterations, so neither flag applies
+    for flag in (["--iterations", "5"], ["--algorithm", "greybox"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--subject", "A", "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_identify_rejects_nonfinite_sample(tmp_path, capfd):
+    rc = main(["sweep", "--subject", "A", "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    sweep = (tmp_path / "sweep_A_s0.csv").read_text(encoding="utf-8")
+    for column in ("theta_applied", "J"):
+        lines = sweep.splitlines(keepends=True)
+        cells = lines[5 + 7].split(",")  # 4 metadata lines, header, row 7
+        cells[TRACE_COLUMNS.index(column)] = ""
+        lines[5 + 7] = ",".join(cells)
+        path = tmp_path / f"blank_{column}.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        capfd.readouterr()
+        rc = main(["identify", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        out, err = capfd.readouterr()
+        assert "non-finite sample at index 7" in err
+        assert "DLASCL" not in out + err
+        assert not (tmp_path / "out").exists()
 
 
 def test_error_exit_code(tmp_path, capsys):

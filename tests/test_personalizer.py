@@ -22,6 +22,13 @@ from synergy_es.subject import (LAMBDA_A, LAMBDA_B, PreferenceMap,
 W = np.pi / 4
 
 
+def optimizer(**kwargs):
+    """SwitchedOptimizer with the published tuning, overridden by kwargs."""
+    tuning = dict(gain=0.05, omega_o=W, epsilon=0.1, bounds=(0.8, 2.4),
+                  theta_hat=1.0, step_max=np.inf)
+    return SwitchedOptimizer(**{**tuning, **kwargs})
+
+
 class TestBandPass:
     def test_design_gain_at_center(self):
         f = BandPassFilter(W, 0.5, 5.0)
@@ -44,8 +51,9 @@ class TestBandPass:
         assert f.spectral_radius() < 1.0
 
     def test_aliasing_rejected(self):
-        with pytest.raises(ValueError):
-            BandPassFilter(np.pi / 2, 0.5, 5.0)
+        # the check lives in the config, which every filter is built from
+        with pytest.raises(ValueError, match="omega_o"):
+            PersonalizerConfig(omega_o=np.pi / 2)
 
     def test_zero_state_zero_output(self):
         f = BandPassFilter(W, 0.5, 5.0)
@@ -85,13 +93,13 @@ class TestBandPass:
 
 class TestObserver:
     def test_zero_stays_zero(self):
-        obs = GradCurvObserver(W)
+        obs = GradCurvObserver(W, DEFAULT_L)
         obs.step(0.0)
         assert_allclose(obs.z, 0.0, atol=0.0)
 
     def test_injection_direction_matches_gain(self):
         # one unit of innovation from rest enters along the designed gain
-        obs = GradCurvObserver(W)
+        obs = GradCurvObserver(W, DEFAULT_L)
         obs.step(1.0)
         assert_allclose(obs.z, obs.injection, atol=1e-15)
         # the injection is the integrated flow applied to w*L
@@ -99,7 +107,7 @@ class TestObserver:
         assert obs.injection @ (W * DEFAULT_L) > 0
 
     def test_closed_loop_stable_with_default_gain(self):
-        obs = GradCurvObserver(W)
+        obs = GradCurvObserver(W, DEFAULT_L)
         assert obs.closed_loop_radius < 1.0
 
     def test_printed_recursion_would_be_unstable(self):
@@ -113,7 +121,7 @@ class TestObserver:
             GradCurvObserver(W, gain_l=np.array([50.0, 0, 0, 0, 0]))
 
     def test_tracks_dither_band_components_exactly(self):
-        obs = GradCurvObserver(W)
+        obs = GradCurvObserver(W, DEFAULT_L)
         want = dict(dc=3.0, s1=2.0, c1=0.5, s2=1.2, c2=-0.8)
         for i in range(400):
             u = (want["dc"] + want["s1"] * np.sin(W * i)
@@ -151,36 +159,36 @@ class TestDither:
 
 class TestOptimizer:
     def test_newton_branch(self):
-        opt = SwitchedOptimizer(theta_hat=1.0)
+        opt = optimizer(theta_hat=1.0)
         opt.update(0.05, -1.0)  # |0.05| < 0.1*1
         assert opt.last_branch == NEWTON
         assert_allclose(opt.theta_hat, 1.0 + 0.05 * W * 0.05, atol=1e-12)
 
     def test_gradient_branch(self):
-        opt = SwitchedOptimizer(theta_hat=1.0)
+        opt = optimizer(theta_hat=1.0)
         opt.update(1.0, -1.0)  # 1.0 >= 0.1
         assert opt.last_branch == GRADIENT
         assert_allclose(opt.theta_hat, 1.0 + 0.05 * W * 1.0, atol=1e-12)
 
     def test_zero_gradient_fixed_point(self):
-        opt = SwitchedOptimizer(theta_hat=1.3)
+        opt = optimizer(theta_hat=1.3)
         opt.update(0.0, -5.0)
         assert opt.theta_hat == 1.3
         opt.update(0.0, 0.0)  # 0 < 0 is false: gradient branch, no division
         assert opt.theta_hat == 1.3
 
     def test_positive_curvature_forces_gradient(self):
-        opt = SwitchedOptimizer(theta_hat=1.0)
+        opt = optimizer(theta_hat=1.0)
         opt.update(0.01, 2.0)
         assert opt.last_branch == GRADIENT
 
     def test_bounds_clamp(self):
-        opt = SwitchedOptimizer(theta_hat=2.39, bounds=(0.8, 2.4))
+        opt = optimizer(theta_hat=2.39, bounds=(0.8, 2.4))
         opt.update(100.0, -1.0)
         assert opt.theta_hat == 2.4
 
     def test_step_cap(self):
-        opt = SwitchedOptimizer(theta_hat=1.0, step_max=0.04)
+        opt = optimizer(theta_hat=1.0, step_max=0.04)
         opt.update(100.0, -1.0)
         assert_allclose(opt.theta_hat, 1.04, atol=1e-12)
 
@@ -229,6 +237,12 @@ class TestPersonalizerLoop:
         {"dither_amplitude": -0.01}, {"warmup_iterations": -1},
         {"dither_amplitude": 0.4}, {"dither_amplitude": 0.5},
         {"dither_amplitude": 1e-200},  # a^2 underflows in the estimate scaling
+        {"gain": 0.0}, {"gain": -1.0}, {"epsilon": np.nan}, {"gain": np.inf},
+        {"omega_o": np.pi / 2}, {"filter_gain": 0.0}, {"filter_q": np.inf},
+        {"observer_gain": (1.5, 0.25, 0.25)},
+        {"dither_amplitude": np.nan}, {"filter_gain": np.nan}, {"theta_0": np.nan},
+        {"bounds": (0.8, np.inf)}, {"observer_gain": (1.5, 0.25, np.nan, 2.0, -2.0)},
+        {"observer_gain": (50.0, 0.0, 0.0, 0.0, 0.0)},  # unstable observer
     ])
     def test_rejects_unworkable_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -278,7 +292,7 @@ class TestPersonalizerLoop:
             newtons = [r for r in p.records[9:] if r.branch == NEWTON]
             assert all(r.curv_est < 0 for r in newtons)
         # and directly on the switching law
-        opt = SwitchedOptimizer()
+        opt = optimizer()
         opt.update(0.001, -1.0)
         assert opt.last_branch == NEWTON
         opt.update(0.001, 1.0)

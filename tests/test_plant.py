@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from synergy_es.plant import (ArmGeometry, ReachOutcome, ReachTask,
                               ShoulderProfile, default_geometry,
                               default_profile, default_task, export_hand_path,
-                              objective, reach_performance, simulate_reach)
+                              objective, simulate_reach)
 
 
 def outcome(err, tf):
@@ -113,8 +113,11 @@ class TestSimulateReach:
         assert out.completion_time_s < task.time_limit_s
 
     def test_composition_unimodal(self):
+        geom, prof = default_geometry(), default_profile()
+        task = default_task(geom, prof)
         thetas = np.arange(0.8, 2.4 + 1e-9, 0.02)
-        js = np.array([reach_performance(th) for th in thetas])
+        js = np.array([objective(simulate_reach(geom, task, th, prof))
+                       for th in thetas])
         # one rising and one falling stretch, allowing plateaus
         d = np.sign(np.round(np.diff(js), 9))
         d = d[d != 0]

@@ -3,12 +3,12 @@ general-purpose routines (scipy is a test dependency only)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from synergy_es.personalizer import (DEFAULT_L, OBSERVER_PHI, BandPassFilter,
-                                     GradCurvObserver)
+from synergy_es.personalizer import (DEFAULT_L, OBSERVER_PHI, OBSERVER_PSI,
+                                     BandPassFilter, GradCurvObserver)
 
 linalg = pytest.importorskip("scipy.linalg")
 signal = pytest.importorskip("scipy.signal")
@@ -31,17 +31,41 @@ def test_bandpass_matches_cont2discrete(omega_o, H, Q):
     assert_allclose(f.dd, dd[0, 0], rtol=1e-13)
 
 
-@given(omega_o=OMEGA)
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
-def test_observer_matches_expm_and_van_loan_integral(omega_o):
-    obs = GradCurvObserver(omega_o)
-    assert_allclose(obs.transition, linalg.expm(omega_o * OBSERVER_PHI),
-                    rtol=0, atol=1e-14)
-    # Van Loan: the top-right block of expm([[w Phi, I], [0, 0]]) is the
-    # flow integral of expm(t w Phi) over one iteration
+def van_loan_flow_integral(omega_o):
+    """Van Loan: the top-right block of expm([[w Phi, I], [0, 0]]) is the
+    flow integral of expm(t w Phi) over one iteration."""
     aug = np.zeros((10, 10))
     aug[:5, :5] = omega_o * OBSERVER_PHI
     aug[:5, 5:] = np.eye(5)
-    flow_integral = linalg.expm(aug)[:5, 5:]
-    assert_allclose(obs.injection, flow_integral @ (omega_o * DEFAULT_L),
+    return linalg.expm(aug)[:5, 5:]
+
+
+@given(omega_o=OMEGA)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+def test_observer_matches_expm_and_van_loan_integral(omega_o):
+    obs = GradCurvObserver(omega_o, DEFAULT_L)
+    assert_allclose(obs.transition, linalg.expm(omega_o * OBSERVER_PHI),
                     rtol=0, atol=1e-14)
+    assert_allclose(obs.injection,
+                    van_loan_flow_integral(omega_o) @ (omega_o * DEFAULT_L),
+                    rtol=0, atol=1e-14)
+
+
+# each entry of L within 2 of the default, so inside [-4, 4]: a uniform
+# draw from [-4, 4]^5 is stable only about 5% of the time, this about 30%
+GAIN_L = st.tuples(*[st.floats(v - 2.0, v + 2.0) for v in DEFAULT_L])
+
+
+@given(omega_o=OMEGA, gain_l=GAIN_L)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+def test_observer_rejects_exactly_the_unstable_gains(omega_o, gain_l):
+    injection = van_loan_flow_integral(omega_o) @ (omega_o * np.array(gain_l))
+    closed = linalg.expm(omega_o * OBSERVER_PHI) - np.outer(injection, OBSERVER_PSI)
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    assume(abs(radius - 1.0) > 1e-9)
+    if radius >= 1.0:
+        with pytest.raises(ValueError, match="unstable"):
+            GradCurvObserver(omega_o, gain_l)
+    else:
+        obs = GradCurvObserver(omega_o, gain_l)
+        assert_allclose(obs.closed_loop_radius, radius, rtol=0, atol=1e-9)
