@@ -3,15 +3,16 @@
 Classic single-tone structure: high-pass the measured performance,
 demodulate with the dither sinusoid, integrate with a small gain, add the
 dither back. Shares the defaults of (a, omega_o, bounds, theta_0) with the
-grey-box personalizer; the integrator gain defaults to the comparison
-value k = 0.005.
+grey-box personalizer, and an experiment's black-box run takes their values
+from its [personalizer] section; the integrator gain defaults to the
+comparison value k = 0.005. Like the personalizer, the loop runs on Python
+floats.
 """
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .personalizer import PersonalizerConfig, StepRecord
+from .personalizer import PersonalizerConfig, StepRecord, clamp
 
 
 @dataclass
@@ -32,42 +33,46 @@ class BlackBoxEs:
         cfg = self.config
         wc = cfg.omega_o * cfg.highpass_cutoff_ratio
         self._alpha = 1.0 / (1.0 + wc)  # discrete first-order high-pass pole
-        self.theta_hat = float(np.clip(cfg.theta_0, *cfg.bounds))
+        self.theta_hat = float(clamp(cfg.theta_0, *cfg.bounds))
         self._hp_y = 0.0
         self._prev_j = None
         self.iteration = 0
         self.records = []
+        self.applied_theta()  # sets what the first step records as applied
 
     def applied_theta(self):
         cfg = self.config
-        d = cfg.dither_amplitude * np.sin(cfg.omega_o * self.iteration)
-        return float(np.clip(self.theta_hat + d, *cfg.bounds))
+        d = cfg.dither_amplitude * math.sin(cfg.omega_o * self.iteration)
+        self._theta_applied = clamp(self.theta_hat + d, *cfg.bounds)
+        return self._theta_applied
 
     def step(self, performance):
-        """Consume J_i, return theta_{i+1} to apply."""
-        if not np.isfinite(performance):
+        """Consume J_i, return theta_{i+1} to apply.
+
+        The trace records as applied the synergy that applied_theta() or
+        step() last returned.
+        """
+        j = float(performance)
+        if not math.isfinite(j):
             raise ValueError("non-finite performance measurement (sensor fault)")
         cfg = self.config
-        theta_applied = self.applied_theta()
-        j = float(performance)
         if self._prev_j is None:
             self._hp_y = 0.0  # start at the washout steady state
         else:
             self._hp_y = self._alpha * (self._hp_y + j - self._prev_j)
         self._prev_j = j
-        xi = np.sin(cfg.omega_o * self.iteration) * self._hp_y
+        xi = math.sin(cfg.omega_o * self.iteration) * self._hp_y
         if cfg.dither_amplitude > 0:  # no excitation, no update
-            self.theta_hat = float(np.clip(self.theta_hat + cfg.gain * xi,
-                                           *cfg.bounds))
+            self.theta_hat = clamp(self.theta_hat + cfg.gain * xi, *cfg.bounds)
         # trace schema matches the personalizer; grad/curv columns stay empty
         self.records.append(StepRecord(
             iteration=self.iteration,
-            theta_applied=theta_applied,
+            theta_applied=self._theta_applied,
             theta_hat=self.theta_hat,
             J=j,
             filtered_output=self._hp_y,
-            grad_est=float("nan"),
-            curv_est=float("nan"),
+            grad_est=math.nan,
+            curv_est=math.nan,
             branch="",
         ))
         self.iteration += 1

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -122,8 +122,13 @@ def run_episode(config, seed=None):
     subject = make_subject(config.subject, seed, config.noise_std)
     algo = config.algorithm
     if algo in ("greybox", "blackbox"):
-        loop = (Personalizer(config.personalizer) if algo == "greybox"
-                else BlackBoxEs(config.baseline))
+        if algo == "greybox":
+            loop = Personalizer(config.personalizer)
+        else:  # the settings the two share come from [personalizer]
+            p = config.personalizer
+            loop = BlackBoxEs(replace(
+                config.baseline, omega_o=p.omega_o, dither_amplitude=p.dither_amplitude,
+                bounds=p.bounds, theta_0=p.theta_0))
         theta = loop.applied_theta()
         for _ in range(config.iterations):
             theta = loop.step(subject.step(theta))
@@ -144,11 +149,12 @@ def convergence_iteration(theta_hats, theta_star):
     """First iteration i from which |theta_hat - theta*| < CONVERGENCE_TOL
     holds for CONVERGENCE_HOLD consecutive iterations; None when never
     reached."""
-    ok = np.abs(np.asarray(theta_hats) - theta_star) < CONVERGENCE_TOL
-    for i in range(len(ok) - CONVERGENCE_HOLD + 1):
-        if ok[i:i + CONVERGENCE_HOLD].all():
-            return i
-    return None
+    ok = np.abs(np.asarray(theta_hats, dtype=float) - theta_star) < CONVERGENCE_TOL
+    # held[i] = number of ok iterations in the window i .. i + HOLD - 1
+    counts = np.concatenate(([0], np.cumsum(ok)))
+    held = counts[CONVERGENCE_HOLD:] - counts[:-CONVERGENCE_HOLD]
+    hits = np.flatnonzero(held == CONVERGENCE_HOLD)
+    return int(hits[0]) if hits.size else None
 
 
 def _format_float(v):

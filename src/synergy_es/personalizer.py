@@ -16,6 +16,11 @@ Implementation notes, fixed by numerical analysis of the printed design:
   The closed loop then has spectral radius 0.915 and the tracked states
   converge to the exact Fourier components of the filtered signal.
 
+* The design arrays (filter matrices, observer transition and injection)
+  are built with numpy once per episode, when the Personalizer is made;
+  the per-iteration loop runs on Python floats unpacked from them, since
+  numpy's per-call overhead dominates work on 2- and 5-vectors.
+
 * Demodulation references carry the design-known chain phase (band-pass
   response times the one-iteration measurement latency) at w and 2w, so
   the estimates line up with the plant's dither response. Physical-unit
@@ -29,6 +34,7 @@ Implementation notes, fixed by numerical analysis of the printed design:
   applied synergy never clips against them (clipping starves excitation).
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,6 +53,11 @@ DEFAULT_L = np.array([1.5, 0.25, 0.25, 2.0, -2.0])
 
 NEWTON = "newton"
 GRADIENT = "gradient"
+
+
+def clamp(x, lo, hi):
+    """np.clip of one float, without numpy's per-call overhead."""
+    return min(max(x, lo), hi)
 
 
 class BandPassFilter:
@@ -71,7 +82,12 @@ class BandPassFilter:
         self.bd = np.linalg.solve(m, b)
         self.cd = np.linalg.solve(m.T, c)
         self.dd = float(c @ self.bd) / 2.0
-        self.state = None
+        # the loop's copies: DC state per unit input, then the recursion
+        self._dc = np.linalg.solve(np.eye(2) - self.ad, self.bd).tolist()
+        (self._a00, self._a01), (self._a10, self._a11) = self.ad.tolist()
+        self._b0, self._b1 = self.bd.tolist()
+        self._c0, self._c1 = self.cd.tolist()
+        self.state = None  # (x0, x1) once the first sample has arrived
 
     def spectral_radius(self):
         return float(np.max(np.abs(np.linalg.eigvals(self.ad))))
@@ -84,9 +100,12 @@ class BandPassFilter:
     def step(self, j_value):
         """Filter one sample; returns the band-passed output."""
         if self.state is None:
-            self.state = np.linalg.solve(np.eye(2) - self.ad, self.bd * j_value)
-        out = float(self.cd @ self.state + self.dd * j_value)
-        self.state = self.ad @ self.state + self.bd * j_value
+            x0, x1 = self._dc[0] * j_value, self._dc[1] * j_value
+        else:
+            x0, x1 = self.state
+        out = self._c0 * x0 + self._c1 * x1 + self.dd * j_value
+        self.state = (self._a00 * x0 + self._a01 * x1 + self._b0 * j_value,
+                      self._a10 * x0 + self._a11 * x1 + self._b1 * j_value)
         return out
 
 
@@ -98,29 +117,46 @@ class GradCurvObserver:
 
     def __init__(self, omega_o, gain_l):
         self.omega_o = float(omega_o)
-        self.L = np.asarray(gain_l, dtype=float)
         w = self.omega_o
-        # expm(w Phi_o) and its flow integral over one iteration, in closed
-        # form: 1 for the offset, then per k = 1, 2 a rotation by k w
+        # expm(w Phi_o) and its flow integral applied to w L, in closed
+        # form: 1 and w L_0 for the offset, then per k = 1, 2 a rotation by
+        # k w and, on L's pair, [[s, h], [-h, s]] / k with s = sin kw and
+        # h = 1 - cos kw (the flow integral's 1 / kw cancels the w)
+        gain = [float(v) for v in gain_l]
         self.transition = np.eye(5)
-        flow_integral = np.eye(5)
+        self._injection = [w * gain[0]]  # the loop's copies, as floats
+        self._rotations = []  # (cos kw, sin kw) per k
         for k in (1, 2):
-            s, c = np.sin(k * w), np.cos(k * w)
+            s, c = math.sin(k * w), math.cos(k * w)
+            h = 2.0 * math.sin(k * w / 2.0) ** 2  # 1 - cos kw, no cancellation
+            l1, l2 = gain[2 * k - 1:2 * k + 1]
             blk = slice(2 * k - 1, 2 * k + 1)
             self.transition[blk, blk] = [[c, s], [-s, c]]
-            flow_integral[blk, blk] = np.array([[s, 1.0 - c], [c - 1.0, s]]) / (k * w)
-        self.injection = flow_integral @ (w * self.L)
+            self._injection += [(s * l1 + h * l2) / k, (s * l2 - h * l1) / k]
+            self._rotations += [c, s]
+        self.injection = np.array(self._injection)
         closed = self.transition - np.outer(self.injection, OBSERVER_PSI)
         rho = float(np.max(np.abs(np.linalg.eigvals(closed))))
         if rho >= 1.0:
             raise ValueError(f"observer closed loop is unstable (spectral radius {rho:.4f})")
         self.closed_loop_radius = rho
-        self.z = np.zeros(5)
+        self._z = (0.0,) * 5
+
+    @property
+    def z(self):
+        """State [offset, (sin, cos) at w, (sin, cos) at 2w] as an array."""
+        return np.array(self._z)
 
     def step(self, filtered_value):
-        innovation = filtered_value - float(OBSERVER_PSI @ self.z)
-        self.z = self.transition @ self.z + self.injection * innovation
-        return self.z
+        z0, z1, z2, z3, z4 = self._z
+        c1, s1, c2, s2 = self._rotations
+        i0, i1, i2, i3, i4 = self._injection
+        innovation = filtered_value - (z0 + z1 - 0.25 * z4)  # OBSERVER_PSI @ z
+        self._z = (z0 + i0 * innovation,
+                   c1 * z1 + s1 * z2 + i1 * innovation,
+                   c1 * z2 - s1 * z1 + i2 * innovation,
+                   c2 * z3 + s2 * z4 + i3 * innovation,
+                   c2 * z4 - s2 * z3 + i4 * innovation)
 
     def demodulate(self, index, phase1, phase2):
         """(sin-amplitude at w, sin/cos pair at 2w) with phased references.
@@ -129,11 +165,11 @@ class GradCurvObserver:
         values in filtered-signal units.
         """
         w = self.omega_o
-        s1, c1 = np.sin(w * index + phase1), np.cos(w * index + phase1)
-        s2, c2 = np.sin(2 * w * index + phase2), np.cos(2 * w * index + phase2)
-        grad_channel = s1 * self.z[1] + c1 * self.z[2]
-        curv_channel = s2 * self.z[3] + c2 * self.z[4]
-        return float(grad_channel), float(curv_channel)
+        _, z1, z2, z3, z4 = self._z
+        arg1, arg2 = w * index + phase1, 2 * w * index + phase2
+        grad_channel = math.sin(arg1) * z1 + math.cos(arg1) * z2
+        curv_channel = math.sin(arg2) * z3 + math.cos(arg2) * z4
+        return grad_channel, curv_channel
 
 
 @dataclass
@@ -146,8 +182,8 @@ class DitherGenerator:
     def value(self, index):
         if index < 0:
             raise ValueError("iteration index must be >= 0")
-        return (self.amplitude * np.sin(self.omega_o * index)
-                + self.amplitude * np.sin(2.0 * self.omega_o * index))
+        return (self.amplitude * math.sin(self.omega_o * index)
+                + self.amplitude * math.sin(2.0 * self.omega_o * index))
 
 
 @dataclass
@@ -167,7 +203,7 @@ class SwitchedOptimizer:
     step_max: float
 
     def __post_init__(self):
-        self.theta_hat = float(np.clip(self.theta_hat, *self.bounds))
+        self.theta_hat = float(clamp(self.theta_hat, *self.bounds))
         self.last_branch = GRADIENT
 
     def update(self, grad_est, curv_est):
@@ -177,9 +213,8 @@ class SwitchedOptimizer:
         else:
             delta = grad_est
             self.last_branch = GRADIENT
-        step = self.gain * self.omega_o * delta
-        step = float(np.clip(step, -self.step_max, self.step_max))
-        self.theta_hat = float(np.clip(self.theta_hat + step, *self.bounds))
+        step = clamp(self.gain * self.omega_o * delta, -self.step_max, self.step_max)
+        self.theta_hat = clamp(self.theta_hat + step, *self.bounds)
         return self.theta_hat
 
 
@@ -244,7 +279,7 @@ class PersonalizerConfig:
         kwargs = {}
         for key, text in mapping.items():
             f = by_key[key]
-            kwargs[f.name] = (tuple(parse_vector(text))
+            kwargs[f.name] = (tuple(parse_vector(text).tolist())
                               if isinstance(f.default, tuple)
                               else type(f.default)(text))
         return cls(**kwargs)
@@ -290,6 +325,7 @@ class Personalizer:
                              "scale a^2 x chain gain underflows to 0")
         self.iteration = 0
         self.records = []
+        self.applied_theta()  # sets what the first step records as applied
 
     @property
     def theta_hat(self):
@@ -297,17 +333,22 @@ class Personalizer:
 
     def applied_theta(self):
         """Synergy to apply at the current iteration (estimate + dither)."""
-        lo, hi = self.config.bounds
-        return float(np.clip(self.optimizer.theta_hat + self.dither.value(self.iteration),
-                             lo, hi))
+        self._theta_applied = clamp(
+            self.optimizer.theta_hat + self.dither.value(self.iteration),
+            *self.config.bounds)
+        return self._theta_applied
 
     def step(self, performance):
-        """Consume J_i, update all states, return theta_{i+1} to apply."""
-        if not np.isfinite(performance):
+        """Consume J_i, update all states, return theta_{i+1} to apply.
+
+        The trace records as applied the synergy that applied_theta() or
+        step() last returned.
+        """
+        j = float(performance)
+        if not math.isfinite(j):
             raise ValueError("non-finite performance measurement (sensor fault)")
         cfg = self.config
-        theta_applied = self.applied_theta()
-        filtered = self.filter.step(float(performance))
+        filtered = self.filter.step(j)
         self.observer.step(filtered)
         self.iteration += 1
         a = cfg.dither_amplitude
@@ -328,9 +369,9 @@ class Personalizer:
                 self.optimizer.update(g_chan, c_chan)
         self.records.append(StepRecord(
             iteration=self.iteration - 1,
-            theta_applied=theta_applied,
+            theta_applied=self._theta_applied,
             theta_hat=self.optimizer.theta_hat,
-            J=float(performance),
+            J=j,
             filtered_output=filtered,
             grad_est=grad_phys,
             curv_est=curv_phys,

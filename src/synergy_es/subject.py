@@ -20,6 +20,7 @@ from .config import (format_matrix, format_vector, parse_matrix,
                      parse_vector, read_config, write_config)
 
 THETA_BOUNDS = (0.8, 2.4)
+NOISE_BLOCK = 64  # standard normals drawn per call into the generator
 
 
 class NonConcaveMapError(ValueError):
@@ -81,11 +82,10 @@ class AdaptationDynamics:
         return self.spectral_radius() < 1.0
 
     def step(self, state, u):
-        """One recursion step: returns (next_state, noise-free output Psi x)."""
-        state = np.asarray(state, dtype=float).ravel()
-        if state.shape != (self.order,):
-            raise ValueError(
-                f"state has dimension {state.shape[0]}, expected {self.order}")
+        """One recursion step: returns (next_state, noise-free output Psi x).
+
+        A state of the wrong dimension raises ValueError (from the product).
+        """
         y = float(self.psi @ state)
         return self.phi @ state + self.gamma * float(u), y
 
@@ -120,16 +120,21 @@ class MotorNoise:
         if not (np.isfinite(self.mean) and 0 <= self.std < np.inf):  # NaN fails
             raise ValueError(f"noise mean {self.mean} must be finite and "
                              f"std {self.std} finite and >= 0")
-        self._rng = np.random.default_rng(self.seed)
+        self.reset()
 
     def sample(self):
-        # one RNG draw per call, even at std == 0, to keep draw counts stable
-        return self.mean + self.std * self._rng.standard_normal()
+        # one standard normal per call, even at std == 0, to keep draw counts
+        # stable; drawn NOISE_BLOCK at a time, which gives the same values
+        if not self._block:
+            self._block = self._rng.standard_normal(NOISE_BLOCK).tolist()
+            self._block.reverse()  # pop() then takes them in order
+        return self.mean + self.std * self._block.pop()
 
     def reset(self, seed=None):
         if seed is not None:
             self.seed = seed
         self._rng = np.random.default_rng(self.seed)
+        self._block = []
 
 
 class SimulatedSubject:
@@ -140,6 +145,7 @@ class SimulatedSubject:
         if not dynamics.is_stable():
             raise ValueError("adaptation dynamics must be stable (rho(Phi) < 1)")
         self.map = pref_map
+        self._lam = pref_map.lam.tolist()  # step()'s copy of the coefficients
         self.dynamics = dynamics
         self.noise = noise if noise is not None else MotorNoise()
         self.subject_id = subject_id
@@ -151,7 +157,9 @@ class SimulatedSubject:
 
     def step(self, theta):
         """Apply a synergy for one task iteration; returns measured J."""
-        u = self.map.value(float(theta))
+        th = float(theta)
+        l2, l1, l0 = self._lam
+        u = l2 * th * th + l1 * th + l0  # map.value(th), on floats
         self.state, y = self.dynamics.step(self.state, u)
         return y + self.noise.sample()
 

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from synergy_es.baseline import BlackBoxEs, BlackBoxEsConfig
 from synergy_es.cli import main
-from synergy_es.harness import TRACE_COLUMNS, read_trace_csv
-from synergy_es.subject import subject_a
+from synergy_es.harness import TRACE_COLUMNS, EpisodeTrace, read_trace_csv
+from synergy_es.subject import subject_a, subject_b
 
 
 def test_run_writes_trace(tmp_path, capsys):
@@ -118,6 +119,27 @@ def test_config_file_drives_experiment(tmp_path):
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "trace_blackbox_B_s5.csv").exists()
+
+
+def test_blackbox_run_follows_personalizer_section(tmp_path):
+    # the black-box loop shares a, omega_o, bounds and theta_0 with the
+    # grey-box one, and a run takes them from [personalizer]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[personalizer]\na = 0.05\nomega_o = 0.5\n")
+    args = ["run", "--algorithm", "blackbox", "--subject", "B", "--seed", "2"]
+    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "ini")]) == 0
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    trace = read_trace_csv(tmp_path / "ini" / "trace_blackbox_B_s2.csv")
+    default = read_trace_csv(tmp_path / "default" / "trace_blackbox_B_s2.csv")
+    assert not np.array_equal(trace.column("theta_applied"),
+                              default.column("theta_applied"))
+
+    es = BlackBoxEs(BlackBoxEsConfig(dither_amplitude=0.05, omega_o=0.5))
+    subj = subject_b(seed=2)
+    theta = es.applied_theta()
+    for _ in range(len(trace.rows)):
+        theta = es.step(subj.step(theta))
+    assert trace == EpisodeTrace(es.records, trace.metadata)
 
 
 # case id -> ([personalizer] line, text the error must contain)

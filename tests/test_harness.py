@@ -12,10 +12,10 @@ from numpy.testing import assert_allclose
 from synergy_es.baseline import BlackBoxEsConfig
 from synergy_es.cli import main
 from synergy_es.config import read_config, write_config
-from synergy_es.harness import (ExperimentConfig, compare_traces,
-                                convergence_iteration, read_trace_csv,
-                                run_batch, run_episode, summarize_batch,
-                                write_trace_csv)
+from synergy_es.harness import (CONVERGENCE_HOLD, ExperimentConfig,
+                                compare_traces, convergence_iteration,
+                                read_trace_csv, run_batch, run_episode,
+                                summarize_batch, write_trace_csv)
 from synergy_es.personalizer import PersonalizerConfig
 from synergy_es.subject import subject_a
 
@@ -231,6 +231,24 @@ class TestBatch:
         wob[:40] = 1.0
         wob[50] = 2.5  # breaks every window that covers it
         assert convergence_iteration(wob, 2.0) == 51
+
+    # runs of hits and misses, so that windows held for CONVERGENCE_HOLD
+    # iterations and runs just short of it both occur; 0-200 iterations
+    @given(runs=st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=30))
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_convergence_iteration_matches_window_loop(self, runs):
+        def window_loop(ok):  # the definition, one window at a time
+            for i in range(len(ok) - CONVERGENCE_HOLD + 1):
+                if all(ok[i:i + CONVERGENCE_HOLD]):
+                    return i
+            return None
+
+        ok = [hit for hit, length in runs for _ in range(length)][:200]
+        hats = [2.0 if hit else 2.5 for hit in ok]
+        got = convergence_iteration(hats, 2.0)
+        want = window_loop(ok)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestCompare:

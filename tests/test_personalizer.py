@@ -137,6 +137,24 @@ class TestObserver:
         assert_allclose(c_chan, -4.0 * want["c2"], atol=1e-6)
         assert_allclose(obs.z[0], want["dc"], atol=1e-6)
 
+    def test_injection_matches_50_digit_reference(self):
+        # the flow integral's 1 - cos kw, formed as 2 sin(kw/2)^2, does not
+        # cancel at small w: every entry stays within two ulps of the
+        # largest one (1 - cos kw formed directly is 13 ulps off)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for w in np.linspace(0.01, np.pi / 4, 500):
+            wm = mpmath.mpf(w)
+            v = [wm * mpmath.mpf(x) for x in DEFAULT_L]
+            ref = [v[0]]
+            for k in (1, 2):
+                s, h = mpmath.sin(k * wm), 1 - mpmath.cos(k * wm)
+                a, b = v[2 * k - 1], v[2 * k]
+                ref += [(s * a + h * b) / (k * wm), (s * b - h * a) / (k * wm)]
+            ref = np.array([float(r) for r in ref])
+            err = np.max(np.abs(GradCurvObserver(w, DEFAULT_L).injection - ref))
+            assert err <= 2 * np.spacing(np.max(np.abs(ref))), w
+
 
 class TestDither:
     def test_zero_at_start(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
-                                MotorNoise, NonConcaveMapError, PreferenceMap,
+from synergy_es.subject import (LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
+                                AdaptationDynamics, MotorNoise,
+                                NonConcaveMapError, PreferenceMap,
                                 SimulatedSubject, load_subject, save_subject,
                                 static_subject, subject_a, subject_b)
 
@@ -243,6 +244,17 @@ class TestSimulatedSubject:
     def test_invalid_noise_rejected(self, mean, std):
         with pytest.raises(ValueError):
             MotorNoise(mean, std, 0)
+
+    def test_block_draws_equal_one_draw_per_sample(self):
+        # samples come NOISE_BLOCK at a time; the sequence must be the one
+        # default_rng(seed) gives, across blocks and after a reset
+        n = 2 * NOISE_BLOCK + 17
+        noise = MotorNoise(0.0, 1.0, 5)
+        first = [noise.sample() for _ in range(n)]
+        assert first == np.random.default_rng(5).standard_normal(n).tolist()
+        noise.reset(11)
+        again = [noise.sample() for _ in range(n)]
+        assert again == np.random.default_rng(11).standard_normal(n).tolist()
 
     def test_unstable_dynamics_rejected(self):
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])
