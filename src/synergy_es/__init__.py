@@ -6,7 +6,7 @@ personalizer, a black-box ES baseline, a planar reaching plant, and an
 experiment harness.
 """
 
-from .baseline import BlackBoxEs, BlackBoxEsConfig
+from .baseline import BlackBoxEs
 from .harness import (EpisodeTrace, ExperimentConfig, compare_traces,
                       convergence_iteration, read_trace_csv, run_batch,
                       run_episode, summarize_batch, write_trace_csv)

@@ -2,36 +2,28 @@
 
 Classic single-tone structure: high-pass the measured performance,
 demodulate with the dither sinusoid, integrate with a small gain, add the
-dither back. Shares the defaults of (a, omega_o, bounds, theta_0) with the
-grey-box personalizer, and an experiment's black-box run takes their values
-from its [personalizer] section; the integrator gain defaults to the
-comparison value k = 0.005. Like the personalizer, the loop runs on Python
-floats.
+dither back. BlackBoxEs takes the grey-box personalizer's config, so both
+loops run with one tuning, and reads only a, omega_o, bounds and theta_0
+from it. The integrator gain is fixed at the comparison value 0.005 (not
+the grey-box k) and the washout cutoff at omega_o / 5. Like the
+personalizer, the loop runs on Python floats.
 """
 
 import math
-from dataclasses import dataclass
 
 from .personalizer import PersonalizerConfig, StepRecord, clamp
 
-
-@dataclass
-class BlackBoxEsConfig:
-    omega_o: float = PersonalizerConfig.omega_o
-    dither_amplitude: float = PersonalizerConfig.dither_amplitude
-    gain: float = 0.005
-    bounds: tuple = PersonalizerConfig.bounds
-    theta_0: float = PersonalizerConfig.theta_0
-    highpass_cutoff_ratio: float = 0.2  # cutoff = omega_o / 5
+GAIN = 0.005  # integrator gain of the comparison scheme
+HIGHPASS_CUTOFF_RATIO = 0.2  # washout cutoff = omega_o / 5
 
 
 class BlackBoxEs:
     """Sinusoidal-perturbation ES with a first-order high-pass washout."""
 
     def __init__(self, config=None):
-        self.config = config or BlackBoxEsConfig()
+        self.config = config or PersonalizerConfig()
         cfg = self.config
-        wc = cfg.omega_o * cfg.highpass_cutoff_ratio
+        wc = cfg.omega_o * HIGHPASS_CUTOFF_RATIO
         self._alpha = 1.0 / (1.0 + wc)  # discrete first-order high-pass pole
         self.theta_hat = float(clamp(cfg.theta_0, *cfg.bounds))
         self._hp_y = 0.0
@@ -63,7 +55,7 @@ class BlackBoxEs:
         self._prev_j = j
         xi = math.sin(cfg.omega_o * self.iteration) * self._hp_y
         if cfg.dither_amplitude > 0:  # no excitation, no update
-            self.theta_hat = clamp(self.theta_hat + cfg.gain * xi, *cfg.bounds)
+            self.theta_hat = clamp(self.theta_hat + GAIN * xi, *cfg.bounds)
         # trace schema matches the personalizer; grad/curv columns stay empty
         self.records.append(StepRecord(
             iteration=self.iteration,

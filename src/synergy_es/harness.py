@@ -10,11 +10,12 @@ import json
 import math
 import os
 import traceback
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .baseline import BlackBoxEs, BlackBoxEsConfig
+from . import baseline
+from .baseline import BlackBoxEs
 from .personalizer import Personalizer, PersonalizerConfig, StepRecord
 from .subject import load_subject, subject_a, subject_b
 from .svgplot import line_plot
@@ -69,12 +70,11 @@ class ExperimentConfig:
     noise_std: float = None  # None keeps the subject's own noise level
     fixed_theta: float = 1.0
     personalizer: PersonalizerConfig = field(default_factory=PersonalizerConfig)
-    baseline: BlackBoxEsConfig = field(default_factory=BlackBoxEsConfig)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in ("greybox", "blackbox") and \
+        if self.algorithm == "greybox" and \
                 self.iterations < self.personalizer.warmup_iterations:
             raise ValueError("iteration count must cover the warmup period")
         if self.iterations < 1:
@@ -83,16 +83,22 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.noise_std is not None and not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
+        if not math.isfinite(self.fixed_theta):
+            raise ValueError(f"fixed_theta {self.fixed_theta} must be finite")
 
     def config_hash(self):
+        p = self.personalizer
         blob = json.dumps({
             "subject": self.subject,
             "algorithm": self.algorithm,
             "iterations": self.iterations,
             "noise_std": self.noise_std,
             "fixed_theta": self.fixed_theta,
-            "personalizer": self.personalizer.as_dict(),
-            "baseline": vars(self.baseline),
+            "personalizer": p.as_dict(),
+            # the settings the black-box loop runs with
+            "baseline": {"omega_o": p.omega_o, "dither_amplitude": p.dither_amplitude,
+                         "gain": baseline.GAIN, "bounds": p.bounds, "theta_0": p.theta_0,
+                         "highpass_cutoff_ratio": baseline.HIGHPASS_CUTOFF_RATIO},
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -122,13 +128,7 @@ def run_episode(config, seed=None):
     subject = make_subject(config.subject, seed, config.noise_std)
     algo = config.algorithm
     if algo in ("greybox", "blackbox"):
-        if algo == "greybox":
-            loop = Personalizer(config.personalizer)
-        else:  # the settings the two share come from [personalizer]
-            p = config.personalizer
-            loop = BlackBoxEs(replace(
-                config.baseline, omega_o=p.omega_o, dither_amplitude=p.dither_amplitude,
-                bounds=p.bounds, theta_0=p.theta_0))
+        loop = (Personalizer if algo == "greybox" else BlackBoxEs)(config.personalizer)
         theta = loop.applied_theta()
         for _ in range(config.iterations):
             theta = loop.step(subject.step(theta))

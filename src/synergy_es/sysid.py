@@ -243,8 +243,7 @@ def identify_from_records(thetas, performances, order=2):
     x = np.zeros(dyn.order)
     pred = np.empty_like(performances)
     for i in range(len(u)):
-        pred[i] = float(dyn.psi @ x)
-        x = dyn.phi @ x + dyn.gamma * u[i]
+        x, pred[i] = dyn.step(x, u[i])
     resid = performances - pred
     return pref, dyn, mse, resid, whiteness_test(resid)
 

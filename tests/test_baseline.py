@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from synergy_es.baseline import BlackBoxEs, BlackBoxEsConfig
+from synergy_es import baseline
+from synergy_es.baseline import BlackBoxEs
+from synergy_es.personalizer import PersonalizerConfig
 from synergy_es.subject import (LAMBDA_A, PreferenceMap, static_subject,
                                 subject_b)
 
@@ -50,7 +52,7 @@ class TestBlackBoxEs:
             assert 0.8 <= th <= 2.4
 
     def test_zero_dither_immobile(self):
-        cfg = BlackBoxEsConfig(dither_amplitude=0.0)
+        cfg = PersonalizerConfig(dither_amplitude=0.0)
         es = BlackBoxEs(cfg)
         subj = static_subject(PreferenceMap(LAMBDA_A))
         th = es.applied_theta()
@@ -65,7 +67,7 @@ class TestBlackBoxEs:
             BlackBoxEs().step(float("nan"))
 
     def test_default_gain_is_comparison_value(self):
-        assert BlackBoxEsConfig().gain == 0.005
+        assert baseline.GAIN == 0.005
 
     def test_trace_schema_compatible(self):
         es = BlackBoxEs()

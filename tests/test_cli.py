@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from synergy_es.baseline import BlackBoxEs, BlackBoxEsConfig
+from synergy_es.baseline import BlackBoxEs
 from synergy_es.cli import main
 from synergy_es.harness import TRACE_COLUMNS, EpisodeTrace, read_trace_csv
+from synergy_es.personalizer import PersonalizerConfig
 from synergy_es.subject import subject_a, subject_b
 
 
@@ -124,17 +125,22 @@ def test_config_file_drives_experiment(tmp_path):
 def test_blackbox_run_follows_personalizer_section(tmp_path):
     # the black-box loop shares a, omega_o, bounds and theta_0 with the
     # grey-box one, and a run takes them from [personalizer]
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text("[personalizer]\na = 0.05\nomega_o = 0.5\n")
     args = ["run", "--algorithm", "blackbox", "--subject", "B", "--seed", "2"]
-    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "ini")]) == 0
-    assert main(args + ["--out", str(tmp_path / "default")]) == 0
-    trace = read_trace_csv(tmp_path / "ini" / "trace_blackbox_B_s2.csv")
-    default = read_trace_csv(tmp_path / "default" / "trace_blackbox_B_s2.csv")
+
+    def run(name, section):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[personalizer]\n{section}\n")
+        assert main(args + ["--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        return read_trace_csv(tmp_path / name / "trace_blackbox_B_s2.csv")
+
+    trace = run("ini", "a = 0.05\nomega_o = 0.5")
+    default = run("default", "")
     assert not np.array_equal(trace.column("theta_applied"),
                               default.column("theta_applied"))
+    # k is the grey-box optimizer gain; the black-box integrator keeps its own
+    assert EpisodeTrace(run("k", "k = 0.2").rows, default.metadata) == default
 
-    es = BlackBoxEs(BlackBoxEsConfig(dither_amplitude=0.05, omega_o=0.5))
+    es = BlackBoxEs(PersonalizerConfig(dither_amplitude=0.05, omega_o=0.5))
     subj = subject_b(seed=2)
     theta = es.applied_theta()
     for _ in range(len(trace.rows)):
@@ -220,6 +226,17 @@ def test_invalid_noise_std_exits_2(tmp_path, capsys, noise_std):
                "--algorithm", "fixed", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "noise_std" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fixed_theta", ["nan", "inf", "-inf"])
+def test_nonfinite_fixed_theta_exits_2(tmp_path, capsys, fixed_theta):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nfixed_theta = {fixed_theta}\n")
+    rc = main(["run", "--config", str(cfg), "--subject", "A",
+               "--algorithm", "fixed", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "fixed_theta" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from synergy_es.baseline import BlackBoxEsConfig
 from synergy_es.cli import main
 from synergy_es.config import read_config, write_config
 from synergy_es.harness import (CONVERGENCE_HOLD, ExperimentConfig,
@@ -52,6 +51,9 @@ class TestEpisode:
     def test_iteration_count_must_cover_warmup(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="greybox", iterations=4)
+        # the black-box loop has no warmup
+        trace = run_episode(ExperimentConfig(algorithm="blackbox", iterations=4))
+        assert len(trace.rows) == 4
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -162,8 +164,7 @@ def _changed(value):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("section,cls", [("personalizer", PersonalizerConfig),
-                                             ("baseline", BlackBoxEsConfig)])
+    @pytest.mark.parametrize("section,cls", [("personalizer", PersonalizerConfig)])
     def test_every_nested_field_enters_hash(self, section, cls):
         base = ExperimentConfig()
         for f in fields(cls):
