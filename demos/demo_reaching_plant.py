@@ -59,4 +59,4 @@ line_plot(os.path.join(OUT, "plant_hand_paths.svg"), series,
 
 out = simulate_reach(geom, task, best, prof)
 export_hand_path(out.hand_path, os.path.join(OUT, "hand_path_best.csv"))
-print("wrote", os.path.join(OUT, "hand_path_best.csv"))
+print("wrote", os.path.join("out", "hand_path_best.csv"))

@@ -20,6 +20,18 @@ T_MAX_S = 3.0
 STOP_SPEED_CM_S = 1.0
 
 
+def _check_fields(obj, positive=(), finite=(), points=()):
+    """Raise ValueError naming the first field of obj that cannot work."""
+    for name in (*positive, *finite, *points):
+        value = getattr(obj, name)
+        if name in points and np.shape(value) != (2,):
+            raise ValueError(f"{name} = {value} must be two values")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} = {value} must be finite")
+        if name in positive and not value > 0:
+            raise ValueError(f"{name} = {value} must be positive")
+
+
 @dataclass
 class ArmGeometry:
     upper_arm_cm: float = 30.0
@@ -27,8 +39,8 @@ class ArmGeometry:
     shoulder_xy: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.upper_arm_cm <= 0 or self.forearm_hand_cm <= 0:
-            raise ValueError("segment lengths must be positive")
+        _check_fields(self, positive=("upper_arm_cm", "forearm_hand_cm"),
+                      points=("shoulder_xy",))
 
 
 @dataclass
@@ -37,6 +49,10 @@ class ReachTask:
     end_target: tuple
     time_limit_s: float = T_MAX_S
     success_radius_cm: float = 5.0
+
+    def __post_init__(self):
+        _check_fields(self, positive=("time_limit_s", "success_radius_cm"),
+                      points=("start_target", "end_target"))
 
 
 @dataclass
@@ -49,8 +65,9 @@ class ShoulderProfile:
     start_flexion_rad: float = 0.45
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        # a peak of 0 is a valid profile: the arm never moves
+        _check_fields(self, positive=("duration_s", "sample_rate_hz"),
+                      finite=("peak_flexion_rad", "start_flexion_rad"))
 
     def angle(self, t):
         """Shoulder flexion angle at time t (monotone, zero end velocity)."""
@@ -113,10 +130,7 @@ def simulate_reach(geom, task, theta, profile):
     times = np.arange(0.0, task.time_limit_s + dt / 2, dt)
     shoulder = profile.angle(times)
     elbow = _ELBOW_START_RAD - float(theta) * (shoulder - shoulder[0])
-    path = np.empty((times.size, 3))
-    for i, t in enumerate(times):
-        path[i, 0] = t
-        path[i, 1:] = _hand_position(geom, shoulder[i], elbow[i])
+    path = np.column_stack((times, *_hand_position(geom, shoulder, elbow)))
     speeds = np.linalg.norm(np.diff(path[:, 1:], axis=0), axis=1) / dt
     moving = speeds >= STOP_SPEED_CM_S
     stop_idx = times.size - 1
@@ -142,7 +156,5 @@ def objective(outcome):
 
 def export_hand_path(path_array, csv_path):
     """Write a hand path as CSV columns t, x, y."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,y\n")
-        for t, x, y in path_array:
-            fh.write(f"{t:.6f},{x:.6f},{y:.6f}\n")
+    np.savetxt(csv_path, path_array, fmt="%.6f", delimiter=",",
+               header="t,x,y", comments="")

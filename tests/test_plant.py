@@ -2,16 +2,46 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from synergy_es.plant import (ArmGeometry, ReachOutcome, ReachTask,
-                              ShoulderProfile, default_geometry,
+from synergy_es.plant import (_ELBOW_START_RAD, STOP_SPEED_CM_S, ArmGeometry,
+                              ReachOutcome, ReachTask, ShoulderProfile,
+                              _hand_position, default_geometry,
                               default_profile, default_task, export_hand_path,
                               objective, simulate_reach)
+
+NAN, INF = float("nan"), float("inf")
 
 
 def outcome(err, tf):
     return ReachOutcome(err, tf, err <= 5.0 and tf <= 3.0, np.zeros((1, 3)))
+
+
+def reference_reach(geom, task, theta, profile):
+    """simulate_reach with the hand path built one sample at a time."""
+    dt = 1.0 / profile.sample_rate_hz
+    times = np.arange(0.0, task.time_limit_s + dt / 2, dt)
+    shoulder = profile.angle(times)
+    elbow = _ELBOW_START_RAD - float(theta) * (shoulder - shoulder[0])
+    path = np.empty((times.size, 3))
+    for i, t in enumerate(times):
+        path[i, 0] = t
+        path[i, 1:] = _hand_position(geom, shoulder[i], elbow[i])
+    speeds = np.linalg.norm(np.diff(path[:, 1:], axis=0), axis=1) / dt
+    moving = speeds >= STOP_SPEED_CM_S
+    stop_idx = times.size - 1
+    if moving.any():
+        onset = int(np.argmax(moving))
+        rest = np.nonzero(~moving[onset:])[0]
+        if rest.size:
+            stop_idx = onset + int(rest[0])
+    t_f = float(times[stop_idx]) if moving.any() and stop_idx < times.size - 1 \
+        else float(task.time_limit_s)
+    end_error = float(np.linalg.norm(path[stop_idx, 1:] - np.asarray(task.end_target)))
+    completed = end_error <= task.success_radius_cm and t_f <= task.time_limit_s
+    return ReachOutcome(end_error, t_f, completed, path)
 
 
 class TestObjective:
@@ -48,6 +78,30 @@ class TestGeometryAndProfile:
     def test_bad_duration_rejected(self):
         with pytest.raises(ValueError):
             ShoulderProfile(duration_s=0.0)
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (ArmGeometry, "upper_arm_cm", NAN),
+        (ArmGeometry, "forearm_hand_cm", INF),
+        (ArmGeometry, "shoulder_xy", (0.0, NAN)),
+        (ArmGeometry, "shoulder_xy", (0.0,)),
+        (ShoulderProfile, "duration_s", NAN),
+        (ShoulderProfile, "sample_rate_hz", 0.0),
+        (ShoulderProfile, "sample_rate_hz", -90.0),
+        (ShoulderProfile, "sample_rate_hz", INF),
+        (ShoulderProfile, "peak_flexion_rad", NAN),
+        (ShoulderProfile, "start_flexion_rad", -INF),
+        (ReachTask, "time_limit_s", -1.0),
+        (ReachTask, "time_limit_s", NAN),
+        (ReachTask, "success_radius_cm", 0.0),
+        (ReachTask, "start_target", (NAN, 0.0)),
+        (ReachTask, "end_target", (23.0, 0.0, 0.0)),
+    ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
+    def test_unworkable_field_rejected_by_name(self, cls, field, value):
+        kwargs = {"start_target": (0.0, 0.0), "end_target": (23.0, 0.0)} \
+            if cls is ReachTask else {}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            cls(**kwargs)
 
     def test_minimum_jerk_monotone(self):
         prof = default_profile()
@@ -130,6 +184,28 @@ class TestSimulateReach:
         task = default_task(geom, prof)
         with pytest.raises(ValueError):
             simulate_reach(geom, task, float("inf"), prof)
+
+    @given(theta=st.floats(-5.0, 5.0), upper=st.floats(5.0, 60.0),
+           forearm=st.floats(5.0, 60.0), duration=st.floats(0.1, 4.0),
+           rate=st.floats(10.0, 240.0))
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_bitwise_equal_to_per_sample_loop(self, theta, upper, forearm,
+                                              duration, rate):
+        geom = ArmGeometry(upper_arm_cm=upper, forearm_hand_cm=forearm)
+        prof = ShoulderProfile(duration_s=duration, sample_rate_hz=rate)
+        task = default_task(geom, prof)
+        out = simulate_reach(geom, task, theta, prof)
+        ref = reference_reach(geom, task, theta, prof)
+        assert np.array_equal(out.hand_path, ref.hand_path)
+        assert out.end_error_cm == ref.end_error_cm
+        assert out.completion_time_s == ref.completion_time_s
+        assert out.completed == ref.completed
+        assert out.completion_time_s <= task.time_limit_s
+        assert not out.completed or out.end_error_cm <= task.success_radius_cm
+        dt = 1.0 / rate
+        times = out.hand_path[:, 0]
+        assert np.array_equal(times, np.arange(times.size) * dt)
+        assert times[-1] <= task.time_limit_s + dt / 2 < times[-1] + dt
 
 
 def test_hand_path_export(tmp_path):
