@@ -11,7 +11,7 @@ personalizer, the loop runs on Python floats.
 
 import math
 
-from .personalizer import PersonalizerConfig, StepRecord, clamp
+from .personalizer import DEFAULT_CONFIG, StepRecord, clamp
 
 GAIN = 0.005  # integrator gain of the comparison scheme
 HIGHPASS_CUTOFF_RATIO = 0.2  # washout cutoff = omega_o / 5
@@ -20,12 +20,11 @@ HIGHPASS_CUTOFF_RATIO = 0.2  # washout cutoff = omega_o / 5
 class BlackBoxEs:
     """Sinusoidal-perturbation ES with a first-order high-pass washout."""
 
-    def __init__(self, config=None):
-        self.config = config or PersonalizerConfig()
-        cfg = self.config
-        wc = cfg.omega_o * HIGHPASS_CUTOFF_RATIO
+    def __init__(self, config=DEFAULT_CONFIG):
+        self.config = config
+        wc = config.omega_o * HIGHPASS_CUTOFF_RATIO
         self._alpha = 1.0 / (1.0 + wc)  # discrete first-order high-pass pole
-        self.theta_hat = float(clamp(cfg.theta_0, *cfg.bounds))
+        self.theta_hat = float(clamp(config.theta_0, *config.bounds))
         self._hp_y = 0.0
         self._prev_j = None
         self.iteration = 0

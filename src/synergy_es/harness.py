@@ -10,13 +10,13 @@ import json
 import math
 import os
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import baseline
 from .baseline import BlackBoxEs
-from .personalizer import Personalizer, PersonalizerConfig, StepRecord
+from .personalizer import DEFAULT_CONFIG, Personalizer, PersonalizerConfig, StepRecord
 from .subject import load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
     output_dir: str = "."
     noise_std: float = None  # None keeps the subject's own noise level
     fixed_theta: float = 1.0
-    personalizer: PersonalizerConfig = field(default_factory=PersonalizerConfig)
+    personalizer: PersonalizerConfig = DEFAULT_CONFIG  # frozen: shared
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:

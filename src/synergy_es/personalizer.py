@@ -16,10 +16,11 @@ Implementation notes, fixed by numerical analysis of the printed design:
   The closed loop then has spectral radius 0.915 and the tracked states
   converge to the exact Fourier components of the filtered signal.
 
-* The design arrays (filter matrices, observer transition and injection)
-  are built with numpy once per episode, when the Personalizer is made;
-  the per-iteration loop runs on Python floats unpacked from them, since
-  numpy's per-call overhead dominates work on 2- and 5-vectors.
+* The designs (filter matrices, observer transition and injection, chain
+  phases and gains) are built with numpy once per config, when the
+  PersonalizerConfig is made; the Personalizer holds only state. The
+  per-iteration loop runs on Python floats unpacked from the designs,
+  since numpy's per-call overhead dominates work on 2- and 5-vectors.
 
 * Demodulation references carry the design-known chain phase (band-pass
   response times the one-iteration measurement latency) at w and 2w, so
@@ -87,7 +88,6 @@ class BandPassFilter:
         (self._a00, self._a01), (self._a10, self._a11) = self.ad.tolist()
         self._b0, self._b1 = self.bd.tolist()
         self._c0, self._c1 = self.cd.tolist()
-        self.state = None  # (x0, x1) once the first sample has arrived
 
     def spectral_radius(self):
         return float(np.max(np.abs(np.linalg.eigvals(self.ad))))
@@ -97,22 +97,21 @@ class BandPassFilter:
         return complex(self.cd @ np.linalg.solve(z * np.eye(2) - self.ad, self.bd)
                        + self.dd)
 
-    def step(self, j_value):
-        """Filter one sample; returns the band-passed output."""
-        if self.state is None:
+    def step(self, state, j_value):
+        """(band-passed output, next state); state is None before the first sample."""
+        if state is None:
             x0, x1 = self._dc[0] * j_value, self._dc[1] * j_value
         else:
-            x0, x1 = self.state
+            x0, x1 = state
         out = self._c0 * x0 + self._c1 * x1 + self.dd * j_value
-        self.state = (self._a00 * x0 + self._a01 * x1 + self._b0 * j_value,
-                      self._a10 * x0 + self._a11 * x1 + self._b1 * j_value)
-        return out
+        return out, (self._a00 * x0 + self._a01 * x1 + self._b0 * j_value,
+                     self._a10 * x0 + self._a11 * x1 + self._b1 * j_value)
 
 
 class GradCurvObserver:
     """Luenberger observer tracking offset + dither-frequency components.
 
-    State layout: [offset, (sin, cos) pair at w, (sin, cos) pair at 2w].
+    State layout, held by the caller: [offset, (sin, cos) at w, (sin, cos) at 2w].
     """
 
     def __init__(self, omega_o, gain_l):
@@ -136,36 +135,28 @@ class GradCurvObserver:
             self._rotations += [c, s]
         self.injection = np.array(self._injection)
         closed = self.transition - np.outer(self.injection, OBSERVER_PSI)
-        rho = float(np.max(np.abs(np.linalg.eigvals(closed))))
-        if rho >= 1.0:
-            raise ValueError(f"observer closed loop is unstable (spectral radius {rho:.4f})")
-        self.closed_loop_radius = rho
-        self._z = (0.0,) * 5
+        self.closed_loop_radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
 
-    @property
-    def z(self):
-        """State [offset, (sin, cos) at w, (sin, cos) at 2w] as an array."""
-        return np.array(self._z)
-
-    def step(self, filtered_value):
-        z0, z1, z2, z3, z4 = self._z
+    def step(self, z, filtered_value):
+        """The state after state z takes in one filtered sample."""
+        z0, z1, z2, z3, z4 = z
         c1, s1, c2, s2 = self._rotations
         i0, i1, i2, i3, i4 = self._injection
         innovation = filtered_value - (z0 + z1 - 0.25 * z4)  # OBSERVER_PSI @ z
-        self._z = (z0 + i0 * innovation,
-                   c1 * z1 + s1 * z2 + i1 * innovation,
-                   c1 * z2 - s1 * z1 + i2 * innovation,
-                   c2 * z3 + s2 * z4 + i3 * innovation,
-                   c2 * z4 - s2 * z3 + i4 * innovation)
+        return (z0 + i0 * innovation,
+                c1 * z1 + s1 * z2 + i1 * innovation,
+                c1 * z2 - s1 * z1 + i2 * innovation,
+                c2 * z3 + s2 * z4 + i3 * innovation,
+                c2 * z4 - s2 * z3 + i4 * innovation)
 
-    def demodulate(self, index, phase1, phase2):
-        """(sin-amplitude at w, sin/cos pair at 2w) with phased references.
+    def demodulate(self, z, index, phase1, phase2):
+        """(sin-amplitude at w, sin/cos pair at 2w) of z, with phased references.
 
         Returns the gradient-channel and curvature-channel demodulated
         values in filtered-signal units.
         """
         w = self.omega_o
-        _, z1, z2, z3, z4 = self._z
+        _, z1, z2, z3, z4 = z
         arg1, arg2 = w * index + phase1, 2 * w * index + phase2
         grad_channel = math.sin(arg1) * z1 + math.cos(arg1) * z2
         curv_channel = math.sin(arg2) * z3 + math.cos(arg2) * z4
@@ -223,7 +214,7 @@ INI_KEYS = {"dither_amplitude": "a", "gain": "k", "filter_gain": "H",
             "filter_q": "Q", "observer_gain": "L"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PersonalizerConfig:
     omega_o: float = np.pi / 4
     dither_amplitude: float = 0.02
@@ -238,8 +229,7 @@ class PersonalizerConfig:
 
     def __post_init__(self):
         # values come from user INI files: reject what cannot work. The
-        # parts built from a config trust it; the two checks that need a
-        # built design (observer stability, a^2 underflow) are in them.
+        # parts built from a config trust it.
         ini = self.as_dict()
         for key, value in ini.items():
             if not np.all(np.isfinite(value)):
@@ -259,6 +249,24 @@ class PersonalizerConfig:
         if 4 * self.dither_amplitude >= self.bounds[1] - self.bounds[0]:
             raise ValueError(f"dither span 4a = {4 * self.dither_amplitude} does not "
                              f"fit inside bounds {self.bounds}")
+        # pass band [w, 2w]: the dither's two tones
+        band = BandPassFilter(self.omega_o, self.filter_gain, self.filter_q)
+        observer = GradCurvObserver(self.omega_o, self.observer_gain)
+        if observer.closed_loop_radius >= 1.0:
+            raise ValueError("observer closed loop is unstable (spectral radius "
+                             f"{observer.closed_loop_radius:.4f})")
+        # design-known demodulation chain: band-pass response x one-step latency
+        g1 = band.frequency_response(self.omega_o) * np.exp(-1j * self.omega_o)
+        g2 = band.frequency_response(2 * self.omega_o) * np.exp(-2j * self.omega_o)
+        a = self.dither_amplitude
+        if a > 0 and a * a * abs(g2) == 0:  # Personalizer.step divides by it
+            raise ValueError(f"dither amplitude {a} is too small: the curvature "
+                             "scale a^2 x chain gain underflows to 0")
+        # the design, once per config: filter, observer and the chain's
+        # (phase, gain) at w and 2w; set past the frozen __setattr__
+        object.__setattr__(self, "design", (
+            band, observer, (float(np.angle(g1)), float(abs(g1))),
+            (float(np.angle(g2)), float(abs(g2)))))
 
     def as_dict(self):
         """Every field under its INI key (see INI_KEYS), e.g. for hashing."""
@@ -285,6 +293,9 @@ class PersonalizerConfig:
         return cls(**kwargs)
 
 
+DEFAULT_CONFIG = PersonalizerConfig()  # frozen, so every default run shares it
+
+
 @dataclass
 class StepRecord:
     """One iteration of a trace; the field names are the trace CSV header."""
@@ -302,27 +313,18 @@ class StepRecord:
 class Personalizer:
     """Closed-loop synergy personalizer; call step(J_i) once per iteration."""
 
-    def __init__(self, config=None):
-        self.config = config or PersonalizerConfig()
-        cfg = self.config
-        # pass band [w, 2w]: the dither's two tones
-        self.filter = BandPassFilter(cfg.omega_o, cfg.filter_gain, cfg.filter_q)
-        self.observer = GradCurvObserver(cfg.omega_o, cfg.observer_gain)
-        a = cfg.dither_amplitude
+    def __init__(self, config=DEFAULT_CONFIG):
+        self.config = config
+        self.filter, self.observer, (self._phase1, self._gain1), \
+            (self._phase2, self._gain2) = config.design
+        self.filter_state, self.observer_state = None, (0.0,) * 5
+        a = config.dither_amplitude
         # update bounded by the dither span; hat kept one span inside bounds
         self.optimizer = SwitchedOptimizer(
-            gain=cfg.gain, omega_o=cfg.omega_o, epsilon=cfg.epsilon,
-            bounds=(cfg.bounds[0] + 2 * a, cfg.bounds[1] - 2 * a),
-            theta_hat=cfg.theta_0, step_max=2 * a)
-        self.dither = DitherGenerator(a, cfg.omega_o)
-        # design-known demodulation chain: band-pass response x one-step latency
-        g1 = self.filter.frequency_response(cfg.omega_o) * np.exp(-1j * cfg.omega_o)
-        g2 = self.filter.frequency_response(2 * cfg.omega_o) * np.exp(-2j * cfg.omega_o)
-        self._phase1, self._gain1 = float(np.angle(g1)), float(abs(g1))
-        self._phase2, self._gain2 = float(np.angle(g2)), float(abs(g2))
-        if a > 0 and a * a * self._gain2 == 0:  # step() divides by it
-            raise ValueError(f"dither amplitude {a} is too small: the curvature "
-                             "scale a^2 x chain gain underflows to 0")
+            gain=config.gain, omega_o=config.omega_o, epsilon=config.epsilon,
+            bounds=(config.bounds[0] + 2 * a, config.bounds[1] - 2 * a),
+            theta_hat=config.theta_0, step_max=2 * a)
+        self.dither = DitherGenerator(a, config.omega_o)
         self.iteration = 0
         self.records = []
         self.applied_theta()  # sets what the first step records as applied
@@ -347,15 +349,14 @@ class Personalizer:
         j = float(performance)
         if not math.isfinite(j):
             raise ValueError("non-finite performance measurement (sensor fault)")
-        cfg = self.config
-        filtered = self.filter.step(j)
-        self.observer.step(filtered)
+        filtered, self.filter_state = self.filter.step(self.filter_state, j)
+        self.observer_state = self.observer.step(self.observer_state, filtered)
         self.iteration += 1
-        a = cfg.dither_amplitude
+        a = self.config.dither_amplitude
         grad_phys = curv_phys = 0.0
         if a > 0:
-            g_chan, c_chan = self.observer.demodulate(self.iteration,
-                                                      self._phase1, self._phase2)
+            g_chan, c_chan = self.observer.demodulate(
+                self.observer_state, self.iteration, self._phase1, self._phase2)
             # map units: divide by the known chain gains, by the dither
             # amplitude scaling (a for the gradient channel) and by -a^2/4
             # for the curvature channel (the rectified second-order response
@@ -363,7 +364,7 @@ class Personalizer:
             # matching the -0.25 output weight of the observer)
             grad_phys = g_chan / (a * self._gain1)
             curv_phys = c_chan / (a * a * self._gain2)
-            if self.iteration - 1 >= cfg.warmup_iterations:
+            if self.iteration - 1 >= self.config.warmup_iterations:
                 # the optimizer runs on demodulated-signal units: the scale
                 # the published gain was tuned for (see module docstring)
                 self.optimizer.update(g_chan, c_chan)

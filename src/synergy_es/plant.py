@@ -142,7 +142,7 @@ def simulate_reach(geom, task, theta, profile):
     t_f = float(times[stop_idx]) if moving.any() and stop_idx < times.size - 1 \
         else float(task.time_limit_s)
     end_error = float(np.linalg.norm(path[stop_idx, 1:] - np.asarray(task.end_target)))
-    completed = end_error <= task.success_radius_cm and t_f <= task.time_limit_s
+    completed = end_error <= task.success_radius_cm
     return ReachOutcome(end_error, t_f, completed, path)
 
 

@@ -1,0 +1,74 @@
+"""The benchmark's contract with the package.
+
+perfbench/tracer.py wraps package functions and methods by name, and
+perfbench/workloads.py calls package helpers; a rename or deletion in the
+package breaks the benchmark without failing any other test. Here one op
+of each workload runs under the span wrappers. Nothing under perfbench/ is
+written: its modules are imported without bytecode caching.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from synergy_es.personalizer import DEFAULT_CONFIG
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GREYBOX_OP = 0  # op id of the greybox-mc op below
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
+    return tracer, workloads
+
+
+def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
+    tracer, workloads = perfbench
+    loads = workloads.make_workloads(tmp_path)
+    assert list(loads)[GREYBOX_OP] == "greybox-mc"
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for k, load in enumerate(loads.values()):
+            inp = load.inputs(1, k)
+            try:
+                out = spans.run_op(k, load.run, inp)
+                assert load.check(inp, out), load.name
+            finally:
+                load.cleanup(inp)
+    finally:
+        spans.uninstall()
+    assert spans.errors == dict.fromkeys(tracer.LAYERS, 0)
+
+    cols = spans.arrays()
+    names = cols["names"][cols["layer"][cols["op"] == GREYBOX_OP]]
+
+    def calls(layer):
+        return int((names == layer).sum())
+
+    episodes = workloads.GREYBOX_SEEDS
+    assert calls("harness.run_episode") == calls("personalizer.init") == episodes
+    per_episode = workloads.GREYBOX_ITERATIONS
+    assert calls("personalizer.filter") == episodes * per_episode
+    assert calls("personalizer.step") == episodes * per_episode
+    # the observer wraps step and demodulate, one call each per iteration
+    assert calls("personalizer.observer") == 2 * episodes * per_episode
+    # the optimizer runs from the iteration after warmup on
+    warmup = DEFAULT_CONFIG.warmup_iterations
+    assert calls("personalizer.optimizer") == episodes * (per_episode - warmup)
+    assert spans.counters["newton_branches"] > 0  # read from last_branch
+    # every wrapped name is back on its owner
+    for targets in tracer.LAYERS.values():
+        for owner, attr in targets:
+            assert not hasattr(getattr(owner, attr), "__wrapped__"), attr
+

@@ -160,6 +160,8 @@ INVALID_PERSONALIZER = {
     "H_zero": ("H = 0", "H = 0"),
     "Q_inf": ("Q = inf", "Q = inf"),
     "L_short": ("L = 1.5 0.25 0.25", "L must have 5 values"),
+    "L_unstable": ("L = 50 0 0 0 0", "unstable"),  # observer closed loop
+    "a_underflow": ("a = 1e-170", "underflows"),  # a^2 is 0
 }
 # command prefix of the case id -> arguments; run keeps the bare case ids
 COMMANDS = {"": ["run"], "batch-": ["batch"],

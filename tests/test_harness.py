@@ -48,6 +48,16 @@ class TestEpisode:
             ths = make_subject(name, 0).optimum()
             assert abs(np.median(hats[-25:]) - ths) < 0.1
 
+    def test_shared_design_leaks_no_state(self):
+        # interleaved episodes on one config, so on one design, equal runs
+        # on a fresh config with a design of its own
+        cfg = ExperimentConfig(subject="B", algorithm="greybox")
+        traces = [(seed, run_episode(cfg, seed)) for seed in (3, 5, 3)]
+        for seed, trace in traces:
+            fresh = replace(cfg, personalizer=PersonalizerConfig())
+            assert fresh.personalizer.design is not cfg.personalizer.design
+            assert run_episode(fresh, seed) == trace
+
     def test_iteration_count_must_cover_warmup(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="greybox", iterations=4)
@@ -158,9 +168,11 @@ class TestTraceCsv:
 
 
 def _changed(value):
+    # a changed config must still build: omega_o x 1.5 and L + 0.1 each
+    # give an unstable observer, omega_o x 1.05 and L - 0.1 do not
     if isinstance(value, tuple):
-        return tuple(v + 0.1 for v in value)
-    return value + 1 if isinstance(value, int) else value * 1.5
+        return tuple(v - 0.1 for v in value)
+    return value + 1 if isinstance(value, int) else value * 1.05
 
 
 class TestConfig:
@@ -172,6 +184,11 @@ class TestConfig:
                              **{f.name: _changed(f.default)})
             changed = replace(base, **{section: nested})
             assert changed.config_hash() != base.config_hash(), f.name
+
+    def test_default_configs_share_one_design(self):
+        a, b = ExperimentConfig(), ExperimentConfig(subject="B")
+        assert a.personalizer is b.personalizer
+        assert a.personalizer.design is b.personalizer.design
 
     def test_personalizer_ini_round_trip(self, tmp_path):
         cfg = PersonalizerConfig(**{f.name: _changed(f.default)

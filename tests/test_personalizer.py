@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -41,9 +42,9 @@ class TestBandPass:
 
     def test_constant_input_decays(self):
         f = BandPassFilter(W, 0.5, 5.0)
-        out = 0.0
+        out, state = 0.0, None
         for _ in range(200):
-            out = f.step(123.4)
+            out, state = f.step(state, 123.4)
         assert abs(out) < 1e-6
 
     def test_stability(self):
@@ -57,12 +58,15 @@ class TestBandPass:
 
     def test_zero_state_zero_output(self):
         f = BandPassFilter(W, 0.5, 5.0)
-        assert f.step(0.0) == 0.0
+        assert f.step(None, 0.0)[0] == 0.0
 
     def test_impulse_matches_direct_recursion(self):
         # state-space trace vs transfer-function recursion oracle
         f = BandPassFilter(W, 0.5, 5.0)
-        outs = [f.step(1.0 if i == 0 else 0.0) for i in range(40)]
+        outs, state = [], None
+        for i in range(40):
+            out, state = f.step(state, 1.0 if i == 0 else 0.0)
+            outs.append(out)
         # oracle: same filter re-materialized, run on the same input
         g = BandPassFilter(W, 0.5, 5.0)
         x = np.zeros(2)
@@ -78,9 +82,10 @@ class TestBandPass:
     def test_sinusoid_gain_at_center(self):
         f = BandPassFilter(W, 0.5, 5.0)
         wc = np.sqrt(2) * W
-        outs = []
+        outs, state = [], None
         for i in range(600):
-            outs.append(f.step(np.sin(wc * i)))
+            out, state = f.step(state, np.sin(wc * i))
+            outs.append(out)
         amp = (max(outs[-100:]) - min(outs[-100:])) / 2
         assert_allclose(amp, 0.5, atol=0.03)
 
@@ -94,14 +99,14 @@ class TestBandPass:
 class TestObserver:
     def test_zero_stays_zero(self):
         obs = GradCurvObserver(W, DEFAULT_L)
-        obs.step(0.0)
-        assert_allclose(obs.z, 0.0, atol=0.0)
+        z = obs.step((0.0,) * 5, 0.0)
+        assert_allclose(z, 0.0, atol=0.0)
 
     def test_injection_direction_matches_gain(self):
         # one unit of innovation from rest enters along the designed gain
         obs = GradCurvObserver(W, DEFAULT_L)
-        obs.step(1.0)
-        assert_allclose(obs.z, obs.injection, atol=1e-15)
+        z = obs.step((0.0,) * 5, 1.0)
+        assert_allclose(z, obs.injection, atol=1e-15)
         # the injection is the integrated flow applied to w*L
         assert obs.injection.shape == (5,)
         assert obs.injection @ (W * DEFAULT_L) > 0
@@ -117,25 +122,27 @@ class TestObserver:
         assert np.max(np.abs(np.linalg.eigvals(m))) > 1.0
 
     def test_unstable_gain_rejected(self):
+        # the check lives in the config, which builds every observer
         with pytest.raises(ValueError):
-            GradCurvObserver(W, gain_l=np.array([50.0, 0, 0, 0, 0]))
+            PersonalizerConfig(observer_gain=(50.0, 0.0, 0.0, 0.0, 0.0))
 
     def test_tracks_dither_band_components_exactly(self):
         obs = GradCurvObserver(W, DEFAULT_L)
         want = dict(dc=3.0, s1=2.0, c1=0.5, s2=1.2, c2=-0.8)
+        z = (0.0,) * 5
         for i in range(400):
             u = (want["dc"] + want["s1"] * np.sin(W * i)
                  + want["c1"] * np.cos(W * i)
                  + want["s2"] * np.sin(2 * W * i)
                  + want["c2"] * np.cos(2 * W * i))
-            obs.step(u)
+            z = obs.step(z, u)
         i = 400
-        g_chan, c_chan = obs.demodulate(i, 0.0, 0.0)
+        g_chan, c_chan = obs.demodulate(z, i, 0.0, 0.0)
         # gradient channel returns the sin amplitude at w
         assert_allclose(g_chan, want["s1"], atol=1e-6)
         # curvature channel returns -4x the cos amplitude at 2w
         assert_allclose(c_chan, -4.0 * want["c2"], atol=1e-6)
-        assert_allclose(obs.z[0], want["dc"], atol=1e-6)
+        assert_allclose(z[0], want["dc"], atol=1e-6)
 
     def test_injection_matches_50_digit_reference(self):
         # the flow integral's 1 - cos kw, formed as 2 sin(kw/2)^2, does not
@@ -154,6 +161,27 @@ class TestObserver:
             ref = np.array([float(r) for r in ref])
             err = np.max(np.abs(GradCurvObserver(w, DEFAULT_L).injection - ref))
             assert err <= 2 * np.spacing(np.max(np.abs(ref))), w
+
+
+class TestDesign:
+    def test_personalizers_share_their_configs_design(self):
+        cfg = PersonalizerConfig(dither_amplitude=0.03)
+        p, q = Personalizer(cfg), Personalizer(cfg)
+        assert p.config.design is q.config.design is cfg.design
+        assert p.filter is q.filter is cfg.design[0]
+        assert p.observer is q.observer is cfg.design[1]
+        assert Personalizer().config.design is Personalizer().config.design
+
+    def test_config_is_frozen_and_replace_designs_anew(self):
+        cfg = PersonalizerConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.omega_o = 0.5
+        assert cfg.omega_o == np.pi / 4
+        other = replace(cfg, omega_o=0.5)
+        assert other.design is not cfg.design
+        assert other.design[1].omega_o == 0.5
+        assert cfg.design[1].omega_o == np.pi / 4
+        assert other.design[2] != cfg.design[2]  # the chain at w moved
 
 
 class TestDither:
@@ -264,7 +292,7 @@ class TestPersonalizerLoop:
     ])
     def test_rejects_unworkable_config(self, kwargs):
         with pytest.raises(ValueError):
-            Personalizer(PersonalizerConfig(**kwargs))
+            PersonalizerConfig(**kwargs)
 
     @given(seed=st.integers(0, 2 ** 31 - 1), name=st.sampled_from("AB"),
            lo=st.floats(0.5, 1.5), span=st.floats(0.1, 2.0),
@@ -274,13 +302,13 @@ class TestPersonalizerLoop:
                                                dither_share, theta_0):
         a = dither_share * span / 4  # dither span 4a fits inside the bounds
         hi = lo + span
-        cfg = PersonalizerConfig(dither_amplitude=a, bounds=(lo, hi),
-                                 theta_0=theta_0)
         try:
-            p = Personalizer(cfg)
+            cfg = PersonalizerConfig(dither_amplitude=a, bounds=(lo, hi),
+                                     theta_0=theta_0)
         except ValueError as exc:  # only an a > 0 whose square underflows
             assert "underflows" in str(exc)
             return
+        p = Personalizer(cfg)
         subj = (subject_a if name == "A" else subject_b)(seed=seed)
         th = p.applied_theta()
         for _ in range(150):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from synergy_es.personalizer import (DEFAULT_L, OBSERVER_PHI, OBSERVER_PSI,
-                                     BandPassFilter, GradCurvObserver)
+                                     BandPassFilter, GradCurvObserver,
+                                     PersonalizerConfig)
 
 linalg = pytest.importorskip("scipy.linalg")
 signal = pytest.importorskip("scipy.signal")
@@ -65,7 +66,7 @@ def test_observer_rejects_exactly_the_unstable_gains(omega_o, gain_l):
     assume(abs(radius - 1.0) > 1e-9)
     if radius >= 1.0:
         with pytest.raises(ValueError, match="unstable"):
-            GradCurvObserver(omega_o, gain_l)
+            PersonalizerConfig(omega_o=omega_o, observer_gain=gain_l)
     else:
-        obs = GradCurvObserver(omega_o, gain_l)
+        _, obs, *_ = PersonalizerConfig(omega_o=omega_o, observer_gain=gain_l).design
         assert_allclose(obs.closed_loop_radius, radius, rtol=0, atol=1e-9)
