@@ -10,9 +10,8 @@ from .baseline import BlackBoxEs
 from .harness import (EpisodeTrace, ExperimentConfig, compare_traces,
                       convergence_iteration, read_trace_csv, run_batch,
                       run_episode, summarize_batch, write_trace_csv)
-from .personalizer import (BandPassFilter, DitherGenerator, GradCurvObserver,
-                           Personalizer, PersonalizerConfig, StepRecord,
-                           SwitchedOptimizer)
+from .personalizer import (BandPassFilter, GradCurvObserver, Personalizer,
+                           PersonalizerConfig, StepRecord, SwitchedOptimizer)
 from .plant import (ArmGeometry, ReachOutcome, ReachTask, ShoulderProfile,
                     default_geometry, default_profile, default_task,
                     export_hand_path, objective, simulate_reach)

@@ -164,20 +164,6 @@ class GradCurvObserver:
 
 
 @dataclass
-class DitherGenerator:
-    """Two-tone sinusoidal perturbation a sin(w i) + a sin(2w i)."""
-
-    amplitude: float
-    omega_o: float
-
-    def value(self, index):
-        if index < 0:
-            raise ValueError("iteration index must be >= 0")
-        return (self.amplitude * math.sin(self.omega_o * index)
-                + self.amplitude * math.sin(2.0 * self.omega_o * index))
-
-
-@dataclass
 class SwitchedOptimizer:
     """Newton step inside the trusted-curvature region, gradient ascent outside.
 
@@ -310,34 +296,24 @@ class StepRecord:
     branch: str
 
 
-class Personalizer:
-    """Closed-loop synergy personalizer; call step(J_i) once per iteration."""
+class EsLoop:
+    """The per-iteration contract both closed loops share.
 
-    def __init__(self, config=DEFAULT_CONFIG):
+    A subclass holds its algorithm: the theta_hat estimate, dither(i) and
+    _update(j), which takes in J_i and returns the (filtered output,
+    gradient estimate, curvature estimate, branch) its trace row records.
+    """
+
+    def __init__(self, config):
         self.config = config
-        self.filter, self.observer, (self._phase1, self._gain1), \
-            (self._phase2, self._gain2) = config.design
-        self.filter_state, self.observer_state = None, (0.0,) * 5
-        a = config.dither_amplitude
-        # update bounded by the dither span; hat kept one span inside bounds
-        self.optimizer = SwitchedOptimizer(
-            gain=config.gain, omega_o=config.omega_o, epsilon=config.epsilon,
-            bounds=(config.bounds[0] + 2 * a, config.bounds[1] - 2 * a),
-            theta_hat=config.theta_0, step_max=2 * a)
-        self.dither = DitherGenerator(a, config.omega_o)
         self.iteration = 0
         self.records = []
         self.applied_theta()  # sets what the first step records as applied
 
-    @property
-    def theta_hat(self):
-        return self.optimizer.theta_hat
-
     def applied_theta(self):
         """Synergy to apply at the current iteration (estimate + dither)."""
-        self._theta_applied = clamp(
-            self.optimizer.theta_hat + self.dither.value(self.iteration),
-            *self.config.bounds)
+        self._theta_applied = clamp(self.theta_hat + self.dither(self.iteration),
+                                    *self.config.bounds)
         return self._theta_applied
 
     def step(self, performance):
@@ -349,14 +325,46 @@ class Personalizer:
         j = float(performance)
         if not math.isfinite(j):
             raise ValueError("non-finite performance measurement (sensor fault)")
+        filtered, grad, curv, branch = self._update(j)
+        self.records.append(StepRecord(self.iteration, self._theta_applied,
+                                       self.theta_hat, j, filtered, grad, curv,
+                                       branch))
+        self.iteration += 1
+        return self.applied_theta()
+
+
+class Personalizer(EsLoop):
+    """Closed-loop synergy personalizer; call step(J_i) once per iteration."""
+
+    def __init__(self, config=DEFAULT_CONFIG):
+        self.filter, self.observer, (self._phase1, self._gain1), \
+            (self._phase2, self._gain2) = config.design
+        self.filter_state, self.observer_state = None, (0.0,) * 5
+        a = config.dither_amplitude
+        # update bounded by the dither span; hat kept one span inside bounds
+        self.optimizer = SwitchedOptimizer(
+            gain=config.gain, omega_o=config.omega_o, epsilon=config.epsilon,
+            bounds=(config.bounds[0] + 2 * a, config.bounds[1] - 2 * a),
+            theta_hat=config.theta_0, step_max=2 * a)
+        super().__init__(config)
+
+    @property
+    def theta_hat(self):
+        return self.optimizer.theta_hat
+
+    def dither(self, index):
+        """Two-tone perturbation a sin(w i) + a sin(2w i)."""
+        a, w = self.config.dither_amplitude, self.config.omega_o
+        return a * math.sin(w * index) + a * math.sin(2.0 * w * index)
+
+    def _update(self, j):
         filtered, self.filter_state = self.filter.step(self.filter_state, j)
         self.observer_state = self.observer.step(self.observer_state, filtered)
-        self.iteration += 1
         a = self.config.dither_amplitude
         grad_phys = curv_phys = 0.0
-        if a > 0:
+        if a > 0:  # the observer state now stands at iteration i + 1
             g_chan, c_chan = self.observer.demodulate(
-                self.observer_state, self.iteration, self._phase1, self._phase2)
+                self.observer_state, self.iteration + 1, self._phase1, self._phase2)
             # map units: divide by the known chain gains, by the dither
             # amplitude scaling (a for the gradient channel) and by -a^2/4
             # for the curvature channel (the rectified second-order response
@@ -364,18 +372,8 @@ class Personalizer:
             # matching the -0.25 output weight of the observer)
             grad_phys = g_chan / (a * self._gain1)
             curv_phys = c_chan / (a * a * self._gain2)
-            if self.iteration - 1 >= self.config.warmup_iterations:
+            if self.iteration >= self.config.warmup_iterations:
                 # the optimizer runs on demodulated-signal units: the scale
                 # the published gain was tuned for (see module docstring)
                 self.optimizer.update(g_chan, c_chan)
-        self.records.append(StepRecord(
-            iteration=self.iteration - 1,
-            theta_applied=self._theta_applied,
-            theta_hat=self.optimizer.theta_hat,
-            J=j,
-            filtered_output=filtered,
-            grad_est=grad_phys,
-            curv_est=curv_phys,
-            branch=self.optimizer.last_branch,
-        ))
-        return self.applied_theta()
+        return filtered, grad_phys, curv_phys, self.optimizer.last_branch

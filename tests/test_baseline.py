@@ -62,9 +62,16 @@ class TestBlackBoxEs:
             hats.append(es.theta_hat)
         assert abs(hats[-1] - hats[20]) <= 1e-6
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            BlackBoxEs().step(float("nan"))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_rejected(self, bad):
+        # a rejected first sample leaves the washout unstarted: the next
+        # sample still starts it at its steady state
+        es = BlackBoxEs()
+        with pytest.raises(ValueError, match="non-finite"):
+            es.step(float(bad))
+        assert (es.iteration, es.records) == (0, [])
+        es.step(50.0)
+        assert es.records[0].filtered_output == 0.0
 
     def test_default_gain_is_comparison_value(self):
         assert baseline.GAIN == 0.005

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from synergy_es.harness import ExperimentConfig
 from synergy_es.personalizer import DEFAULT_CONFIG
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-GREYBOX_OP = 0  # op id of the greybox-mc op below
+GREYBOX_OP, BASELINE_OP = 0, 1  # op ids of the greybox-mc and baseline-io ops
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,7 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     tracer, workloads = perfbench
     loads = workloads.make_workloads(tmp_path)
     assert list(loads)[GREYBOX_OP] == "greybox-mc"
+    assert list(loads)[BASELINE_OP] == "baseline-io"
     spans = tracer.Tracer()
     spans.install()
     try:
@@ -51,9 +53,9 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     assert spans.errors == dict.fromkeys(tracer.LAYERS, 0)
 
     cols = spans.arrays()
-    names = cols["names"][cols["layer"][cols["op"] == GREYBOX_OP]]
 
-    def calls(layer):
+    def calls(layer, op=GREYBOX_OP):
+        names = cols["names"][cols["layer"][cols["op"] == op]]
         return int((names == layer).sum())
 
     episodes = workloads.GREYBOX_SEEDS
@@ -67,6 +69,12 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     warmup = DEFAULT_CONFIG.warmup_iterations
     assert calls("personalizer.optimizer") == episodes * (per_episode - warmup)
     assert spans.counters["newton_branches"] > 0  # read from last_branch
+    # both loops inherit one step: each wrapper counts its own loop only
+    assert calls("baseline.step") == 0
+    assert calls("baseline.step", BASELINE_OP) == \
+        workloads.BASELINE_SEEDS * ExperimentConfig().iterations
+    assert calls("personalizer.step", BASELINE_OP) == 0
+    assert calls("personalizer.init", BASELINE_OP) == 0
     # every wrapped name is back on its owner
     for targets in tracer.LAYERS.values():
         for owner, attr in targets:

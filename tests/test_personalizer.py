@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import synergy_es
+from synergy_es.baseline import BlackBoxEs
 from synergy_es.personalizer import (DEFAULT_L, GRADIENT, NEWTON, OBSERVER_PHI,
                                      OBSERVER_PSI, BandPassFilter,
-                                     DitherGenerator, GradCurvObserver,
-                                     Personalizer, PersonalizerConfig,
-                                     SwitchedOptimizer)
-from synergy_es.subject import (LAMBDA_A, LAMBDA_B, PreferenceMap,
-                                static_subject, subject_a, subject_b)
+                                     GradCurvObserver, Personalizer,
+                                     PersonalizerConfig, SwitchedOptimizer)
+from synergy_es.subject import (LAMBDA_A, LAMBDA_B, MotorNoise, PreferenceMap,
+                                SimulatedSubject, static_subject, subject_a,
+                                subject_b)
 
 W = np.pi / 4
 
@@ -186,21 +187,17 @@ class TestDesign:
 
 class TestDither:
     def test_zero_at_start(self):
-        assert DitherGenerator(0.02, W).value(0) == 0.0
+        assert Personalizer().dither(0) == 0.0
 
     def test_spot_value(self):
-        d = DitherGenerator(0.02, W).value(1)
+        d = Personalizer().dither(1)
         assert_allclose(d, 0.02 * np.sin(W) + 0.02 * np.sin(W * 2), atol=1e-15)
         assert_allclose(d, 0.03414, atol=1e-5)
 
     def test_amplitude_bound(self):
-        gen = DitherGenerator(0.02, W)
-        vals = [abs(gen.value(i)) for i in range(1001)]
+        p = Personalizer()
+        vals = [abs(p.dither(i)) for i in range(1001)]
         assert max(vals) <= 0.04
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            DitherGenerator(0.02, W).value(-1)
 
 
 class TestOptimizer:
@@ -260,13 +257,24 @@ class TestPersonalizerLoop:
         for i in range(8):
             th = p.step(subj.step(th))
             assert p.theta_hat == 1.0
-            expected = np.clip(1.0 + p.dither.value(i + 1), 0.8, 2.4)
+            expected = np.clip(1.0 + p.dither(i + 1), 0.8, 2.4)
             assert_allclose(th, expected, atol=1e-12)
 
-    def test_nonfinite_performance_rejected(self):
-        p = Personalizer()
-        with pytest.raises(ValueError):
-            p.step(float("nan"))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("loop", [Personalizer, BlackBoxEs],
+                             ids=["greybox", "blackbox"])
+    def test_nonfinite_performance_rejected(self, loop, bad):
+        # the shared step rejects a sensor fault before it touches any state
+        p = loop()
+        subj = subject_a(seed=3)
+        th = p.applied_theta()
+        for _ in range(12):  # past the warmup, so the estimate has moved
+            th = p.step(subj.step(th))
+        before = (p.iteration, len(p.records), p.theta_hat, p.applied_theta())
+        with pytest.raises(ValueError, match="non-finite"):
+            p.step(float(bad))
+        assert (p.iteration, len(p.records), p.theta_hat,
+                p.applied_theta()) == before
 
     def test_theta_always_within_bounds(self):
         for seed in range(10):
@@ -316,6 +324,33 @@ class TestPersonalizerLoop:
         for r in p.records:
             assert lo <= r.theta_applied <= hi
             assert lo + 2 * a <= r.theta_hat <= hi - 2 * a
+
+    @given(name=st.sampled_from("AB"), theta_0=st.floats(0.9, 2.3),
+           noisy=st.booleans(), offset=st.floats(-1000.0, 1000.0),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    def test_steady_start_ignores_performance_level_property(
+            self, name, theta_0, noisy, offset, seed):
+        # a constant added to the map leaves theta* alone; from a steady
+        # start the band-pass's DC initialisation removes it exactly, so
+        # theta_hat does not move (from a rest start it does: the step up
+        # to the J level rings through the pass band)
+        def hats(shift):
+            ref = (subject_a if name == "A" else subject_b)()
+            pmap = PreferenceMap(ref.map.lam + [0.0, 0.0, shift])
+            dyn = ref.dynamics
+            steady = np.linalg.solve(np.eye(dyn.order) - dyn.phi,
+                                     dyn.gamma) * pmap.value(theta_0)
+            subj = SimulatedSubject(
+                pmap, dyn, MotorNoise(0.0, ref.noise.std if noisy else 0.0, seed),
+                initial_state=steady)
+            p = Personalizer(PersonalizerConfig(theta_0=theta_0))
+            th = p.applied_theta()
+            for _ in range(150):
+                th = p.step(subj.step(th))
+            return np.array([r.theta_hat for r in p.records])
+
+        assert np.max(np.abs(hats(offset) - hats(0.0))) <= 1e-9
 
     def test_zero_dither_immobility(self):
         cfg = PersonalizerConfig(dither_amplitude=0.0)
@@ -405,7 +440,7 @@ class TestPersonalizerLoop:
         frozen = 1.0
         grads = []
         for i in range(200):
-            theta = float(np.clip(frozen + p.dither.value(p.iteration), 0.8, 2.4))
+            theta = float(np.clip(frozen + p.dither(p.iteration), 0.8, 2.4))
             j = subj.step(theta)
             p.optimizer.theta_hat = frozen  # freeze the estimate
             p.step(j)
