@@ -6,11 +6,13 @@ Traces are UTF-8 CSV with a header row; run metadata travels in leading
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import traceback
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,27 +39,32 @@ class EpisodeTrace:
     metadata: dict  # config_hash, seed, subject_id, algorithm
 
     def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if row.iteration != i:
-                raise ValueError("trace iterations must be contiguous from 0")
+        iterations = map(attrgetter("iteration"), self.rows)
+        if list(iterations) != list(range(len(self.rows))):
+            raise ValueError("trace iterations must be contiguous from 0")
 
     def column(self, name):
+        values = map(attrgetter(name), self.rows)
         if name == "branch":
-            return [r.branch for r in self.rows]
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
+            return list(values)
+        return np.fromiter(values, float, len(self.rows))
 
     def __eq__(self, other):
-        """Row-by-row equality in which NaN equals NaN."""
+        """Column-by-column equality in which NaN equals NaN."""
         if not isinstance(other, EpisodeTrace):
             return NotImplemented
         if self.metadata != other.metadata or len(self.rows) != len(other.rows):
             return False
-        for a, b in zip(self.rows, other.rows):
-            for key in TRACE_COLUMNS:
-                va, vb = getattr(a, key), getattr(b, key)
-                if va != vb and not (va != va and vb != vb):  # NaN != NaN
-                    return False
+        for key in TRACE_COLUMNS:
+            get = attrgetter(key)
+            ours, theirs = list(map(get, self.rows)), list(map(get, other.rows))
+            if ours != theirs and not all(map(_same_cell, ours, theirs)):
+                return False
         return True
+
+
+def _same_cell(a, b):
+    return a == b or (a != a and b != b)  # NaN != NaN
 
 
 @dataclass
@@ -157,30 +164,36 @@ def convergence_iteration(theta_hats, theta_star):
     return int(hits[0]) if hits.size else None
 
 
-def _format_float(v):
-    v = float(v)
-    return repr(v) if math.isfinite(v) else ""  # empty for n/a
+def _ints(values):
+    return list(map(int, values))
 
 
-def _parse_float(text):
-    return float(text) if text != "" else float("nan")
+def _format_floats(values):
+    # csv writes a float as its repr; a non-finite one (n/a) as an empty cell
+    return [v if math.isfinite(v) else "" for v in map(float, values)]
 
 
-# per trace column, by StepRecord field type: cell formatter and parser
-_FORMAT = [{int: int, float: _format_float, str: str}[f.type]
+def _parse_floats(texts):
+    return [float(t) if t else math.nan for t in texts]
+
+
+# per trace column, by StepRecord field type: column formatter and parser
+_FORMAT = [{int: _ints, float: _format_floats, str: list}[f.type]
            for f in fields(StepRecord)]
-_PARSE = [{int: int, float: _parse_float, str: str}[f.type]
+_PARSE = [{int: _ints, float: _parse_floats, str: list}[f.type]
           for f in fields(StepRecord)]
 
 
 def write_trace_csv(trace, path):
+    buf = io.StringIO()
+    for key in ("config_hash", "seed", "subject_id", "algorithm"):
+        buf.write(f"# {key}: {trace.metadata[key]}\n")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(zip(*[fmt(map(attrgetter(name), trace.rows))
+                           for name, fmt in zip(TRACE_COLUMNS, _FORMAT)]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for key in ("config_hash", "seed", "subject_id", "algorithm"):
-            fh.write(f"# {key}: {trace.metadata[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows([fmt(getattr(r, k)) for k, fmt in zip(TRACE_COLUMNS, _FORMAT)]
-                         for r in trace.rows)
+        fh.write(buf.getvalue())
 
 
 def read_trace_csv(path):
@@ -197,19 +210,32 @@ def read_trace_csv(path):
     header = next(reader, None)
     if header != TRACE_COLUMNS:
         raise ValueError(f"{path}: trace header {header} is not {TRACE_COLUMNS}")
-    rows = []
-    for row in reader:
-        if not row:
-            continue
+    rows = [row for row in reader if row]
+    for row in rows:
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}: trace row {row} has {len(row)} cells, "
                              f"expected {len(TRACE_COLUMNS)}")
-        rows.append(StepRecord(*[parse(cell) for parse, cell in zip(_PARSE, row)]))
     if not rows:
         raise ValueError(f"{path}: trace has no rows")
+    try:
+        cols = [parse(texts) for parse, texts in zip(_PARSE, zip(*rows))]
+    except ValueError:
+        _raise_first_bad_cell(path, rows)
+        raise
     if "seed" in metadata:
         metadata["seed"] = int(metadata["seed"])
-    return EpisodeTrace(rows, metadata)
+    return EpisodeTrace(list(map(StepRecord, *cols)), metadata)
+
+
+def _raise_first_bad_cell(path, rows):
+    """Name the first cell, in row order, that its column cannot parse."""
+    for i, row in enumerate(rows):
+        for name, parse, cell in zip(TRACE_COLUMNS, _PARSE, row):
+            try:
+                parse([cell])
+            except ValueError:
+                raise ValueError(f"{path}: row {i}, column {name}: "
+                                 f"cannot parse {cell!r}") from None
 
 
 def summarize_batch(traces, theta_star):

@@ -70,6 +70,7 @@ class AdaptationDynamics:
         n = self.phi.shape[0]
         if self.phi.shape != (n, n) or self.gamma.shape != (n,) or self.psi.shape != (n,):
             raise ValueError("inconsistent state-space dimensions")
+        self._gamma = self.gamma.tolist()  # step()'s copy of Gamma
 
     @property
     def order(self):
@@ -85,9 +86,15 @@ class AdaptationDynamics:
         """One recursion step: returns (next_state, noise-free output Psi x).
 
         A state of the wrong dimension raises ValueError (from the product).
+        Equal, bit for bit, to phi @ state + gamma * u and psi @ state:
+        ndarray.dot rounds the products as @ does and the elementwise tail
+        rounds alike on floats. Only the sign of a zero differs: @ never
+        returns -0.0, dot does for order 1, so "+ 0.0" turns it into 0.0.
         """
-        y = float(self.psi @ state)
-        return self.phi @ state + self.gamma * float(u), y
+        y = float(self.psi.dot(state)) + 0.0
+        u = float(u)
+        return np.array([p + 0.0 + g * u for p, g in
+                         zip(self.phi.dot(state).tolist(), self._gamma)]), y
 
     def steady_state_gain(self):
         """Psi (I - Phi)^-1 Gamma; errors on a marginally stable plant."""

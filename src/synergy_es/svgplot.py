@@ -1,5 +1,7 @@
 """Minimal dependency-free SVG line plots for batch summaries."""
 
+import numpy as np
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
@@ -17,12 +19,14 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     width, height = 720, 440
     ml, mr, mt, mb = 60, 20, 36, 46
     pw, ph = width - ml - mr, height - mt - mb
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if y == y]  # drop NaN
-    if not xs_all or not ys_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    arrays = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for _, xs, ys in series]
+    xs_all = np.concatenate([xs for xs, _ in arrays] + [[]])
+    ys_all = np.concatenate([ys[ys == ys] for _, ys in arrays] + [[]])  # drop NaN
+    if not xs_all.size or not ys_all.size:
+        xs_all, ys_all = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    x0, x1 = float(xs_all.min()), float(xs_all.max())
+    y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -30,6 +34,8 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
+    # on floats or float arrays: elementwise numpy rounds each operation
+    # as float arithmetic does, so both give the same bits
     def px(x):
         return ml + (x - x0) / (x1 - x0) * pw
 
@@ -59,9 +65,11 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     parts.append(f'<text x="16" y="{height/2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {height/2:.0f})">{ylabel}</text>')
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, ((label, _, _), (xs, ys)) in enumerate(zip(series, arrays)):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys) if y == y)
+        keep = ys == ys  # drop NaN
+        pts = " ".join(map("{:.1f},{:.1f}".format, px(xs[keep]).tolist(),
+                           py(ys[keep]).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.2"/>')
         if label:

@@ -111,6 +111,26 @@ def test_compare_short_row_exits_2(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "identify"])
+def test_bad_cell_names_file_and_column(tmp_path, capsys, command):
+    rc = main(["sweep", "--subject", "A", "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "sweep_A_s0.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    cells = lines[5 + 7].split(",")  # 4 metadata lines, header, row 7
+    cells[TRACE_COLUMNS.index("J")] = "abc"
+    lines[5 + 7] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    args = (["compare", "--a", str(path), "--b", str(path), "--theta-star", "1.0"]
+            if command == "compare" else
+            ["identify", str(path), "--out", str(tmp_path / "out")])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: row 7, column J: cannot parse 'abc'" in err
+
+
 def test_config_file_drives_experiment(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -1,5 +1,7 @@
 """Tests for episode running, traces, batches, configs and comparisons."""
 
+import csv
+import math
 import os
 from dataclasses import fields, replace
 
@@ -11,11 +13,12 @@ from numpy.testing import assert_allclose
 
 from synergy_es.cli import main
 from synergy_es.config import read_config, write_config
-from synergy_es.harness import (CONVERGENCE_HOLD, ExperimentConfig,
+from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, TRACE_COLUMNS,
+                                EpisodeTrace, ExperimentConfig,
                                 compare_traces, convergence_iteration,
                                 read_trace_csv, run_batch, run_episode,
                                 summarize_batch, write_trace_csv)
-from synergy_es.personalizer import PersonalizerConfig
+from synergy_es.personalizer import PersonalizerConfig, StepRecord
 from synergy_es.subject import subject_a
 
 
@@ -139,6 +142,75 @@ class TestTraceCsv:
             fh.write("\n\n")
         assert read_trace_csv(path) == trace
 
+    @pytest.mark.parametrize("subject", "AB")
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_bytes_equal_row_wise_writer(self, tmp_path, algorithm, subject):
+        trace = run_episode(ExperimentConfig(subject=subject, algorithm=algorithm,
+                                             seeds=(4,)))
+        write_trace_csv(trace, tmp_path / "columns.csv")
+        _write_row_wise(trace, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+        assert read_trace_csv(tmp_path / "columns.csv") == trace
+
+    def test_odd_cells_bytes_and_round_trip(self, tmp_path):
+        """Non-finite floats become empty cells (read back as NaN), -0.0 and
+        subnormals keep their bits, and branch text is csv-quoted."""
+        nan, inf = math.nan, math.inf
+        rows = [StepRecord(0, nan, inf, -inf, -0.0, 5e-324, 1.5, ""),
+                StepRecord(1, 1.0, -0.0, 3.0, 0.0, nan, -1e-310, 'a,b "c"'),
+                StepRecord(2, 0.1, -inf, 1e300, 2.0, inf, 0.0, "gradient")]
+        trace = EpisodeTrace(rows, {"config_hash": "x", "seed": 7,
+                                    "subject_id": "odd", "algorithm": "fixed"})
+        write_trace_csv(trace, tmp_path / "columns.csv")
+        _write_row_wise(trace, tmp_path / "rows.csv")
+        text = (tmp_path / "columns.csv").read_bytes()
+        assert text == (tmp_path / "rows.csv").read_bytes()
+        assert b'\r\n1,1.0,-0.0,3.0,0.0,,-1e-310,"a,b ""c"""\r\n' in text
+        loaded = read_trace_csv(tmp_path / "columns.csv")
+        expected = EpisodeTrace(
+            [StepRecord(0, nan, nan, nan, -0.0, 5e-324, 1.5, ""),
+             StepRecord(1, 1.0, -0.0, 3.0, 0.0, nan, -1e-310, 'a,b "c"'),
+             StepRecord(2, 0.1, nan, 1e300, 2.0, nan, 0.0, "gradient")],
+            trace.metadata)
+        assert loaded == expected
+        for name in TRACE_COLUMNS[1:-1]:  # float columns, sign of zero included
+            assert loaded.column(name).tobytes() == expected.column(name).tobytes()
+        assert loaded.column("branch") == expected.column("branch")
+
+    def test_short_row_and_header_only_messages(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run_episode(ExperimentConfig(algorithm="fixed",
+                                                     iterations=3)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines) + "3,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == (f"{path}: trace row ['3', '1.0'] has 2 cells, "
+                                  "expected 8")
+        path.write_text("".join(lines[:5]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: trace has no rows"
+
+    def test_bad_cell_named_in_row_order(self, tmp_path):
+        """The first cell that does not parse, in row order, is reported
+        with its file, row and column, also when an earlier column of a
+        later row is bad too."""
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run_episode(ExperimentConfig(algorithm="fixed",
+                                                     iterations=8)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for row, column, cell in ((5, "theta_applied", "x"), (3, "J", "abc"),
+                                  (6, "iteration", "6.0")):
+            cells = lines[5 + row].split(",")  # 4 metadata lines, header
+            cells[TRACE_COLUMNS.index(column)] = cell
+            lines[5 + row] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: row 3, column J: cannot parse 'abc'"
+
     def test_config_hash_changes_with_fields(self):
         c1 = ExperimentConfig(subject="A")
         c2 = ExperimentConfig(subject="B")
@@ -165,6 +237,23 @@ class TestTraceCsv:
         write_trace_csv(again, out / "again.csv")
         assert (out / "trace.csv").read_bytes() == (out / "again.csv").read_bytes()
         assert read_trace_csv(out / "trace.csv") == trace
+
+
+def _write_row_wise(trace, path):
+    """The row-by-row writer that write_trace_csv replaced, kept as the byte
+    oracle: one formatted cell per field, one csv row per StepRecord."""
+    def cell(value):
+        if isinstance(value, float):
+            return repr(value) if math.isfinite(value) else ""
+        return value
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for key in ("config_hash", "seed", "subject_id", "algorithm"):
+            fh.write(f"# {key}: {trace.metadata[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for row in trace.rows:
+            writer.writerow([cell(getattr(row, key)) for key in TRACE_COLUMNS])
 
 
 def _changed(value):

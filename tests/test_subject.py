@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
                                 AdaptationDynamics, MotorNoise,
                                 NonConcaveMapError, PreferenceMap,
                                 SimulatedSubject, load_subject, save_subject,
                                 static_subject, subject_a, subject_b)
+from synergy_es.sysid import fit_adaptation_lti
 
 MAP_A = PreferenceMap(LAMBDA_A)
 MAP_B = PreferenceMap(LAMBDA_B)
@@ -95,6 +99,34 @@ class TestPreferenceMap:
                             PreferenceMap(c * lam).optimum(), rtol=1e-12)
 
 
+_CELL = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _random_dynamics(draw):
+    order = draw(st.integers(1, 3))
+    cells = st.lists(_CELL, min_size=order * (order + 2),
+                     max_size=order * (order + 2))
+    values = np.array(draw(cells))
+    return AdaptationDynamics(values[:order * order].reshape(order, order),
+                              values[order * order:order * (order + 1)],
+                              values[order * (order + 1):])
+
+
+def _package_dynamics():
+    """A, B, the static subject and the order-2 and order-3 companion forms
+    fitted to a noisy sweep of A and of B."""
+    forms = [subject_a().dynamics, subject_b().dynamics,
+             static_subject(MAP_A).dynamics]
+    for name in "AB":
+        sweep = run_episode(ExperimentConfig(subject=name, algorithm="sweep"))
+        u = PreferenceMap(LAMBDA_A if name == "A" else LAMBDA_B).value(
+            sweep.column("theta_applied"))
+        forms += [fit_adaptation_lti(u, sweep.column("J"), order)[0]
+                  for order in (2, 3)]
+    return forms
+
+
 class TestAdaptationDynamics:
     def test_one_step_from_rest(self):
         dyn = subject_a(noise_std=0.0).dynamics
@@ -112,6 +144,22 @@ class TestAdaptationDynamics:
         dyn = subject_a(noise_std=0.0).dynamics
         with pytest.raises(ValueError):
             dyn.step(np.zeros(3), 1.0)
+
+    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics()),
+           cells=st.lists(_CELL, min_size=3, max_size=3), u=_CELL)
+    @example(dyn=static_subject(MAP_A).dynamics, cells=[-0.0] * 3, u=-0.0)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_step_bits_equal_matrix_products_property(self, dyn, cells, u):
+        """step() gives, bit for bit, phi @ state + gamma * u and psi @ state,
+        for random realizations of order 1-3 and for every form the package
+        builds: subjects A and B, the static subject and the companion forms
+        fit_adaptation_lti returns. Signed zeros included: @ gives 0.0 where
+        ndarray.dot alone gives -0.0 at order 1."""
+        state = np.array(cells[:dyn.order])
+        next_state, y = dyn.step(state, u)
+        want = dyn.phi @ state + dyn.gamma * float(u)
+        assert next_state.tobytes() == want.tobytes()
+        assert np.float64(y).tobytes() == (dyn.psi @ state).tobytes()
 
     def test_unity_gain_step_response(self):
         dyn = subject_a(noise_std=0.0).dynamics
