@@ -23,6 +23,14 @@ EXPERIMENT_KEYS = {"subject": str, "algorithm": str, "iterations": int,
                    "fixed_theta": float}
 
 
+def _parsed(parser, text, name):
+    """parser(text), with a ValueError that names where the text came from."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _experiment_config(args):
     """Config file sections, then command-line flags."""
     kwargs = {}
@@ -33,11 +41,14 @@ def _experiment_config(args):
             unknown = sorted(set(sec) - set(EXPERIMENT_KEYS))
             if unknown:
                 raise ValueError(f"unknown experiment keys {unknown}")
-            kwargs.update((k, EXPERIMENT_KEYS[k](v)) for k, v in sec.items())
+            kwargs.update((k, _parsed(EXPERIMENT_KEYS[k], v,
+                                      f"{args.config}: [experiment] {k}"))
+                          for k, v in sec.items())
         if cp.has_section("personalizer"):
             kwargs["personalizer"] = PersonalizerConfig.from_mapping(cp["personalizer"])
     flags = {"subject": args.subject, "algorithm": args.algorithm,
-             "seeds": None if args.seed is None else _parse_seeds(args.seed),
+             "seeds": None if args.seed is None
+             else _parsed(_parse_seeds, args.seed, "--seed"),
              "iterations": args.iterations, "output_dir": args.out}
     kwargs.update((k, v) for k, v in flags.items() if v is not None)
     return ExperimentConfig(**kwargs)

@@ -198,12 +198,14 @@ def write_trace_csv(trace, path):
 
 def read_trace_csv(path):
     metadata = {}
+    lines = {}  # metadata key -> line number
     body = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if line.startswith("#"):
                 key, _, val = line[1:].partition(":")
                 metadata[key.strip()] = val.strip()
+                lines[key.strip()] = n
             else:
                 body.append(line)
     reader = csv.reader(body)
@@ -223,7 +225,12 @@ def read_trace_csv(path):
         _raise_first_bad_cell(path, rows)
         raise
     if "seed" in metadata:
-        metadata["seed"] = int(metadata["seed"])
+        text = metadata["seed"]
+        try:
+            metadata["seed"] = int(text)
+        except ValueError:
+            raise ValueError(f"{path}: line {lines['seed']}: seed {text!r} "
+                             "is not an integer") from None
     return EpisodeTrace(list(map(StepRecord, *cols)), metadata)
 
 

@@ -11,6 +11,8 @@ Distances are in centimeters and times in seconds; that is the only
 reading under which both terms normalize to a 0..100 range.
 """
 
+import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,9 @@ import numpy as np
 P_MAX_CM = 10.0
 T_MAX_S = 3.0
 STOP_SPEED_CM_S = 1.0
+# arm sweeps kept by simulate_reach: one serves a whole theta sweep, and a
+# few arms or profiles evaluated in turn still find theirs
+_SWEEP_CACHE_SIZE = 8
 
 
 def _check_fields(obj, positive=(), finite=(), points=()):
@@ -71,9 +76,14 @@ class ShoulderProfile:
 
     def angle(self, t):
         """Shoulder flexion angle at time t (monotone, zero end velocity)."""
-        tau = np.clip(np.asarray(t, dtype=float) / self.duration_s, 0.0, 1.0)
-        ramp = 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
-        return self.start_flexion_rad + self.peak_flexion_rad * ramp
+        return _min_jerk_angle(t, self.start_flexion_rad, self.peak_flexion_rad,
+                               self.duration_s)
+
+
+def _min_jerk_angle(t, start_rad, peak_rad, duration_s):
+    tau = np.clip(np.asarray(t, dtype=float) / duration_s, 0.0, 1.0)
+    ramp = 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
+    return start_rad + peak_rad * ramp
 
 
 @dataclass
@@ -88,15 +98,26 @@ class ReachOutcome:
 _ELBOW_START_RAD = 1.9
 
 
-def _hand_position(geom, shoulder_angle, elbow_flexion):
-    """Sagittal-plane hand point; x forward, y up, flexion raises the arm."""
-    sx, sy = geom.shoulder_xy
-    ex = sx + geom.upper_arm_cm * np.sin(shoulder_angle)
-    ey = sy - geom.upper_arm_cm * np.cos(shoulder_angle)
+def _elbow_point(upper_arm_cm, shoulder_xy, shoulder_angle):
+    """Sagittal-plane elbow joint; x forward, y up, flexion raises the arm."""
+    sx, sy = shoulder_xy
+    return (sx + upper_arm_cm * np.sin(shoulder_angle),
+            sy - upper_arm_cm * np.cos(shoulder_angle))
+
+
+def _hand_point(forearm_hand_cm, elbow_xy, shoulder_angle, elbow_flexion):
+    """Hand point at the end of the forearm from the elbow joint."""
+    ex, ey = elbow_xy
     fa = shoulder_angle + elbow_flexion
-    hx = ex + geom.forearm_hand_cm * np.sin(fa)
-    hy = ey - geom.forearm_hand_cm * np.cos(fa)
-    return np.array([hx, hy])
+    return (ex + forearm_hand_cm * np.sin(fa),
+            ey - forearm_hand_cm * np.cos(fa))
+
+
+def _hand_position(geom, shoulder_angle, elbow_flexion):
+    """Hand point [x, y] of one arm pose."""
+    elbow_xy = _elbow_point(geom.upper_arm_cm, geom.shoulder_xy, shoulder_angle)
+    return np.array(_hand_point(geom.forearm_hand_cm, elbow_xy, shoulder_angle,
+                                elbow_flexion))
 
 
 def default_geometry():
@@ -116,22 +137,61 @@ def default_task(geom=None, profile=None):
     return ReachTask(tuple(start), tuple(end))
 
 
+def _sweep_key(geom, task, profile):
+    """The values the arm sweep reads, then their float64 bits.
+
+    Equal values alone would share entries that compute different bits:
+    0.0 == -0.0, and np.float32(90) == 90.0 but makes dt a float32. The
+    bits tell the first apart, the typed cache the second.
+    """
+    sx, sy = geom.shoulder_xy
+    values = (geom.upper_arm_cm, sx, sy, task.time_limit_s,
+              profile.peak_flexion_rad, profile.duration_s,
+              profile.sample_rate_hz, profile.start_flexion_rad)
+    return (*values, struct.pack("8d", *values))
+
+
+@functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE, typed=True)
+def _arm_sweep(upper_arm_cm, sx, sy, time_limit_s, peak, duration, rate, start,
+               bits):
+    """The theta-independent half of a reach, computed once per key.
+
+    Returns dt, the sample times, the shoulder angles, the shoulder
+    flexion from its start and the elbow-joint coordinates, all read-only
+    since every reach on this key shares them. `bits` only keys the cache.
+    """
+    dt = 1.0 / rate
+    times = np.arange(0.0, time_limit_s + dt / 2, dt)
+    shoulder = _min_jerk_angle(times, start, peak, duration)
+    flex = shoulder - shoulder[0]
+    ex, ey = _elbow_point(upper_arm_cm, (sx, sy), shoulder)
+    for arr in (times, shoulder, flex, ex, ey):
+        arr.flags.writeable = False
+    return dt, times, shoulder, flex, ex, ey
+
+
 def simulate_reach(geom, task, theta, profile):
     """Integrate the synergy-coupled reach and score the outcome.
 
     The elbow extends proportionally to shoulder flexion:
     elbow(t) = elbow(0) - theta * (shoulder(t) - shoulder(0)).
     The reach stops at the first sample where hand speed drops below
-    1 cm/s after motion onset, or at the task time limit.
+    1 cm/s after motion onset, or at the task time limit. The part that
+    does not depend on theta comes from the arm sweep cached by value.
     """
     if not np.isfinite(theta):
         raise ValueError("synergy value must be finite")
-    dt = 1.0 / profile.sample_rate_hz
-    times = np.arange(0.0, task.time_limit_s + dt / 2, dt)
-    shoulder = profile.angle(times)
-    elbow = _ELBOW_START_RAD - float(theta) * (shoulder - shoulder[0])
-    path = np.column_stack((times, *_hand_position(geom, shoulder, elbow)))
-    speeds = np.linalg.norm(np.diff(path[:, 1:], axis=0), axis=1) / dt
+    key = _sweep_key(geom, task, profile)
+    try:
+        dt, times, shoulder, flex, ex, ey = _arm_sweep(*key)
+    except TypeError:  # an unhashable field value, such as a 0-d array
+        dt, times, shoulder, flex, ex, ey = _arm_sweep.__wrapped__(*key)
+    elbow = _ELBOW_START_RAD - float(theta) * flex
+    hx, hy = _hand_point(geom.forearm_hand_cm, (ex, ey), shoulder, elbow)
+    path = np.column_stack((times, hx, hy))
+    # norm(diff(path[:, 1:]), axis=1) for real input is sqrt(dx*dx + dy*dy)
+    dx, dy = np.diff(hx), np.diff(hy)
+    speeds = np.sqrt(dx * dx + dy * dy) / dt
     moving = speeds >= STOP_SPEED_CM_S
     stop_idx = times.size - 1
     if moving.any():

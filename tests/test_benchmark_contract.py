@@ -75,6 +75,10 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
         workloads.BASELINE_SEEDS * ExperimentConfig().iterations
     assert calls("personalizer.step", BASELINE_OP) == 0
     assert calls("personalizer.init", BASELINE_OP) == 0
+    # the arm-sweep cache sits behind the traced name: one call per synergy
+    reach = list(loads).index("reach")
+    assert calls("plant.simulate_reach", reach) == len(workloads.REACH_GRID)
+    assert calls("plant.objective", reach) == len(workloads.REACH_GRID)
     # every wrapped name is back on its owner
     for targets in tracer.LAYERS.values():
         for owner, attr in targets:

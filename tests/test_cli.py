@@ -131,6 +131,46 @@ def test_bad_cell_names_file_and_column(tmp_path, capsys, command):
     assert f"{path}: row 7, column J: cannot parse 'abc'" in err
 
 
+@pytest.mark.parametrize("command", ["compare", "identify"])
+def test_bad_seed_line_names_file_and_line(tmp_path, capsys, command):
+    rc = main(["run", "--subject", "A", "--algorithm", "fixed", "--seed", "0",
+               "--iterations", "30", "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "trace_fixed_A_s0.csv").read_text(encoding="utf-8")
+    assert "# seed: 0\n" in text
+    path = tmp_path / "bad.csv"
+    path.write_text(text.replace("# seed: 0\n", "# seed: x\n"), encoding="utf-8")
+    capsys.readouterr()
+    args = (["compare", "--a", str(path), "--b", str(path), "--theta-star", "1.0"]
+            if command == "compare" else
+            ["identify", str(path), "--out", str(tmp_path / "out")])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: seed 'x' is not an integer" in err
+
+
+@pytest.mark.parametrize("key, value", [("iterations", "abc"),
+                                        ("noise_std", "lots"),
+                                        ("seeds", "1,x")])
+def test_bad_experiment_value_names_file_and_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\n{key} = {value}\n")
+    rc = main(["run", "--config", str(cfg), "--subject", "A",
+               "--algorithm", "fixed", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {cfg}: [experiment] {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "batch"])
+def test_bad_seed_flag_names_the_flag(tmp_path, capsys, command):
+    rc = main([command, "--subject", "A", "--seed", "1,x",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: --seed: invalid literal for int()" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_drives_experiment(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

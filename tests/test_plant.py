@@ -1,5 +1,7 @@
 """Tests for the reaching plant and task objective."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,60 @@ class TestSimulateReach:
         times = out.hand_path[:, 0]
         assert np.array_equal(times, np.arange(times.size) * dt)
         assert times[-1] <= task.time_limit_s + dt / 2 < times[-1] + dt
+
+    @given(theta=st.floats(-5.0, 5.0), upper=st.floats(5.0, 60.0),
+           forearm=st.floats(5.0, 60.0),
+           shoulder=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+           peak=st.floats(-1.5, 1.5), start=st.floats(-1.0, 1.5),
+           duration=st.floats(0.1, 4.0), rate=st.floats(10.0, 240.0),
+           limit=st.floats(0.1, 4.0),
+           field=st.sampled_from(["peak_flexion_rad", "duration_s",
+                                  "sample_rate_hz", "start_flexion_rad"]),
+           value=st.floats(0.2, 3.0))
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    def test_cached_sweep_never_mixes_arms(self, theta, upper, forearm,
+                                           shoulder, peak, start, duration,
+                                           rate, limit, field, value):
+        geom_a = ArmGeometry(upper, forearm, shoulder)
+        geom_b = ArmGeometry(forearm, upper, shoulder[::-1])
+        prof = ShoulderProfile(peak, duration, rate, start)
+        task = replace(default_task(geom_a, prof), time_limit_s=limit)
+        # two arms in turn on one profile and task
+        for geom in (geom_a, geom_b, geom_a):
+            assert_same_outcome(simulate_reach(geom, task, theta, prof),
+                                reference_reach(geom, task, theta, prof))
+        # a profile changed in place reads no stale sweep
+        setattr(prof, field, value)
+        fresh = ShoulderProfile(**asdict(prof))
+        out = simulate_reach(geom_a, task, theta, prof)
+        assert_same_outcome(out, reference_reach(geom_a, task, theta, fresh))
+        assert_same_outcome(out, simulate_reach(geom_a, task, theta, fresh))
+        # a caller writing into its hand path changes no later reach
+        out.hand_path[:] = np.nan
+        assert_same_outcome(simulate_reach(geom_a, task, theta, prof),
+                            reference_reach(geom_a, task, theta, fresh))
+
+    @pytest.mark.parametrize("field, equal_values", [
+        ("sample_rate_hz", (90.0, np.float32(90.0))),  # dt is a float32
+        ("start_flexion_rad", (0.0, -0.0)),
+        ("duration_s", (2.0, 2, np.array(2.0))),  # a 0-d array is unhashable
+    ], ids=["float32", "signed_zero", "int_and_0d_array"])
+    def test_equal_values_of_other_types_or_bits_keep_their_own_sweep(
+            self, field, equal_values):
+        geom = default_geometry()
+        task = default_task(geom, default_profile())
+        profs = [ShoulderProfile(**{field: v}) for v in equal_values]
+        for prof in (*profs, *profs):
+            assert_same_outcome(simulate_reach(geom, task, 1.7, prof),
+                                reference_reach(geom, task, 1.7, prof))
+
+
+def assert_same_outcome(out, ref):
+    assert out.hand_path.tobytes() == ref.hand_path.tobytes()
+    assert out.hand_path.dtype == ref.hand_path.dtype
+    assert out.end_error_cm == ref.end_error_cm
+    assert out.completion_time_s == ref.completion_time_s
+    assert out.completed == ref.completed
 
 
 def test_hand_path_export(tmp_path):
