@@ -6,13 +6,12 @@ Traces are UTF-8 CSV with a header row; run metadata travels in leading
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import traceback
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .personalizer import DEFAULT_CONFIG, Personalizer, PersonalizerConfig, Step
 from .subject import load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
-TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
+TRACE_COLUMNS = list(StepRecord._fields)
 ALGORITHMS = ("greybox", "blackbox", "sweep", "fixed")
 
 SWEEP_START = 0.8
@@ -39,8 +38,7 @@ class EpisodeTrace:
     metadata: dict  # config_hash, seed, subject_id, algorithm
 
     def __post_init__(self):
-        iterations = map(attrgetter("iteration"), self.rows)
-        if list(iterations) != list(range(len(self.rows))):
+        if list(map(itemgetter(0), self.rows)) != list(range(len(self.rows))):
             raise ValueError("trace iterations must be contiguous from 0")
 
     def column(self, name):
@@ -50,21 +48,15 @@ class EpisodeTrace:
         return np.fromiter(values, float, len(self.rows))
 
     def __eq__(self, other):
-        """Column-by-column equality in which NaN equals NaN."""
+        """Equal rows, or equal columns in which NaN equals NaN."""
         if not isinstance(other, EpisodeTrace):
             return NotImplemented
         if self.metadata != other.metadata or len(self.rows) != len(other.rows):
             return False
-        for key in TRACE_COLUMNS:
-            get = attrgetter(key)
-            ours, theirs = list(map(get, self.rows)), list(map(get, other.rows))
-            if ours != theirs and not all(map(_same_cell, ours, theirs)):
-                return False
-        return True
-
-
-def _same_cell(a, b):
-    return a == b or (a != a and b != b)  # NaN != NaN
+        return self.rows == other.rows or all(
+            ours == theirs or all(a == b or (a != a and b != b)  # NaN != NaN
+                                  for a, b in zip(ours, theirs))
+            for ours, theirs in zip(zip(*self.rows), zip(*other.rows)))
 
 
 @dataclass
@@ -145,7 +137,8 @@ def run_episode(config, seed=None):
             thetas = [SWEEP_START + SWEEP_SLOPE * i for i in range(SWEEP_ITERATIONS)]
         else:
             thetas = [config.fixed_theta] * config.iterations
-        rows = [StepRecord(i, th, th, subject.step(th), 0.0, 0.0, 0.0, "")
+        rows = [tuple.__new__(StepRecord, (i, th, th, subject.step(th), 0.0, 0.0,
+                                           0.0, ""))
                 for i, th in enumerate(thetas)]
     meta = {"config_hash": config.config_hash(), "seed": seed,
             "subject_id": subject.subject_id, "algorithm": algo}
@@ -169,50 +162,55 @@ def _ints(values):
 
 
 def _format_floats(values):
-    # csv writes a float as its repr; a non-finite one (n/a) as an empty cell
-    return [v if math.isfinite(v) else "" for v in map(float, values)]
+    # a float is written as its repr; a non-finite one (n/a) as an empty cell
+    return [repr(v) if math.isfinite(v) else "" for v in map(float, values)]
 
 
 def _parse_floats(texts):
     return [float(t) if t else math.nan for t in texts]
 
 
+def _quote_texts(values):
+    # as csv.writer: quote a cell holding , " \r or \n, doubling its quotes
+    values = list(values)
+    quoted = {t: '"' + t.replace('"', '""') + '"' for t in set(values)
+              if not set(t).isdisjoint(',"\r\n')}
+    return list(map(quoted.get, values, values))
+
+
 # per trace column, by StepRecord field type: column formatter and parser
-_FORMAT = [{int: _ints, float: _format_floats, str: list}[f.type]
-           for f in fields(StepRecord)]
-_PARSE = [{int: _ints, float: _parse_floats, str: list}[f.type]
-          for f in fields(StepRecord)]
+_FORMAT = [{int: lambda v: map(str, _ints(v)), float: _format_floats,
+            str: _quote_texts}[t] for t in StepRecord.__annotations__.values()]
+_PARSE = [{int: _ints, float: _parse_floats, str: list}[t]
+          for t in StepRecord.__annotations__.values()]
 
 
 def write_trace_csv(trace, path):
-    buf = io.StringIO()
-    for key in ("config_hash", "seed", "subject_id", "algorithm"):
-        buf.write(f"# {key}: {trace.metadata[key]}\n")
-    writer = csv.writer(buf)
-    writer.writerow(TRACE_COLUMNS)
-    writer.writerows(zip(*[fmt(map(attrgetter(name), trace.rows))
-                           for name, fmt in zip(TRACE_COLUMNS, _FORMAT)]))
+    cols = [fmt(col) for fmt, col in zip(_FORMAT, zip(*trace.rows))]
+    text = "".join(f"# {key}: {trace.metadata[key]}\n"
+                   for key in ("config_hash", "seed", "subject_id", "algorithm"))
+    # one join per row, each line ended by \r\n as csv's writer ends it
+    text += "\r\n".join([",".join(TRACE_COLUMNS), *map(",".join, zip(*cols)), ""])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        fh.write(text)
 
 
 def read_trace_csv(path):
-    metadata = {}
-    lines = {}  # metadata key -> line number
-    body = []
-    with open(path, "r", encoding="utf-8") as fh:
+    metadata, lines = {}, {}  # metadata key -> value, line number
+    first = []  # the header line, which ends the metadata
+    # newline="" keeps a \r or \r\n inside a quoted cell for csv
+    with open(path, "r", newline="", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                metadata[key.strip()] = val.strip()
-                lines[key.strip()] = n
-            else:
-                body.append(line)
-    reader = csv.reader(body)
-    header = next(reader, None)
+            if not line.startswith("#"):
+                first.append(line)
+                break
+            key, _, val = line[1:].partition(":")
+            metadata[key.strip()] = val.strip()
+            lines[key.strip()] = n
+        header = next(csv.reader(first), None)
+        rows = [row for row in csv.reader(fh) if row]
     if header != TRACE_COLUMNS:
         raise ValueError(f"{path}: trace header {header} is not {TRACE_COLUMNS}")
-    rows = [row for row in reader if row]
     for row in rows:
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}: trace row {row} has {len(row)} cells, "
@@ -231,7 +229,8 @@ def read_trace_csv(path):
         except ValueError:
             raise ValueError(f"{path}: line {lines['seed']}: seed {text!r} "
                              "is not an integer") from None
-    return EpisodeTrace(list(map(StepRecord, *cols)), metadata)
+    return EpisodeTrace([tuple.__new__(StepRecord, row) for row in zip(*cols)],
+                        metadata)
 
 
 def _raise_first_bad_cell(path, rows):

@@ -37,6 +37,7 @@ Implementation notes, fixed by numerical analysis of the printed design:
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,8 +283,7 @@ class PersonalizerConfig:
 DEFAULT_CONFIG = PersonalizerConfig()  # frozen, so every default run shares it
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     """One iteration of a trace; the field names are the trace CSV header."""
 
     iteration: int
@@ -326,9 +326,10 @@ class EsLoop:
         if not math.isfinite(j):
             raise ValueError("non-finite performance measurement (sensor fault)")
         filtered, grad, curv, branch = self._update(j)
-        self.records.append(StepRecord(self.iteration, self._theta_applied,
-                                       self.theta_hat, j, filtered, grad, curv,
-                                       branch))
+        # tuple.__new__, as StepRecord._make does: StepRecord() runs Python code
+        self.records.append(tuple.__new__(StepRecord, (
+            self.iteration, self._theta_applied, self.theta_hat, j, filtered,
+            grad, curv, branch)))
         self.iteration += 1
         return self.applied_theta()
 

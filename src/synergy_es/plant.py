@@ -37,7 +37,7 @@ def _check_fields(obj, positive=(), finite=(), points=()):
             raise ValueError(f"{name} = {value} must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArmGeometry:
     upper_arm_cm: float = 30.0
     forearm_hand_cm: float = 35.0
@@ -48,7 +48,7 @@ class ArmGeometry:
                       points=("shoulder_xy",))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReachTask:
     start_target: tuple
     end_target: tuple
@@ -60,7 +60,7 @@ class ReachTask:
                       points=("start_target", "end_target"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShoulderProfile:
     """Minimum-jerk shoulder flexion ramp sampled at the headset rate."""
 

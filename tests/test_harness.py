@@ -211,6 +211,55 @@ class TestTraceCsv:
             read_trace_csv(path)
         assert str(exc.value) == f"{path}: row 3, column J: cannot parse 'abc'"
 
+    @pytest.mark.parametrize("branch", ["a\rb", "a\r\nb", "x\n# seed: 9",
+                                        "\r", "\n#", '"\n"'])
+    def test_quoted_line_breaks_round_trip(self, tmp_path, branch):
+        """A line break in a quoted cell reads back as written, also when
+        the line after it starts with '#': metadata ends at the header."""
+        rows = [StepRecord(0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, branch),
+                StepRecord(1, 1.5, 1.5, 2.5, 0.0, 0.0, 0.0, "newton")]
+        trace = EpisodeTrace(rows, {"config_hash": "x", "seed": 3,
+                                    "subject_id": "A", "algorithm": "greybox"})
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        loaded = read_trace_csv(tmp_path / "trace.csv")
+        assert loaded == trace
+        assert loaded.column("branch") == [branch, "newton"]
+
+    def test_metadata_line_after_header_is_a_short_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run_episode(ExperimentConfig(algorithm="fixed",
+                                                     iterations=3)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:6] + ["# seed: 9\n"] + lines[6:]),
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == (f"{path}: trace row ['# seed: 9'] has 1 "
+                                  "cells, expected 8")
+
+    @given(cells=st.lists(st.tuples(*[st.floats()] * 6,
+                                    st.text(',"\r\n# ab', max_size=6)),
+                          min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_writer_matches_csv_on_generated_rows(self, tmp_path_factory, cells):
+        """Any floats (NaN, +-inf, -0.0, subnormals) and any branch text
+        give csv.writer's bytes, and the file reads back as the trace with
+        each non-finite float turned into NaN."""
+        trace = EpisodeTrace([StepRecord(i, *row) for i, row in enumerate(cells)],
+                             {"config_hash": "h", "seed": 1, "subject_id": "B",
+                              "algorithm": "blackbox"})
+        out = tmp_path_factory.mktemp("trace")
+        write_trace_csv(trace, out / "columns.csv")
+        _write_row_wise(trace, out / "rows.csv")
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+        finite = EpisodeTrace(
+            [StepRecord(i, *[v if math.isfinite(v) else math.nan for v in row[:6]],
+                        row[6]) for i, row in enumerate(cells)], trace.metadata)
+        loaded = read_trace_csv(out / "columns.csv")
+        assert loaded == finite
+        for name in TRACE_COLUMNS[1:-1]:  # float columns, sign of zero included
+            assert loaded.column(name).tobytes() == finite.column(name).tobytes()
+
     def test_config_hash_changes_with_fields(self):
         c1 = ExperimentConfig(subject="A")
         c2 = ExperimentConfig(subject="B")
@@ -254,6 +303,37 @@ def _write_row_wise(trace, path):
         writer.writerow(TRACE_COLUMNS)
         for row in trace.rows:
             writer.writerow([cell(getattr(row, key)) for key in TRACE_COLUMNS])
+
+
+def _odd_trace(nan=math.nan, zero=0.0, seed=2, length=3):
+    rows = [StepRecord(i, 1.0 + i, nan, 2.0, zero, -1e-310, 0.5, "newton")
+            for i in range(length)]
+    return EpisodeTrace(rows, {"config_hash": "h", "seed": seed,
+                               "subject_id": "A", "algorithm": "greybox"})
+
+
+class TestTraceEquality:
+    def test_distinct_nan_objects_are_equal(self):
+        assert float("nan") is not math.nan
+        assert _odd_trace(nan=float("nan")) == _odd_trace(nan=math.nan)
+
+    def test_signed_zeros_are_equal(self):
+        assert _odd_trace(zero=-0.0) == _odd_trace(zero=0.0)
+
+    @pytest.mark.parametrize("column", TRACE_COLUMNS[1:])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_one_changed_cell_is_unequal(self, column, row):
+        trace = _odd_trace()
+        changed = [[getattr(r, name) for name in TRACE_COLUMNS] for r in trace.rows]
+        index = TRACE_COLUMNS.index(column)
+        changed[row][index] = "gradient" if column == "branch" else 0.25
+        other = EpisodeTrace([StepRecord(*r) for r in changed], trace.metadata)
+        assert other != trace and trace != other
+
+    def test_changed_metadata_or_length_is_unequal(self):
+        assert _odd_trace(seed=3) != _odd_trace()
+        assert _odd_trace(length=2) != _odd_trace()
+        assert _odd_trace(length=0) != _odd_trace()
 
 
 def _changed(value):

@@ -1,6 +1,6 @@
 """Tests for the reaching plant and task objective."""
 
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -104,6 +104,22 @@ class TestGeometryAndProfile:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("make, field, value", [
+        (default_geometry, "upper_arm_cm", -1.0),
+        (default_geometry, "shoulder_xy", (0.0, NAN)),
+        (default_task, "time_limit_s", 0.0),
+        (default_profile, "duration_s", 0.0),
+        (default_profile, "sample_rate_hz", 45.0),
+    ])
+    def test_fields_cannot_be_assigned(self, make, field, value):
+        """A field set after construction would skip its check: with
+        duration_s = 0.0 a reach would come back with a NaN error."""
+        obj = make()
+        before = asdict(obj)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, value)
+        assert asdict(obj) == before
 
     def test_minimum_jerk_monotone(self):
         prof = default_profile()
@@ -230,8 +246,8 @@ class TestSimulateReach:
         for geom in (geom_a, geom_b, geom_a):
             assert_same_outcome(simulate_reach(geom, task, theta, prof),
                                 reference_reach(geom, task, theta, prof))
-        # a profile changed in place reads no stale sweep
-        setattr(prof, field, value)
+        # a changed profile reads no stale sweep
+        prof = replace(prof, **{field: value})
         fresh = ShoulderProfile(**asdict(prof))
         out = simulate_reach(geom_a, task, theta, prof)
         assert_same_outcome(out, reference_reach(geom_a, task, theta, fresh))
