@@ -4,7 +4,7 @@ import argparse
 import os
 import sys
 
-from .config import read_config
+from .config import parse_section, parsed, read_config
 from .harness import (ALGORITHMS, CONVERGENCE_TOL, ExperimentConfig,
                       compare_traces, read_trace_csv, run_batch, run_episode,
                       write_trace_csv)
@@ -23,35 +23,34 @@ EXPERIMENT_KEYS = {"subject": str, "algorithm": str, "iterations": int,
                    "fixed_theta": float}
 
 
-def _parsed(parser, text, name):
-    """parser(text), with a ValueError that names where the text came from."""
-    try:
-        return parser(text)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
 def _experiment_config(args):
     """Config file sections, then command-line flags."""
     kwargs = {}
     if args.config:
         cp = read_config(args.config)
         if cp.has_section("experiment"):
-            sec = cp["experiment"]
-            unknown = sorted(set(sec) - set(EXPERIMENT_KEYS))
-            if unknown:
-                raise ValueError(f"unknown experiment keys {unknown}")
-            kwargs.update((k, _parsed(EXPERIMENT_KEYS[k], v,
-                                      f"{args.config}: [experiment] {k}"))
-                          for k, v in sec.items())
+            kwargs.update(parse_section(cp["experiment"],
+                                        f"{args.config}: [experiment]",
+                                        EXPERIMENT_KEYS))
         if cp.has_section("personalizer"):
-            kwargs["personalizer"] = PersonalizerConfig.from_mapping(cp["personalizer"])
+            kwargs["personalizer"] = PersonalizerConfig.from_mapping(
+                cp["personalizer"], f"{args.config}: [personalizer]")
     flags = {"subject": args.subject, "algorithm": args.algorithm,
              "seeds": None if args.seed is None
-             else _parsed(_parse_seeds, args.seed, "--seed"),
+             else parsed(_parse_seeds, args.seed, "--seed"),
              "iterations": args.iterations, "output_dir": args.out}
     kwargs.update((k, v) for k, v in flags.items() if v is not None)
     return ExperimentConfig(**kwargs)
+
+
+def _episode_config(args):
+    """The experiment config of run or sweep, which write one episode."""
+    cfg = _experiment_config(args)
+    if len(cfg.seeds) > 1:
+        raise ValueError(f"{args.command} runs one episode, not seeds "
+                         f"{' '.join(map(str, cfg.seeds))}; use batch for "
+                         "several seeds")
+    return cfg
 
 
 def _write_episode(cfg, prefix):
@@ -66,12 +65,12 @@ def _write_episode(cfg, prefix):
 
 
 def _cmd_run(args):
-    cfg = _experiment_config(args)
+    cfg = _episode_config(args)
     return _write_episode(cfg, f"trace_{cfg.algorithm}")
 
 
 def _cmd_sweep(args):
-    return _write_episode(_experiment_config(args), "sweep")
+    return _write_episode(_episode_config(args), "sweep")
 
 
 def _cmd_batch(args):
@@ -129,7 +128,8 @@ def build_parser():
     p_batch.set_defaults(func=_cmd_batch)
     for p in (p_run, p_sweep, p_batch):
         p.add_argument("--config", help="experiment config file (INI)")
-        p.add_argument("--seed", help="seed or whitespace/comma-separated list")
+        p.add_argument("--seed", help="seed; batch takes a whitespace/"
+                       "comma-separated list")
         p.add_argument("--out", help="output directory", default=".")
         p.add_argument("--subject", help="subject id (A|B) or config path")
     for p in (p_run, p_batch):

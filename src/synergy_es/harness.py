@@ -186,9 +186,13 @@ _PARSE = [{int: _ints, float: _parse_floats, str: list}[t]
 
 
 def write_trace_csv(trace, path):
+    meta = {key: str(trace.metadata[key])
+            for key in ("config_hash", "seed", "subject_id", "algorithm")}
+    for key, value in meta.items():
+        if not set(value).isdisjoint("\r\n"):  # it would split its # line
+            raise ValueError(f"trace metadata {key} {value!r} holds a line break")
     cols = [fmt(col) for fmt, col in zip(_FORMAT, zip(*trace.rows))]
-    text = "".join(f"# {key}: {trace.metadata[key]}\n"
-                   for key in ("config_hash", "seed", "subject_id", "algorithm"))
+    text = "".join(f"# {key}: {value}\n" for key, value in meta.items())
     # one join per row, each line ended by \r\n as csv's writer ends it
     text += "\r\n".join([",".join(TRACE_COLUMNS), *map(",".join, zip(*cols)), ""])
     with open(path, "w", newline="", encoding="utf-8") as fh:

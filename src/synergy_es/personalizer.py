@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import format_vector, parse_vector
+from .config import format_vector, parse_section, parse_vector, store_floats
 
 OBSERVER_PHI = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -236,6 +236,9 @@ class PersonalizerConfig:
         if 4 * self.dither_amplitude >= self.bounds[1] - self.bounds[0]:
             raise ValueError(f"dither span 4a = {4 * self.dither_amplitude} does not "
                              f"fit inside bounds {self.bounds}")
+        # floats from here on, as from an INI file: equal configs hash alike
+        store_floats(self, [f.name for f in fields(self)
+                            if f.name != "warmup_iterations"])
         # pass band [w, 2w]: the dither's two tones
         band = BandPassFilter(self.omega_o, self.filter_gain, self.filter_q)
         observer = GradCurvObserver(self.omega_o, self.observer_gain)
@@ -261,23 +264,19 @@ class PersonalizerConfig:
                 for f in fields(self)}
 
     @classmethod
-    def from_mapping(cls, mapping):
+    def from_mapping(cls, mapping, where="[personalizer]"):
         """Inverse of as_dict for string values, such as an INI section.
 
         Each value is parsed as the type of its field's default: int,
-        float, or a tuple of floats (comma- or space-separated).
+        float, or a tuple of floats (comma- or space-separated). A bad
+        key or value raises a ValueError that starts with where.
         """
         by_key = {INI_KEYS.get(f.name, f.name): f for f in fields(cls)}
-        unknown = sorted(set(mapping) - set(by_key))
-        if unknown:
-            raise ValueError(f"unknown personalizer keys {unknown}")
-        kwargs = {}
-        for key, text in mapping.items():
-            f = by_key[key]
-            kwargs[f.name] = (tuple(parse_vector(text).tolist())
-                              if isinstance(f.default, tuple)
-                              else type(f.default)(text))
-        return cls(**kwargs)
+        parsers = {key: (lambda text: tuple(parse_vector(text).tolist()))
+                   if isinstance(f.default, tuple) else type(f.default)
+                   for key, f in by_key.items()}
+        values = parse_section(mapping, where, parsers)
+        return cls(**{by_key[key].name: v for key, v in values.items()})
 
 
 DEFAULT_CONFIG = PersonalizerConfig()  # frozen, so every default run shares it

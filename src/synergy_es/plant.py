@@ -12,10 +12,11 @@ reading under which both terms normalize to a 0..100 range.
 """
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import store_floats
 
 P_MAX_CM = 10.0
 T_MAX_S = 3.0
@@ -26,8 +27,10 @@ _SWEEP_CACHE_SIZE = 8
 
 
 def _check_fields(obj, positive=(), finite=(), points=()):
-    """Raise ValueError naming the first field of obj that cannot work."""
-    for name in (*positive, *finite, *points):
+    """Raise ValueError naming the first field of obj that cannot work,
+    then store each field as a float and each point as two floats."""
+    names = (*positive, *finite, *points)
+    for name in names:
         value = getattr(obj, name)
         if name in points and np.shape(value) != (2,):
             raise ValueError(f"{name} = {value} must be two values")
@@ -35,6 +38,7 @@ def _check_fields(obj, positive=(), finite=(), points=()):
             raise ValueError(f"{name} = {value} must be finite")
         if name in positive and not value > 0:
             raise ValueError(f"{name} = {value} must be positive")
+    store_floats(obj, names)
 
 
 @dataclass(frozen=True)
@@ -76,14 +80,9 @@ class ShoulderProfile:
 
     def angle(self, t):
         """Shoulder flexion angle at time t (monotone, zero end velocity)."""
-        return _min_jerk_angle(t, self.start_flexion_rad, self.peak_flexion_rad,
-                               self.duration_s)
-
-
-def _min_jerk_angle(t, start_rad, peak_rad, duration_s):
-    tau = np.clip(np.asarray(t, dtype=float) / duration_s, 0.0, 1.0)
-    ramp = 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
-    return start_rad + peak_rad * ramp
+        tau = np.clip(np.asarray(t, dtype=float) / self.duration_s, 0.0, 1.0)
+        ramp = 10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5
+        return self.start_flexion_rad + self.peak_flexion_rad * ramp
 
 
 @dataclass
@@ -137,34 +136,20 @@ def default_task(geom=None, profile=None):
     return ReachTask(tuple(start), tuple(end))
 
 
-def _sweep_key(geom, task, profile):
-    """The values the arm sweep reads, then their float64 bits.
-
-    Equal values alone would share entries that compute different bits:
-    0.0 == -0.0, and np.float32(90) == 90.0 but makes dt a float32. The
-    bits tell the first apart, the typed cache the second.
-    """
-    sx, sy = geom.shoulder_xy
-    values = (geom.upper_arm_cm, sx, sy, task.time_limit_s,
-              profile.peak_flexion_rad, profile.duration_s,
-              profile.sample_rate_hz, profile.start_flexion_rad)
-    return (*values, struct.pack("8d", *values))
-
-
-@functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE, typed=True)
-def _arm_sweep(upper_arm_cm, sx, sy, time_limit_s, peak, duration, rate, start,
-               bits):
-    """The theta-independent half of a reach, computed once per key.
+@functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
+def _arm_sweep(geom, time_limit_s, profile):
+    """The theta-independent half of a reach, computed once per arm,
+    time limit and profile.
 
     Returns dt, the sample times, the shoulder angles, the shoulder
     flexion from its start and the elbow-joint coordinates, all read-only
-    since every reach on this key shares them. `bits` only keys the cache.
+    since every reach on this key shares them.
     """
-    dt = 1.0 / rate
+    dt = 1.0 / profile.sample_rate_hz
     times = np.arange(0.0, time_limit_s + dt / 2, dt)
-    shoulder = _min_jerk_angle(times, start, peak, duration)
+    shoulder = profile.angle(times)
     flex = shoulder - shoulder[0]
-    ex, ey = _elbow_point(upper_arm_cm, (sx, sy), shoulder)
+    ex, ey = _elbow_point(geom.upper_arm_cm, geom.shoulder_xy, shoulder)
     for arr in (times, shoulder, flex, ex, ey):
         arr.flags.writeable = False
     return dt, times, shoulder, flex, ex, ey
@@ -177,15 +162,13 @@ def simulate_reach(geom, task, theta, profile):
     elbow(t) = elbow(0) - theta * (shoulder(t) - shoulder(0)).
     The reach stops at the first sample where hand speed drops below
     1 cm/s after motion onset, or at the task time limit. The part that
-    does not depend on theta comes from the arm sweep cached by value.
+    does not depend on theta comes from the arm sweep cached on the
+    plant objects, whose float fields make equal objects compute equal bits.
     """
     if not np.isfinite(theta):
         raise ValueError("synergy value must be finite")
-    key = _sweep_key(geom, task, profile)
-    try:
-        dt, times, shoulder, flex, ex, ey = _arm_sweep(*key)
-    except TypeError:  # an unhashable field value, such as a 0-d array
-        dt, times, shoulder, flex, ex, ey = _arm_sweep.__wrapped__(*key)
+    dt, times, shoulder, flex, ex, ey = _arm_sweep(geom, task.time_limit_s,
+                                                   profile)
     elbow = _ELBOW_START_RAD - float(theta) * flex
     hx, hy = _hand_point(geom.forearm_hand_cm, (ex, ey), shoulder, elbow)
     path = np.column_stack((times, hx, hy))
@@ -200,7 +183,7 @@ def simulate_reach(geom, task, theta, profile):
         if rest.size:
             stop_idx = onset + int(rest[0])
     t_f = float(times[stop_idx]) if moving.any() and stop_idx < times.size - 1 \
-        else float(task.time_limit_s)
+        else task.time_limit_s
     end_error = float(np.linalg.norm(path[stop_idx, 1:] - np.asarray(task.end_target)))
     completed = end_error <= task.success_radius_cm
     return ReachOutcome(end_error, t_f, completed, path)

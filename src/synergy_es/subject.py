@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (format_matrix, format_vector, parse_matrix,
-                     parse_vector, read_config, write_config)
+                     parse_section, parse_vector, read_config, write_config)
 
 THETA_BOUNDS = (0.8, 2.4)
 NOISE_BLOCK = 64  # standard normals drawn per call into the generator
@@ -238,16 +238,21 @@ def save_subject(path, subject):
     }})
 
 
+# [subject] key -> parser of its value; lambda, phi, gamma and psi are required
+SUBJECT_KEYS = {"lambda": parse_vector, "phi": parse_matrix, "gamma": parse_vector,
+                "psi": parse_vector, "noise_mean": float, "noise_std": float,
+                "seed": int, "initial_state": parse_vector, "id": str}
+
+
 def load_subject(path):
     cp = read_config(path)
-    sec = cp["subject"]
-    pref = PreferenceMap(parse_vector(sec["lambda"]))
-    dyn = AdaptationDynamics(parse_matrix(sec["phi"]),
-                             parse_vector(sec["gamma"]),
-                             parse_vector(sec["psi"]))
-    noise = MotorNoise(float(sec.get("noise_mean", "0")),
-                       float(sec.get("noise_std", "0")),
-                       int(sec.get("seed", "0")))
-    x0 = parse_vector(sec["initial_state"]) if "initial_state" in sec else None
-    return SimulatedSubject(pref, dyn, noise, initial_state=x0,
+    if not cp.has_section("subject"):
+        raise ValueError(f"{path}: no [subject] section")
+    sec = parse_section(cp["subject"], f"{path}: [subject]", SUBJECT_KEYS,
+                        required=("lambda", "phi", "gamma", "psi"))
+    pref = PreferenceMap(sec["lambda"])
+    dyn = AdaptationDynamics(sec["phi"], sec["gamma"], sec["psi"])
+    noise = MotorNoise(sec.get("noise_mean", 0.0), sec.get("noise_std", 0.0),
+                       sec.get("seed", 0))
+    return SimulatedSubject(pref, dyn, noise, initial_state=sec.get("initial_state"),
                             subject_id=sec.get("id", "subject"))

@@ -10,7 +10,7 @@ from synergy_es.baseline import BlackBoxEs
 from synergy_es.cli import main
 from synergy_es.harness import TRACE_COLUMNS, EpisodeTrace, read_trace_csv
 from synergy_es.personalizer import PersonalizerConfig
-from synergy_es.subject import subject_a, subject_b
+from synergy_es.subject import save_subject, subject_a, subject_b
 
 
 def test_run_writes_trace(tmp_path, capsys):
@@ -159,6 +159,84 @@ def test_bad_experiment_value_names_file_and_key(tmp_path, capsys, key, value):
                "--algorithm", "fixed", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"error: {cfg}: [experiment] {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_personalizer_value_names_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[personalizer]\nk = abc\n")
+    rc = main(["run", "--config", str(cfg), "--subject", "A",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"error: {cfg}: [personalizer] k: could not convert string to "
+            "float: 'abc'") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def subject_ini(tmp_path, edit):
+    """A subject-A file with its text passed through edit."""
+    path = tmp_path / "s.ini"
+    save_subject(path, subject_a())
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return path
+
+
+def replace_line(key, line):
+    """An edit that replaces the '<key> = ...' line of a file with line."""
+    def edit(text):
+        return "".join(line if row.startswith(f"{key} = ") else row
+                       for row in text.splitlines(keepends=True))
+    return edit
+
+
+# case id -> (edit of a subject-A file, error after 'error: <path>')
+BAD_SUBJECT = {
+    "typo": (replace_line("noise_std", "noise_sd = 16.8\n"),
+             ": [subject] noise_sd: unknown key, expected one of lambda, "),
+    "missing_psi": (replace_line("psi", ""), ": [subject] psi: missing"),
+    "no_section": (lambda text: text.replace("[subject]", "[subjects]"),
+                   ": no [subject] section"),
+    "bad_seed": (replace_line("seed", "seed = x\n"),
+                 ": [subject] seed: invalid literal for int() with base 10: 'x'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_SUBJECT.values(), ids=BAD_SUBJECT)
+def test_bad_subject_file_names_file_and_key(tmp_path, capsys, edit, message):
+    path = subject_ini(tmp_path, edit)
+    rc = main(["run", "--subject", str(path), "--algorithm", "fixed",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_line_break_in_subject_id_writes_no_trace(tmp_path, capsys):
+    # an INI continuation line puts a line break into the id
+    path = subject_ini(tmp_path, replace_line("id", "id = left\n  right\n"))
+    rc = main(["run", "--subject", str(path), "--algorithm", "fixed",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: trace metadata subject_id 'left\\nright' holds a line " \
+        "break" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_one_episode_commands_reject_several_seeds(tmp_path, capsys, command,
+                                                   source):
+    args = [command, "--subject", "A", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        args += ["--seed", "1,2,3"]
+    else:
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nseeds = 1 2 3\n")
+        args += ["--config", str(cfg)]
+    rc = main(args)
+    assert rc == 2
+    assert (f"error: {command} runs one episode, not seeds 1 2 3; use batch "
+            "for several seeds") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,8 @@ from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, TRACE_COLUMNS,
                                 compare_traces, convergence_iteration,
                                 read_trace_csv, run_batch, run_episode,
                                 summarize_batch, write_trace_csv)
-from synergy_es.personalizer import PersonalizerConfig, StepRecord
+from synergy_es.personalizer import (DEFAULT_CONFIG, DEFAULT_L,
+                                     PersonalizerConfig, StepRecord)
 from synergy_es.subject import subject_a
 
 
@@ -122,6 +123,18 @@ class TestTraceCsv:
         write_trace_csv(trace, path)
         loaded = read_trace_csv(path)
         assert loaded == trace
+
+    @pytest.mark.parametrize("key", ["subject_id", "algorithm"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_break_in_metadata_rejected_by_key(self, tmp_path, key, brk):
+        """A metadata value is one '# key: value' line; a break would start
+        a line that reads as other metadata or as the header."""
+        trace = run_episode(ExperimentConfig(algorithm="fixed", iterations=3))
+        trace.metadata[key] = f"left{brk}right"
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=f"metadata {key} "):
+            write_trace_csv(trace, path)
+        assert not path.exists()
 
     def test_header_and_metadata(self, tmp_path):
         cfg = ExperimentConfig(subject="A", algorithm="blackbox", seeds=(5,),
@@ -366,6 +379,26 @@ class TestConfig:
         write_config(path, {"personalizer": cfg.as_dict()})
         back = PersonalizerConfig.from_mapping(read_config(path)["personalizer"])
         assert back == cfg
+
+    @pytest.mark.parametrize("algorithm", ["greybox", "blackbox"])
+    def test_array_and_float32_values_build_the_default_config(self, algorithm):
+        """Values of other numeric types are stored as floats, and tuples
+        as tuples of floats: the config hashes and runs as the default."""
+        cfg = PersonalizerConfig(observer_gain=np.array(DEFAULT_L),
+                                 bounds=np.array([0.8, 2.4]),
+                                 dither_amplitude=np.array(0.02),
+                                 filter_gain=np.float32(0.5), filter_q=5,
+                                 theta_0=np.float32(1.0))
+        assert cfg == DEFAULT_CONFIG and hash(cfg) == hash(DEFAULT_CONFIG)
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            assert type(value) is type(f.default)
+            if isinstance(value, tuple):
+                assert {type(v) for v in value} == {float}
+        exp = ExperimentConfig(algorithm=algorithm, iterations=40, personalizer=cfg)
+        default = ExperimentConfig(algorithm=algorithm, iterations=40)
+        assert exp.config_hash() == default.config_hash()
+        assert run_episode(exp) == run_episode(default)
 
     @pytest.mark.parametrize("section", ["experiment", "personalizer"])
     def test_unknown_ini_key_exits_2(self, tmp_path, capsys, section):

@@ -258,18 +258,113 @@ class TestSimulateReach:
                             reference_reach(geom_a, task, theta, fresh))
 
     @pytest.mark.parametrize("field, equal_values", [
-        ("sample_rate_hz", (90.0, np.float32(90.0))),  # dt is a float32
+        ("sample_rate_hz", (90.0, np.float32(90.0))),  # a float32 dt before
         ("start_flexion_rad", (0.0, -0.0)),
         ("duration_s", (2.0, 2, np.array(2.0))),  # a 0-d array is unhashable
     ], ids=["float32", "signed_zero", "int_and_0d_array"])
     def test_equal_values_of_other_types_or_bits_keep_their_own_sweep(
             self, field, equal_values):
+        """Equal values of any numeric type build equal profiles whose field
+        is the same float, so they share one sweep: the float64 reach."""
         geom = default_geometry()
         task = default_task(geom, default_profile())
         profs = [ShoulderProfile(**{field: v}) for v in equal_values]
+        for prof in profs:
+            assert prof == profs[0] and hash(prof) == hash(profs[0])
+            assert_float_bits(getattr(prof, field), equal_values[0])
+        ref = reference_reach(geom, task, 1.7, profs[0])
+        assert ref.hand_path.dtype == np.float64
         for prof in (*profs, *profs):
-            assert_same_outcome(simulate_reach(geom, task, 1.7, prof),
-                                reference_reach(geom, task, 1.7, prof))
+            assert_same_outcome(simulate_reach(geom, task, 1.7, prof), ref)
+
+    @given(data=st.data(), theta=st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    def test_field_representation_changes_no_object_and_no_reach(self, data,
+                                                                  theta):
+        values = data.draw(plant_values())
+        other = data.draw(plant_values())
+        objs = [build_plant(values, data.draw(written(values))) for _ in "ab"]
+        again = build_plant(other, data.draw(written(other)))
+        for a, b, c, (cls, fields) in zip(*objs, again, PLANT_FIELDS.items()):
+            assert a == b and hash(a) == hash(b)
+            assert (a == c) == (values[cls] == other[cls])
+            for name, value in zip(fields, values[cls]):
+                stored = getattr(a, name)
+                if isinstance(value, tuple):
+                    assert type(stored) is tuple and len(stored) == 2
+                    for s, v in zip(stored, value):
+                        assert_float_bits(s, v)
+                else:
+                    assert_float_bits(stored, value)
+        (geom, task, prof), (geom_b, task_b, prof_b) = objs
+        assert_same_outcome(simulate_reach(geom, task, theta, prof),
+                            reference_reach(geom_b, task_b, theta, prof_b))
+
+
+# each plant class -> its fields and the range of values drawn for each;
+# a 2-tuple of ranges is a point
+PLANT_FIELDS = {
+    ArmGeometry: {"upper_arm_cm": (5, 60), "forearm_hand_cm": (5, 60),
+                  "shoulder_xy": ((-20, 20), (-20, 20))},
+    ReachTask: {"start_target": ((-10, 60), (-60, 10)),
+                "end_target": ((-10, 60), (-60, 10)),
+                "time_limit_s": (0.25, 4), "success_radius_cm": (0.5, 10)},
+    ShoulderProfile: {"peak_flexion_rad": (-1.5, 1.5), "duration_s": (0.25, 4),
+                      "sample_rate_hz": (10, 240), "start_flexion_rad": (-1, 1.5)},
+}
+
+
+def eighths(lo, hi):
+    """Multiples of 1/8: exact in float32, a few whole, 0 where in range."""
+    return st.integers(int(lo * 8), int(hi * 8)).map(lambda n: n / 8)
+
+
+def plant_values():
+    """{class: tuple of field values}, floats and points as 2-tuples."""
+    def field(bounds):
+        if isinstance(bounds[0], tuple):
+            return st.tuples(*map(eighths, *zip(*bounds)))
+        return eighths(*bounds)
+    return st.fixed_dictionaries({
+        cls: st.tuples(*map(field, fields.values()))
+        for cls, fields in PLANT_FIELDS.items()})
+
+
+def representations(value):
+    """Ways a caller may write the float value."""
+    reps = [value, np.float32(value), np.array(value), np.float64(value)]
+    if value == int(value):
+        reps.append(int(value))
+    if value == 0:
+        reps.append(-0.0)
+    return reps
+
+
+def written(values):
+    """values with each number written one of its ways; a point as a
+    tuple of those or as a float64 or float32 array."""
+    def point(xy):
+        return st.one_of(st.tuples(*(st.sampled_from(representations(v))
+                                     for v in xy)),
+                         st.sampled_from([np.array(xy),
+                                          np.array(xy, dtype=np.float32)]))
+    return st.fixed_dictionaries({
+        cls: st.tuples(*(point(v) if isinstance(v, tuple)
+                         else st.sampled_from(representations(v))
+                         for v in vals))
+        for cls, vals in values.items()})
+
+
+def build_plant(values, written_values):
+    """The geometry, task and profile of written_values (values as written)."""
+    return [cls(**dict(zip(PLANT_FIELDS[cls], written_values[cls])))
+            for cls in PLANT_FIELDS]
+
+
+def assert_float_bits(stored, value):
+    """stored is a float with the float64 bits of value, -0.0 as 0.0."""
+    assert type(stored) is float
+    assert stored.hex() == (float(value) + 0.0).hex()
 
 
 def assert_same_outcome(out, ref):
