@@ -24,7 +24,7 @@ class BlackBoxEs(EsLoop):
     def __init__(self, config=DEFAULT_CONFIG):
         wc = config.omega_o * HIGHPASS_CUTOFF_RATIO
         self._alpha = 1.0 / (1.0 + wc)  # discrete first-order high-pass pole
-        self.theta_hat = float(clamp(config.theta_0, *config.bounds))
+        self.theta_hat = clamp(config.theta_0, *config.bounds)
         self._hp_y = 0.0
         self._prev_j = None
         super().__init__(config)

@@ -7,8 +7,9 @@ import sys
 from .config import parse_section, parsed, read_config
 from .harness import (ALGORITHMS, CONVERGENCE_TOL, ExperimentConfig,
                       compare_traces, read_trace_csv, run_batch, run_episode,
-                      write_trace_csv)
+                      trace_path, write_trace_csv)
 from .personalizer import PersonalizerConfig
+from .subject import load_subject
 from .sysid import (identify_from_records, write_fitted_subject,
                     write_identification_report)
 
@@ -56,9 +57,7 @@ def _episode_config(args):
 def _write_episode(cfg, prefix):
     trace = run_episode(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir,
-                        f"{prefix}_{trace.metadata['subject_id']}"
-                        f"_s{trace.metadata['seed']}.csv")
+    path = trace_path(cfg.output_dir, prefix, trace)
     write_trace_csv(trace, path)
     print(f"wrote {path} ({len(trace.rows)} iterations)")
     return 0
@@ -75,6 +74,10 @@ def _cmd_sweep(args):
 
 def _cmd_batch(args):
     cfg = _experiment_config(args)
+    if cfg.subject not in ("A", "B") and os.path.isfile(cfg.subject):
+        # run_batch records a seed's failure and writes its summary; a
+        # subject file that does not parse exits 2 before any output
+        load_subject(cfg.subject)
     summary, traces = run_batch(cfg)
     print(f"episodes: {summary.get('episodes', 0)}")
     print(f"converged: {summary.get('converged', 0)}")

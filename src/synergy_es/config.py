@@ -1,24 +1,32 @@
 """INI-style config parsing helpers shared across the package.
 
 Config files use configparser sections ([subject], [personalizer],
-[experiment]). Vectors are comma- or space-separated floats; matrices use
-';' between rows ("0 1; 0.068 0.35").
+[experiment]). Vectors are comma- or space-separated finite floats;
+matrices use ';' between rows ("0 1; 0.068 0.35").
 """
 
 import configparser
+import math
+import operator
+from dataclasses import fields
 
 import numpy as np
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def parse_vector(text):
-    parts = text.replace(",", " ").split()
-    return np.array([float(p) for p in parts])
+    return np.array([_finite_float(p) for p in text.replace(",", " ").split()])
 
 
 def parse_matrix(text):
     rows = [r for r in text.split(";") if r.strip()]
-    mat = np.array([ [float(v) for v in r.replace(",", " ").split()] for r in rows ])
-    return mat
+    return np.array([parse_vector(r) for r in rows])
 
 
 def format_vector(vec):
@@ -56,18 +64,38 @@ def parse_section(section, where, parsers, required=()):
             for key, text in section.items()}
 
 
-def store_floats(obj, names):
-    """Store each named field of the frozen dataclass obj as a float, or a
-    sequence as a tuple of floats, with -0.0 as 0.0.
+def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
+                 lengths=None, labels=None):
+    """Check the named fields of the dataclass obj, then store them: ints
+    as ints, lengths ({name: n}, n values each) as tuples of floats, the
+    rest as floats, -0.0 as 0.0, so equal values make equal objects.
 
-    Called once its checks pass, so ints, numpy scalars and 0-d arrays
-    all compute in float64, and two NaN-free objects are equal exactly
-    when their fields have the same bits (and hash alike).
+    Each must be finite, and one in positive > 0, in nonnegative >= 0.
+    The first that fails, in field order, raises a ValueError naming it
+    by labels.get(name, name).
     """
-    for name in names:
-        value = getattr(obj, name)
-        object.__setattr__(obj, name, float(value) + 0.0 if np.ndim(value) == 0
-                           else tuple(float(v) + 0.0 for v in value))
+    lengths, labels = lengths or {}, labels or {}
+    named = {*finite, *positive, *nonnegative, *ints, *lengths}
+    for name in (f.name for f in fields(obj) if f.name in named):
+        value, label = getattr(obj, name), labels.get(name, name)
+        n = lengths.get(name)
+        if np.shape(value) != (() if n is None else (n,)):
+            raise ValueError(f"{label} must have {n} values, not {value}" if n
+                             else f"{label} = {value} must be one number")
+        if name in ints:
+            try:
+                stored = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{label} = {value} must be an integer") from None
+        elif not np.all(np.isfinite(value)):
+            raise ValueError(f"{label} = {value} must be finite")
+        else:
+            stored = tuple(float(v) + 0.0 for v in value) if n else float(value) + 0.0
+        if name in positive and not stored > 0:
+            raise ValueError(f"{label} = {stored} must be positive")
+        if name in nonnegative and not stored >= 0:
+            raise ValueError(f"{label} = {stored} must be >= 0")
+        object.__setattr__(obj, name, stored)
 
 
 def read_config(path):

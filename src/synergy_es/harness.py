@@ -17,8 +17,9 @@ import numpy as np
 
 from . import baseline
 from .baseline import BlackBoxEs
+from .config import check_fields
 from .personalizer import DEFAULT_CONFIG, Personalizer, PersonalizerConfig, StepRecord
-from .subject import load_subject, subject_a, subject_b
+from .subject import MotorNoise, load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
 TRACE_COLUMNS = list(StepRecord._fields)
@@ -59,7 +60,7 @@ class EpisodeTrace:
             for ours, theirs in zip(zip(*self.rows), zip(*other.rows)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     subject: str = "A"  # "A", "B", or a subject-config path
     algorithm: str = "greybox"  # one of ALGORITHMS
@@ -73,17 +74,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_fields(self, finite=("fixed_theta",), positive=("iterations",),
+                     ints=("iterations",),
+                     nonnegative=() if self.noise_std is None else ("noise_std",))
         if self.algorithm == "greybox" and \
                 self.iterations < self.personalizer.warmup_iterations:
             raise ValueError("iteration count must cover the warmup period")
-        if self.iterations < 1:
-            raise ValueError("iteration count must be >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.noise_std is not None and not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std {self.noise_std} must be finite and >= 0")
-        if not math.isfinite(self.fixed_theta):
-            raise ValueError(f"fixed_theta {self.fixed_theta} must be finite")
 
     def config_hash(self):
         p = self.personalizer
@@ -103,16 +101,15 @@ class ExperimentConfig:
 
 
 def make_subject(subject, seed, noise_std=None):
-    if subject == "A":
-        subj = subject_a(seed)
-    elif subject == "B":
-        subj = subject_b(seed)
-    else:
-        subj = load_subject(subject)
-        subj.reset(seed)
-    if noise_std is not None:
-        subj.noise.std = noise_std
-        subj.reset(seed)
+    """Subject A, B or the one in the subject file at path subject, its
+    noise seeded with seed; a noise_std other than None replaces the
+    subject's own."""
+    if subject in ("A", "B"):
+        build = subject_a if subject == "A" else subject_b
+        return build(seed) if noise_std is None else build(seed, noise_std)
+    subj = load_subject(subject)
+    std = subj.noise.std if noise_std is None else noise_std
+    subj.noise = MotorNoise(subj.noise.mean, std, seed)
     return subj
 
 
@@ -183,6 +180,13 @@ _FORMAT = [{int: lambda v: map(str, _ints(v)), float: _format_floats,
             str: _quote_texts}[t] for t in StepRecord.__annotations__.values()]
 _PARSE = [{int: _ints, float: _parse_floats, str: list}[t]
           for t in StepRecord.__annotations__.values()]
+
+
+def trace_path(directory, prefix, trace):
+    """directory/<prefix>_<subject id>_s<seed>.csv, where a trace is written."""
+    meta = trace.metadata
+    return os.path.join(directory,
+                        f"{prefix}_{meta['subject_id']}_s{meta['seed']}.csv")
 
 
 def write_trace_csv(trace, path):
@@ -292,9 +296,8 @@ def run_batch(config, theta_star=None):
                              "traceback": traceback.format_exc()})
             break
         traces.append(tr)
-        write_trace_csv(tr, os.path.join(
-            config.output_dir,
-            f"trace_{config.algorithm}_{tr.metadata['subject_id']}_s{seed}.csv"))
+        write_trace_csv(tr, trace_path(config.output_dir,
+                                       f"trace_{config.algorithm}", tr))
     if theta_star is None and traces:
         probe = make_subject(config.subject, config.seeds[0], config.noise_std)
         theta_star = probe.optimum()
@@ -332,6 +335,10 @@ def run_batch(config, theta_star=None):
 
 def compare_traces(traces_a, traces_b, theta_star, tol=CONVERGENCE_TOL):
     """Differential success report: final theta within tolerance at the end."""
+    if not math.isfinite(theta_star):
+        raise ValueError(f"theta_star = {theta_star} must be finite")
+    if not 0 < tol < math.inf:  # NaN fails
+        raise ValueError(f"tol = {tol} must be finite and positive")
     def successes(traces):
         wins = 0
         for tr in traces:

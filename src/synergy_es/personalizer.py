@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import format_vector, parse_section, parse_vector, store_floats
+from .config import check_fields, parse_section, parse_vector
 
 OBSERVER_PHI = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -215,30 +215,23 @@ class PersonalizerConfig:
     warmup_iterations: int = 8
 
     def __post_init__(self):
-        # values come from user INI files: reject what cannot work. The
+        # values come from user INI files: reject what cannot work, then
+        # store them as from an INI file, so equal configs hash alike. The
         # parts built from a config trust it.
-        ini = self.as_dict()
-        for key, value in ini.items():
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{key} = {format_vector(value)} must be finite")
-        for key in ("omega_o", "k", "epsilon", "H", "Q"):
-            if ini[key] <= 0:
-                raise ValueError(f"{key} = {ini[key]} must be positive")
+        check_fields(self, finite=("theta_0",),
+                     positive=("omega_o", "gain", "epsilon", "filter_gain",
+                               "filter_q"),
+                     nonnegative=("dither_amplitude", "warmup_iterations"),
+                     ints=("warmup_iterations",),
+                     lengths={"observer_gain": 5, "bounds": 2}, labels=INI_KEYS)
         if 2 * self.omega_o >= np.pi:
             raise ValueError(f"omega_o = {self.omega_o} must be below pi/2: the "
                              "2 omega_o tone must stay below the Nyquist rate")
-        if len(self.observer_gain) != 5:
-            raise ValueError(f"L must have 5 values, not {len(self.observer_gain)}")
-        if len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
+        if not self.bounds[0] < self.bounds[1]:
             raise ValueError(f"bounds {self.bounds} must be two increasing values")
-        if self.dither_amplitude < 0 or self.warmup_iterations < 0:
-            raise ValueError("dither amplitude and warmup iterations must be >= 0")
         if 4 * self.dither_amplitude >= self.bounds[1] - self.bounds[0]:
             raise ValueError(f"dither span 4a = {4 * self.dither_amplitude} does not "
                              f"fit inside bounds {self.bounds}")
-        # floats from here on, as from an INI file: equal configs hash alike
-        store_floats(self, [f.name for f in fields(self)
-                            if f.name != "warmup_iterations"])
         # pass band [w, 2w]: the dither's two tones
         band = BandPassFilter(self.omega_o, self.filter_gain, self.filter_q)
         observer = GradCurvObserver(self.omega_o, self.observer_gain)

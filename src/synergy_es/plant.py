@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import store_floats
+from .config import check_fields
 
 P_MAX_CM = 10.0
 T_MAX_S = 3.0
@@ -26,21 +26,6 @@ STOP_SPEED_CM_S = 1.0
 _SWEEP_CACHE_SIZE = 8
 
 
-def _check_fields(obj, positive=(), finite=(), points=()):
-    """Raise ValueError naming the first field of obj that cannot work,
-    then store each field as a float and each point as two floats."""
-    names = (*positive, *finite, *points)
-    for name in names:
-        value = getattr(obj, name)
-        if name in points and np.shape(value) != (2,):
-            raise ValueError(f"{name} = {value} must be two values")
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} = {value} must be finite")
-        if name in positive and not value > 0:
-            raise ValueError(f"{name} = {value} must be positive")
-    store_floats(obj, names)
-
-
 @dataclass(frozen=True)
 class ArmGeometry:
     upper_arm_cm: float = 30.0
@@ -48,8 +33,8 @@ class ArmGeometry:
     shoulder_xy: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        _check_fields(self, positive=("upper_arm_cm", "forearm_hand_cm"),
-                      points=("shoulder_xy",))
+        check_fields(self, positive=("upper_arm_cm", "forearm_hand_cm"),
+                     lengths={"shoulder_xy": 2})
 
 
 @dataclass(frozen=True)
@@ -60,8 +45,8 @@ class ReachTask:
     success_radius_cm: float = 5.0
 
     def __post_init__(self):
-        _check_fields(self, positive=("time_limit_s", "success_radius_cm"),
-                      points=("start_target", "end_target"))
+        check_fields(self, positive=("time_limit_s", "success_radius_cm"),
+                     lengths={"start_target": 2, "end_target": 2})
 
 
 @dataclass(frozen=True)
@@ -75,8 +60,8 @@ class ShoulderProfile:
 
     def __post_init__(self):
         # a peak of 0 is a valid profile: the arm never moves
-        _check_fields(self, positive=("duration_s", "sample_rate_hz"),
-                      finite=("peak_flexion_rad", "start_flexion_rad"))
+        check_fields(self, positive=("duration_s", "sample_rate_hz"),
+                     finite=("peak_flexion_rad", "start_flexion_rad"))
 
     def angle(self, t):
         """Shoulder flexion angle at time t (monotone, zero end velocity)."""

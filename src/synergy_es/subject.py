@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (format_matrix, format_vector, parse_matrix,
+from .config import (check_fields, format_matrix, format_vector, parse_matrix,
                      parse_section, parse_vector, read_config, write_config)
 
 THETA_BOUNDS = (0.8, 2.4)
@@ -124,9 +124,8 @@ class MotorNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and 0 <= self.std < np.inf):  # NaN fails
-            raise ValueError(f"noise mean {self.mean} must be finite and "
-                             f"std {self.std} finite and >= 0")
+        check_fields(self, finite=("mean",), nonnegative=("std",),
+                     labels={"mean": "noise_mean", "std": "noise_std"})
         self.reset()
 
     def sample(self):
@@ -230,8 +229,8 @@ def save_subject(path, subject):
         "phi": format_matrix(subject.dynamics.phi),
         "gamma": format_vector(subject.dynamics.gamma),
         "psi": format_vector(subject.dynamics.psi),
-        "noise_mean": repr(float(subject.noise.mean)),
-        "noise_std": repr(float(subject.noise.std)),
+        "noise_mean": repr(subject.noise.mean),
+        "noise_std": repr(subject.noise.std),
         "seed": str(int(subject.noise.seed)),
         "initial_state": format_vector(subject._x0),
         "id": subject.subject_id,

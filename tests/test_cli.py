@@ -111,6 +111,25 @@ def test_compare_short_row_exits_2(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--theta-star", "nan"], "theta_star = nan must be finite"),
+    (["--theta-star", "inf"], "theta_star = inf must be finite"),
+    (["--theta-star", "1.5", "--tol", "-1"],
+     "tol = -1.0 must be finite and positive"),
+    (["--theta-star", "1.5", "--tol", "nan"],
+     "tol = nan must be finite and positive"),
+], ids=["theta_star_nan", "theta_star_inf", "tol_negative", "tol_nan"])
+def test_compare_rejects_unusable_numbers(tmp_path, capsys, args, message):
+    rc = main(["run", "--subject", "A", "--algorithm", "fixed",
+               "--seed", "0", "--out", str(tmp_path), "--iterations", "5"])
+    assert rc == 0
+    path = str(tmp_path / "trace_fixed_A_s0.csv")
+    capsys.readouterr()
+    assert main(["compare", "--a", path, "--b", path] + args) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {message}" in err and out == ""
+
+
 @pytest.mark.parametrize("command", ["compare", "identify"])
 def test_bad_cell_names_file_and_column(tmp_path, capsys, command):
     rc = main(["sweep", "--subject", "A", "--seed", "0", "--out", str(tmp_path)])
@@ -208,6 +227,25 @@ def test_bad_subject_file_names_file_and_key(tmp_path, capsys, edit, message):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"error: {path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# [subject] key -> its line with a non-finite entry
+NONFINITE_SUBJECT = {"lambda": "lambda = -158.15 nan -293.34\n",
+                     "phi": "phi = 0 1; inf 0.35\n",
+                     "initial_state": "initial_state = inf 0\n"}
+
+
+@pytest.mark.parametrize("command", [["run"], ["batch"],
+                                     ["run", "--algorithm", "fixed"]],
+                         ids=["run", "batch", "fixed"])
+@pytest.mark.parametrize("key", NONFINITE_SUBJECT)
+def test_nonfinite_subject_entry_exits_2(tmp_path, capsys, key, command):
+    path = subject_ini(tmp_path, replace_line(key, NONFINITE_SUBJECT[key]))
+    rc = main(command + ["--subject", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {path}: [subject] {key}: non-finite value " \
+        in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,7 @@
 import csv
 import math
 import os
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,8 @@ from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, TRACE_COLUMNS,
                                 summarize_batch, write_trace_csv)
 from synergy_es.personalizer import (DEFAULT_CONFIG, DEFAULT_L,
                                      PersonalizerConfig, StepRecord)
-from synergy_es.subject import subject_a
+from synergy_es.plant import ArmGeometry, ReachTask, ShoulderProfile
+from synergy_es.subject import MotorNoise, subject_a
 
 
 class TestEpisode:
@@ -357,6 +358,60 @@ def _changed(value):
     return value + 1 if isinstance(value, int) else value * 1.05
 
 
+# the personalizer defaults as values of other numeric types
+OTHER_PERSONALIZER = {"observer_gain": np.array(DEFAULT_L),
+                      "bounds": np.array([0.8, 2.4]),
+                      "dither_amplitude": np.array(0.02),
+                      "filter_gain": np.float32(0.5), "filter_q": 5,
+                      "theta_0": np.float32(1.0),
+                      "warmup_iterations": np.int64(8)}
+# config class -> (keyword values as floats, the same values as ints,
+# exact float32s, int64s, 0-d arrays and -0.0)
+OTHER_NUMERIC_TYPES = {
+    ArmGeometry: ({"upper_arm_cm": 30.0, "shoulder_xy": (0.0, 0.0)},
+                  {"upper_arm_cm": np.int64(30),
+                   "shoulder_xy": np.array([-0.0, 0.0])}),
+    ReachTask: ({"start_target": (1.5, -2.0), "end_target": (24.5, -2.0),
+                 "time_limit_s": 3.0},
+                {"start_target": np.array([1.5, -2], dtype=np.float32),
+                 "end_target": [np.float64(24.5), -2], "time_limit_s": 3}),
+    ShoulderProfile: ({"peak_flexion_rad": 0.75, "duration_s": 1.5,
+                       "sample_rate_hz": 90.0, "start_flexion_rad": 0.0},
+                      {"peak_flexion_rad": np.float32(0.75),
+                       "duration_s": np.array(1.5),
+                       "sample_rate_hz": np.int64(90),
+                       "start_flexion_rad": -0.0}),
+    MotorNoise: ({"mean": 0.0, "std": 1.0, "seed": 3},
+                 {"mean": -0.0, "std": np.float32(1.0)}),
+    PersonalizerConfig: ({}, OTHER_PERSONALIZER),
+    ExperimentConfig: ({"noise_std": 1.0, "fixed_theta": 1.0},
+                       {"iterations": np.int64(40),
+                        "noise_std": np.float32(1.0),
+                        "fixed_theta": np.array(1),
+                        "personalizer": PersonalizerConfig(**OTHER_PERSONALIZER)}),
+}
+# (config class, keyword values one of which cannot work, its error)
+BAD_VALUES = [
+    (ArmGeometry, {"upper_arm_cm": 0}, "upper_arm_cm = 0.0 must be positive"),
+    (ReachTask, {"start_target": (0.0,), "end_target": (23.0, 0.0)},
+     "start_target must have 2 values, not (0.0,)"),
+    (ShoulderProfile, {"start_flexion_rad": np.nan},
+     "start_flexion_rad = nan must be finite"),
+    (MotorNoise, {"std": np.float32(-1)}, "noise_std = -1.0 must be >= 0"),
+    (MotorNoise, {"mean": np.inf}, "noise_mean = inf must be finite"),
+    (PersonalizerConfig, {"gain": np.float32(-1)}, "k = -1.0 must be positive"),
+    (PersonalizerConfig, {"observer_gain": (1.5, 0.25)},
+     "L must have 5 values, not (1.5, 0.25)"),
+    (PersonalizerConfig, {"warmup_iterations": 8.0},
+     "warmup_iterations = 8.0 must be an integer"),
+    (ExperimentConfig, {"iterations": np.int64(0)},
+     "iterations = 0 must be positive"),
+    (ExperimentConfig, {"noise_std": -0.5}, "noise_std = -0.5 must be >= 0"),
+    (ExperimentConfig, {"fixed_theta": (1.0, 2.0)},
+     "fixed_theta = (1.0, 2.0) must be one number"),
+]
+
+
 class TestConfig:
     @pytest.mark.parametrize("section,cls", [("personalizer", PersonalizerConfig)])
     def test_every_nested_field_enters_hash(self, section, cls):
@@ -382,23 +437,44 @@ class TestConfig:
 
     @pytest.mark.parametrize("algorithm", ["greybox", "blackbox"])
     def test_array_and_float32_values_build_the_default_config(self, algorithm):
-        """Values of other numeric types are stored as floats, and tuples
-        as tuples of floats: the config hashes and runs as the default."""
-        cfg = PersonalizerConfig(observer_gain=np.array(DEFAULT_L),
-                                 bounds=np.array([0.8, 2.4]),
-                                 dither_amplitude=np.array(0.02),
-                                 filter_gain=np.float32(0.5), filter_q=5,
-                                 theta_0=np.float32(1.0))
-        assert cfg == DEFAULT_CONFIG and hash(cfg) == hash(DEFAULT_CONFIG)
-        for f in fields(cfg):
-            value = getattr(cfg, f.name)
-            assert type(value) is type(f.default)
-            if isinstance(value, tuple):
-                assert {type(v) for v in value} == {float}
-        exp = ExperimentConfig(algorithm=algorithm, iterations=40, personalizer=cfg)
-        default = ExperimentConfig(algorithm=algorithm, iterations=40)
-        assert exp.config_hash() == default.config_hash()
-        assert run_episode(exp) == run_episode(default)
+        """Values of other numeric types are stored as the float-built
+        object stores them: each object equals, hashes and reprs as it,
+        and the configs hash and run as the default."""
+        for cls, (floats, others) in OTHER_NUMERIC_TYPES.items():
+            if cls is ExperimentConfig:
+                floats = {**floats, "algorithm": algorithm, "iterations": 40}
+            ref, obj = cls(**floats), cls(**{**floats, **others})
+            assert obj == ref, cls.__name__
+            for f in fields(ref):  # float bits and types, -0.0 as 0.0
+                ours, theirs = getattr(obj, f.name), getattr(ref, f.name)
+                assert type(ours) is type(theirs), (cls.__name__, f.name)
+                assert repr(ours) == repr(theirs), (cls.__name__, f.name)
+            if cls.__hash__ is not None:
+                assert hash(obj) == hash(ref), cls.__name__
+            if cls is MotorNoise:  # float samples: J computes in float64
+                samples = [obj.sample() for _ in range(5)]
+                assert samples == [ref.sample() for _ in range(5)]
+                assert {type(j) for j in samples} == {float}
+            if cls is ExperimentConfig:
+                assert obj.config_hash() == ref.config_hash()
+                assert run_episode(obj) == run_episode(ref)
+
+    @pytest.mark.parametrize("cls, kwargs, message", BAD_VALUES,
+                             ids=[f"{cls.__name__}-{next(iter(kw))}"
+                                  for cls, kw, _ in BAD_VALUES])
+    def test_bad_value_rejected_by_label(self, cls, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            cls(**kwargs)
+        assert str(exc.value) == message
+
+    def test_experiment_config_cannot_be_assigned(self):
+        """A field set after construction would skip its check: a negative
+        noise_std would run a whole episode."""
+        cfg = ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.noise_std = -5.0
+        assert cfg.noise_std is None
+        assert replace(cfg, noise_std=2).noise_std == 2.0
 
     @pytest.mark.parametrize("section", ["experiment", "personalizer"])
     def test_unknown_ini_key_exits_2(self, tmp_path, capsys, section):
