@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import traceback
 from dataclasses import dataclass
@@ -80,8 +81,13 @@ class ExperimentConfig:
         if self.algorithm == "greybox" and \
                 self.iterations < self.personalizer.warmup_iterations:
             raise ValueError("iteration count must cover the warmup period")
-        if not self.seeds:
+        try:
+            seeds = tuple(map(operator.index, self.seeds))
+        except TypeError:
+            raise ValueError(f"seeds = {self.seeds!r} must be integers") from None
+        if not seeds:
             raise ValueError("need at least one seed")
+        object.__setattr__(self, "seeds", seeds)
 
     def config_hash(self):
         p = self.personalizer

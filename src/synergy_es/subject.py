@@ -13,6 +13,8 @@ earlier.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import frexp, fsum, inf, isfinite
 
 import numpy as np
 
@@ -27,6 +29,11 @@ class NonConcaveMapError(ValueError):
     """The quadratic coefficient is not negative, so no unique maximum exists."""
 
 
+def _check_finite(name, values):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, not {np.asarray(values).tolist()}")
+
+
 @dataclass
 class PreferenceMap:
     """Quadratic synergy-to-steady-state-performance map."""
@@ -37,6 +44,7 @@ class PreferenceMap:
         self.lam = np.asarray(self.lam, dtype=float)
         if self.lam.shape != (3,):
             raise ValueError("quadratic basis needs 3 coefficients")
+        _check_finite("lambda", self.lam)
 
     def value(self, theta):
         """Steady-state performance at a synergy value (exact polynomial)."""
@@ -55,6 +63,84 @@ class PreferenceMap:
         return -self.lam[1] / (2.0 * self.lam[0])
 
 
+# The state update rounds each row of Phi x and Psi x as a chain of fused
+# multiply-adds, fma(a, x, s) = a*x + s rounded once. fma is Dekker's exact
+# product a*x = p + e (T. J. Dekker, Numer. Math. 18, 1971; a and x cut by
+# Veltkamp's split into 26-bit halves) summed with s by math.fsum. That is
+# exact while every nonzero |a| and |x| lies in [_TINY, _HUGE]; outside it
+# each fma is rounded from its exact value in fractions.
+_SPLIT = 134217729.0  # 2**27 + 1
+_TINY, _HUGE = 2.0 ** -450, 2.0 ** 450
+
+
+def _split(a):
+    """(a, hi, lo) with a == hi + lo, each half 26 bits."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return a, hi, a - hi
+
+
+def _in_range(values):
+    return all(_TINY <= abs(v) <= _HUGE or not v for v in values)
+
+
+def _chain_order(n):
+    """Index order of a Phi row's chain: the order of OpenBLAS's Haswell
+    gemv kernel for n <= 3; Psi's chain, and Phi's above 3, run 0, 1, ...,
+    n-1 (numpy's gemv there is blocked, not a chain)."""
+    return {1: (0,), 2: (1, 0), 3: (1, 0, 2)}.get(n, range(n))
+
+
+def _chain_terms(coefficients, order):
+    """(a_j0, j0, fma terms) of one chain. A term is (a, a_hi, a_lo, j), or
+    (a, None, None, j) where a is 0 or a power of 2, so that a*x is exact."""
+    j0, *rest = order
+    terms = []
+    for j in rest:
+        a = coefficients[j]
+        terms.append((a, None, None, j) if not a or abs(frexp(a)[0]) == 0.5
+                     else (*_split(a), j))
+    return coefficients[j0], j0, tuple(terms)
+
+
+def _fma_chains(chains, xs):
+    """Per chain of _chain_terms, fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0)),
+    each x = xs[j] split as (x, x_hi, x_lo)."""
+    out = []
+    for s, j, terms in chains:
+        s *= xs[j][0]
+        for a, ah, al, j in terms:
+            x, xh, xl = xs[j]
+            p = a * x
+            if ah is None:
+                s = p + s
+                continue
+            e = ((ah * xh - p) + ah * xl + al * xh) + al * xl  # a*x - p, exactly
+            s = fsum((p, e, s)) if e else p + s  # e == 0: p + s is the fma
+        out.append(s)
+    return out
+
+
+def _exact_fma_chains(chains, xs):
+    """_fma_chains on values outside [_TINY, _HUGE]: each fma rounded from
+    its exact value, or inf or nan where IEEE gives it."""
+    out = []
+    for s, j, terms in chains:
+        s *= xs[j][0]
+        for a, _, _, j in terms:
+            x = xs[j][0]
+            if not isfinite(x):
+                s = a * x + s
+            elif isfinite(s):  # else a*x + s is s: a*x is finite
+                exact = Fraction(a) * Fraction(x) + Fraction(s)
+                try:
+                    s = float(exact)  # the sign of a 0 is lost to step's + 0.0
+                except OverflowError:
+                    s = inf if exact > 0 else -inf
+        out.append(s)
+    return out
+
+
 @dataclass
 class AdaptationDynamics:
     """Iteration-domain LTI (Phi, Gamma, Psi) modeling motor adaptation."""
@@ -70,7 +156,18 @@ class AdaptationDynamics:
         n = self.phi.shape[0]
         if self.phi.shape != (n, n) or self.gamma.shape != (n,) or self.psi.shape != (n,):
             raise ValueError("inconsistent state-space dimensions")
-        self._gamma = self.gamma.tolist()  # step()'s copy of Gamma
+        for name in ("phi", "gamma", "psi"):
+            _check_finite(name, getattr(self, name))
+        # step()'s chains: one per row of Phi, then Psi's
+        self._chains = [*(_chain_terms(row, _chain_order(n)) for row in self.phi.tolist()),
+                        _chain_terms(self.psi.tolist(), range(n))]
+        self._gamma = self.gamma.tolist()
+        self._fast = _in_range(self.phi.ravel().tolist() + self.psi.tolist())
+        # the order-2 body's coefficients: per chain its first a, then the
+        # fma's (a, hi, lo); Phi rows start at x1, Psi at x0
+        self._order2 = None if n != 2 or not self._fast else tuple(
+            v for s, _, ((a, _, _, _),) in self._chains
+            for v in (s, *_split(a))) + tuple(self._gamma)
 
     @property
     def order(self):
@@ -83,18 +180,55 @@ class AdaptationDynamics:
         return self.spectral_radius() < 1.0
 
     def step(self, state, u):
-        """One recursion step: returns (next_state, noise-free output Psi x).
+        """One recursion step: returns (next_state as a tuple of floats,
+        noise-free output Psi x).
 
-        A state of the wrong dimension raises ValueError (from the product).
-        Equal, bit for bit, to phi @ state + gamma * u and psi @ state:
-        ndarray.dot rounds the products as @ does and the elementwise tail
-        rounds alike on floats. Only the sign of a zero differs: @ never
-        returns -0.0, dot does for order 1, so "+ 0.0" turns it into 0.0.
+        Each row of Phi x and Psi x is the FMA chain of _fma_chains, in the
+        order of _chain_order; then a Phi row r gives r + 0.0 + g * u and
+        Psi x gives y + 0.0 (the + 0.0 turns -0.0 into 0.0). Up to order 3
+        these are the bits of phi @ state + gamma * u and psi @ state on
+        OpenBLAS's Haswell kernels, but computed on Python floats, so they
+        are the same whatever BLAS numpy runs on. A state of the wrong
+        dimension raises ValueError.
         """
-        y = float(self.psi.dot(state)) + 0.0
         u = float(u)
-        return np.array([p + 0.0 + g * u for p, g in
-                         zip(self.phi.dot(state).tolist(), self._gamma)]), y
+        if self._order2 is not None:
+            b0, a0, a0h, a0l, b1, a1, a1h, a1l, c0, c1, c1h, c1l, g0, g1 = self._order2
+            x0, x1 = state
+            if (_TINY <= abs(x0) <= _HUGE or not x0) and (_TINY <= abs(x1) <= _HUGE or not x1):
+                # _fma_chains unrolled: Phi rows fma(a, x0, b * x1), Psi
+                # fma(c1, x1, c0 * x0)
+                t = _SPLIT * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = _SPLIT * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                s = b0 * x1
+                p = a0 * x0
+                e = ((a0h * h0 - p) + a0h * l0 + a0l * h0) + a0l * l0
+                r0 = fsum((p, e, s)) if e else p + s
+                s = b1 * x1
+                p = a1 * x0
+                e = ((a1h * h0 - p) + a1h * l0 + a1l * h0) + a1l * l0
+                r1 = fsum((p, e, s)) if e else p + s
+                s = c0 * x0
+                p = c1 * x1
+                e = ((c1h * h1 - p) + c1h * l1 + c1l * h1) + c1l * l1
+                y = fsum((p, e, s)) if e else p + s
+                return (r0 + 0.0 + g0 * u, r1 + 0.0 + g1 * u), y + 0.0
+        if len(state) != len(self._gamma):
+            raise ValueError(f"state has {len(state)} values, "
+                             f"the dynamics order is {len(self._gamma)}")
+        xs, fast = [], self._fast
+        for x in state:
+            t = _SPLIT * x
+            h = t - (t - x)
+            xs.append((x, h, x - h))
+            if not (_TINY <= abs(x) <= _HUGE or not x):
+                fast = False
+        *rows, y = (_fma_chains if fast else _exact_fma_chains)(self._chains, xs)
+        return tuple([r + 0.0 + g * u for r, g in zip(rows, self._gamma)]), y + 0.0
 
     def steady_state_gain(self):
         """Psi (I - Phi)^-1 Gamma; errors on a marginally stable plant."""
@@ -155,11 +289,12 @@ class SimulatedSubject:
         self.dynamics = dynamics
         self.noise = noise if noise is not None else MotorNoise()
         self.subject_id = subject_id
-        self._x0 = (np.zeros(dynamics.order) if initial_state is None
-                    else np.asarray(initial_state, dtype=float).ravel())
-        if self._x0.shape != (dynamics.order,):
+        x0 = (np.zeros(dynamics.order) if initial_state is None
+              else np.asarray(initial_state, dtype=float).ravel())
+        if x0.shape != (dynamics.order,):
             raise ValueError("initial state dimension mismatch")
-        self.state = self._x0.copy()
+        _check_finite("initial_state", x0)
+        self._x0 = self.state = tuple(x0.tolist())  # step()'s floats
 
     def step(self, theta):
         """Apply a synergy for one task iteration; returns measured J."""
@@ -170,7 +305,7 @@ class SimulatedSubject:
         return y + self.noise.sample()
 
     def reset(self, seed=None):
-        self.state = self._x0.copy()
+        self.state = self._x0
         self.noise.reset(seed)
 
     def optimum(self):

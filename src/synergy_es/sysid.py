@@ -240,11 +240,11 @@ def identify_from_records(thetas, performances, order=2):
     dyn, mse = fit_adaptation_lti(u, performances, order)
 
     # free-run residuals of the returned model, for the noise analysis
-    x = np.zeros(dyn.order)
-    pred = np.empty_like(performances)
-    for i in range(len(u)):
-        x, pred[i] = dyn.step(x, u[i])
-    resid = performances - pred
+    x, pred = (0.0,) * dyn.order, []
+    for ui in u.tolist():
+        x, y = dyn.step(x, ui)
+        pred.append(y)
+    resid = performances - np.array(pred)
     return pref, dyn, mse, resid, whiteness_test(resid)
 
 

@@ -10,6 +10,9 @@ It also holds both plots of a black-box batch on B over seeds 0-9, which
 must come out byte for byte (black-box traces are exact).
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +25,8 @@ from synergy_es.harness import (ALGORITHMS, ExperimentConfig, read_trace_csv,
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("subject", "AB")
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_episode_matches_golden_trace(algorithm, subject):
+def assert_matches_golden(trace, algorithm, subject):
     golden = read_trace_csv(GOLDEN / f"{algorithm}_{subject}_s0.csv")
-    trace = run_episode(ExperimentConfig(subject=subject, algorithm=algorithm,
-                                         seeds=(0,)))
     if algorithm != "greybox":
         assert trace == golden
         return
@@ -36,6 +35,44 @@ def test_episode_matches_golden_trace(algorithm, subject):
     for name in ("theta_hat", "theta_applied"):
         assert_allclose(trace.column(name), golden.column(name), rtol=0, atol=1e-12)
     assert np.array_equal(trace.column("iteration"), golden.column("iteration"))
+
+
+@pytest.mark.parametrize("subject", "AB")
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_episode_matches_golden_trace(algorithm, subject):
+    assert_matches_golden(run_episode(ExperimentConfig(
+        subject=subject, algorithm=algorithm, seeds=(0,))), algorithm, subject)
+
+
+WRITE_GOLDEN_EPISODES = """
+import sys
+from synergy_es.harness import ALGORITHMS, ExperimentConfig, run_episode, write_trace_csv
+for algorithm in ALGORITHMS:
+    for subject in "AB":
+        write_trace_csv(run_episode(ExperimentConfig(subject=subject, algorithm=algorithm,
+                                                     seeds=(0,))),
+                        f"{sys.argv[1]}/{algorithm}_{subject}_s0.csv")
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Nehalem", "Prescott"])
+def test_golden_episodes_on_kernels_without_fma(tmp_path, coretype):
+    """OPENBLAS_CORETYPE makes OpenBLAS pick an older CPU's kernels, which
+    do not fuse products. The subject step calls no BLAS, so the episodes
+    still give the golden traces: black-box, sweep and fixed byte for
+    byte, grey-box (its designs use LAPACK) within the tolerance above."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", WRITE_GOLDEN_EPISODES, str(tmp_path)],
+                   env=env, check=True, timeout=300)
+    for algorithm in ALGORITHMS:
+        for subject in "AB":
+            name = f"{algorithm}_{subject}_s0.csv"
+            if algorithm == "greybox":
+                assert_matches_golden(read_trace_csv(tmp_path / name), algorithm, subject)
+            else:
+                assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_batch_plots_match_golden_svgs(tmp_path):

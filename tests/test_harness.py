@@ -384,8 +384,8 @@ OTHER_NUMERIC_TYPES = {
     MotorNoise: ({"mean": 0.0, "std": 1.0, "seed": 3},
                  {"mean": -0.0, "std": np.float32(1.0)}),
     PersonalizerConfig: ({}, OTHER_PERSONALIZER),
-    ExperimentConfig: ({"noise_std": 1.0, "fixed_theta": 1.0},
-                       {"iterations": np.int64(40),
+    ExperimentConfig: ({"noise_std": 1.0, "fixed_theta": 1.0, "seeds": (0, 1)},
+                       {"iterations": np.int64(40), "seeds": [np.int64(0), 1],
                         "noise_std": np.float32(1.0),
                         "fixed_theta": np.array(1),
                         "personalizer": PersonalizerConfig(**OTHER_PERSONALIZER)}),
@@ -409,6 +409,9 @@ BAD_VALUES = [
     (ExperimentConfig, {"noise_std": -0.5}, "noise_std = -0.5 must be >= 0"),
     (ExperimentConfig, {"fixed_theta": (1.0, 2.0)},
      "fixed_theta = (1.0, 2.0) must be one number"),
+    (ExperimentConfig, {"seeds": (1.5,)}, "seeds = (1.5,) must be integers"),
+    (ExperimentConfig, {"seeds": ("a",)}, "seeds = ('a',) must be integers"),
+    (ExperimentConfig, {"seeds": 3}, "seeds = 3 must be integers"),
 ]
 
 

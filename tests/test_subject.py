@@ -1,5 +1,7 @@
 """Tests for the grey-box subject model."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from synergy_es.harness import ExperimentConfig, run_episode
-from synergy_es.subject import (LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
-                                AdaptationDynamics, MotorNoise,
+from synergy_es.subject import (GAMMA_A, LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
+                                PHI_A, PSI_A, AdaptationDynamics, MotorNoise,
                                 NonConcaveMapError, PreferenceMap,
                                 SimulatedSubject, load_subject, save_subject,
                                 static_subject, subject_a, subject_b)
@@ -103,8 +105,8 @@ _CELL = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 @st.composite
-def _random_dynamics(draw):
-    order = draw(st.integers(1, 3))
+def _random_dynamics(draw, max_order=3):
+    order = draw(st.integers(1, max_order))
     cells = st.lists(_CELL, min_size=order * (order + 2),
                      max_size=order * (order + 2))
     values = np.array(draw(cells))
@@ -125,6 +127,16 @@ def _package_dynamics():
         forms += [fit_adaptation_lti(u, sweep.column("J"), order)[0]
                   for order in (2, 3)]
     return forms
+
+
+def _fma_chain(coefficients, xs, order):
+    """fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0)) over the indices in
+    order, each fma rounded once from its exact value."""
+    j, *rest = order
+    s = coefficients[j] * xs[j]
+    for j in rest:
+        s = float(Fraction(coefficients[j]) * Fraction(xs[j]) + Fraction(s))
+    return s
 
 
 class TestAdaptationDynamics:
@@ -158,8 +170,47 @@ class TestAdaptationDynamics:
         state = np.array(cells[:dyn.order])
         next_state, y = dyn.step(state, u)
         want = dyn.phi @ state + dyn.gamma * float(u)
-        assert next_state.tobytes() == want.tobytes()
+        assert np.array(next_state).tobytes() == want.tobytes()
         assert np.float64(y).tobytes() == (dyn.psi @ state).tobytes()
+
+    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(4)),
+           cells=st.lists(_CELL, min_size=4, max_size=4), u=_CELL)
+    # subnormal products, from a subnormal state and from a tiny Phi
+    @example(dyn=subject_a().dynamics,
+             cells=[-1.36506907638384e-309, 3.3195227917403143e-308, 0.0, 0.0], u=0.0)
+    @example(dyn=subject_a().dynamics, cells=[5.036813605572443e-307, 2e-323, 0.0, 0.0],
+             u=0.0)
+    @example(dyn=AdaptationDynamics([[1e-300, 0.5, 0.0], [2e-20, -1e-290, 1.0],
+                                     [0.0, 1.0, 3e-310]], [1.0, 0.0, 0.0],
+                                    [1e-310, 1.0, -2.0]),
+             cells=[1e-20, 3e-30, -1e-25, 0.0], u=-1e-300)
+    # signed zeros: -0.0 products, cells and inputs, at orders 1, 2 and 4
+    @example(dyn=static_subject(MAP_A).dynamics, cells=[-0.0] * 4, u=-0.0)
+    @example(dyn=AdaptationDynamics([[-0.0, 1.0], [0.5, -0.0]], [-0.0, 0.0],
+                                    [-0.0, -1.0]), cells=[-0.0, 0.0, 0.0, 0.0], u=-0.0)
+    @example(dyn=AdaptationDynamics(-np.eye(4), [0.0] * 4, [1.0, -1.0, 0.0, 2.0]),
+             cells=[0.0, -0.0, -0.0, 0.0], u=0.0)
+    # cells at the edge of the strategy, +-1e6
+    @example(dyn=AdaptationDynamics([[1e6, -1e6, 1e6], [-1e6, 1e6, 1e6],
+                                     [1e6, 1e6, -1e6]], [1e6, -1e6, 1e6],
+                                    [-1e6, 1e6, 1e6]),
+             cells=[1e6, -1e6, 1e6, -1e6], u=-1e6)
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    def test_step_is_the_fma_chain_property(self, dyn, cells, u):
+        """step() gives, bit for bit, each row of Phi x and Psi x as a chain
+        of fused multiply-adds rounded from the exact value (fractions),
+        in the order OpenBLAS's FMA kernels use up to order 3 and in index
+        order above it, then the "+ 0.0 + g * u" tail, for orders 1-4 and
+        every form the package builds, subnormals and signed zeros
+        included."""
+        n = dyn.order
+        state = tuple(cells[:n])
+        next_state, y = dyn.step(state, u)
+        row_order = {1: [0], 2: [1, 0], 3: [1, 0, 2]}.get(n, range(n))
+        want = [_fma_chain(row, state, row_order) + 0.0 + g * u
+                for row, g in zip(dyn.phi.tolist(), dyn.gamma.tolist())]
+        assert [v.hex() for v in next_state] == [v.hex() for v in want]
+        assert y.hex() == (_fma_chain(dyn.psi.tolist(), state, range(n)) + 0.0).hex()
 
     def test_unity_gain_step_response(self):
         dyn = subject_a(noise_std=0.0).dynamics
@@ -303,6 +354,20 @@ class TestSimulatedSubject:
         noise.reset(11)
         again = [noise.sample() for _ in range(n)]
         assert again == np.random.default_rng(11).standard_normal(n).tolist()
+
+    @pytest.mark.parametrize("field, build", [
+        ("lambda", lambda: PreferenceMap([-158.15, np.nan, -293.34])),
+        ("phi", lambda: AdaptationDynamics([[0.0, 1.0], [np.nan, 0.35]],
+                                           GAMMA_A, PSI_A)),
+        ("gamma", lambda: AdaptationDynamics(PHI_A, [np.inf, 0.037], PSI_A)),
+        ("psi", lambda: AdaptationDynamics(PHI_A, GAMMA_A, [1.0, -np.inf])),
+        ("initial_state", lambda: SimulatedSubject(
+            MAP_A, AdaptationDynamics(PHI_A, GAMMA_A, PSI_A),
+            initial_state=[np.inf, 0.0])),
+    ], ids=["lambda", "phi", "gamma", "psi", "initial_state"])
+    def test_non_finite_model_input_rejected(self, field, build):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build()
 
     def test_unstable_dynamics_rejected(self):
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])
