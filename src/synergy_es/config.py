@@ -68,7 +68,9 @@ def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
                  lengths=None, labels=None):
     """Check the named fields of the dataclass obj, then store them: ints
     as ints, lengths ({name: n}, n values each) as tuples of floats, the
-    rest as floats, -0.0 as 0.0, so equal values make equal objects.
+    rest as floats, -0.0 as 0.0, so equal values make equal objects. A
+    lengths entry that is a shape, such as (n, n), stores a read-only
+    float64 array of that shape instead, signs of zero kept.
 
     Each must be finite, and one in positive > 0, in nonnegative >= 0.
     The first that fails, in field order, raises a ValueError naming it
@@ -79,16 +81,21 @@ def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
     for name in (f.name for f in fields(obj) if f.name in named):
         value, label = getattr(obj, name), labels.get(name, name)
         n = lengths.get(name)
-        if np.shape(value) != (() if n is None else (n,)):
-            raise ValueError(f"{label} must have {n} values, not {value}" if n
+        array = isinstance(n, tuple)
+        if np.shape(value) != (n if array else () if n is None else (n,)):
+            raise ValueError(f"{label} must have shape {n}, not {np.shape(value)}" if array
+                             else f"{label} must have {n} values, not {value}" if n
                              else f"{label} = {value} must be one number")
         if name in ints:
             try:
                 stored = operator.index(value)
             except TypeError:
                 raise ValueError(f"{label} = {value} must be an integer") from None
-        elif not np.all(np.isfinite(value)):
+        elif not np.isfinite(value).all():
             raise ValueError(f"{label} = {value} must be finite")
+        elif array:
+            stored = np.array(value, dtype=float)
+            stored.flags.writeable = False
         else:
             stored = tuple(float(v) + 0.0 for v in value) if n else float(value) + 0.0
         if name in positive and not stored > 0:

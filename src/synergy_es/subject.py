@@ -12,14 +12,14 @@ Note the relative degree: J_i reflects the synergy applied one iteration
 earlier.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import frexp, fsum, inf, isfinite
 
 import numpy as np
 
 from .config import (check_fields, format_matrix, format_vector, parse_matrix,
-                     parse_section, parse_vector, read_config, write_config)
+                     parse_section, parse_vector, parsed, read_config, write_config)
 
 THETA_BOUNDS = (0.8, 2.4)
 NOISE_BLOCK = 64  # standard normals drawn per call into the generator
@@ -29,22 +29,15 @@ class NonConcaveMapError(ValueError):
     """The quadratic coefficient is not negative, so no unique maximum exists."""
 
 
-def _check_finite(name, values):
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite, not {np.asarray(values).tolist()}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class PreferenceMap:
-    """Quadratic synergy-to-steady-state-performance map."""
+    """Quadratic synergy-to-steady-state-performance map; lam is stored as
+    a tuple of three floats, so equal maps compare and hash alike."""
 
-    lam: np.ndarray
+    lam: tuple
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if self.lam.shape != (3,):
-            raise ValueError("quadratic basis needs 3 coefficients")
-        _check_finite("lambda", self.lam)
+        check_fields(self, lengths={"lam": 3}, labels={"lam": "lambda"})
 
     def value(self, theta):
         """Steady-state performance at a synergy value (exact polynomial)."""
@@ -141,31 +134,27 @@ def _exact_fma_chains(chains, xs):
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdaptationDynamics:
-    """Iteration-domain LTI (Phi, Gamma, Psi) modeling motor adaptation."""
+    """Iteration-domain LTI (Phi, Gamma, Psi) modeling motor adaptation,
+    stored as read-only float64 arrays (-0.0 kept); == is identity."""
 
     phi: np.ndarray
     gamma: np.ndarray
     psi: np.ndarray
 
     def __post_init__(self):
-        self.phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
-        self.gamma = np.asarray(self.gamma, dtype=float).ravel()
-        self.psi = np.asarray(self.psi, dtype=float).ravel()
-        n = self.phi.shape[0]
-        if self.phi.shape != (n, n) or self.gamma.shape != (n,) or self.psi.shape != (n,):
-            raise ValueError("inconsistent state-space dimensions")
-        for name in ("phi", "gamma", "psi"):
-            _check_finite(name, getattr(self, name))
+        n = len(np.atleast_1d(self.phi))
+        check_fields(self, lengths={"phi": (n, n), "gamma": (n,), "psi": (n,)})
+        own = vars(self)  # what step() reads, set past the frozen __setattr__
         # step()'s chains: one per row of Phi, then Psi's
-        self._chains = [*(_chain_terms(row, _chain_order(n)) for row in self.phi.tolist()),
-                        _chain_terms(self.psi.tolist(), range(n))]
-        self._gamma = self.gamma.tolist()
-        self._fast = _in_range(self.phi.ravel().tolist() + self.psi.tolist())
+        own["_chains"] = [*(_chain_terms(row, _chain_order(n)) for row in self.phi.tolist()),
+                          _chain_terms(self.psi.tolist(), range(n))]
+        own["_gamma"] = self.gamma.tolist()
+        own["_fast"] = _in_range(self.phi.ravel().tolist() + self.psi.tolist())
         # the order-2 body's coefficients: per chain its first a, then the
         # fma's (a, hi, lo); Phi rows start at x1, Psi at x0
-        self._order2 = None if n != 2 or not self._fast else tuple(
+        own["_order2"] = None if n != 2 or not self._fast else tuple(
             v for s, _, ((a, _, _, _),) in self._chains
             for v in (s, *_split(a))) + tuple(self._gamma)
 
@@ -246,7 +235,7 @@ class AdaptationDynamics:
         g = self.steady_state_gain()
         if g == 0.0:
             raise ValueError("zero steady-state gain cannot be normalized")
-        return AdaptationDynamics(self.phi.copy(), self.gamma / g, self.psi.copy())
+        return AdaptationDynamics(self.phi, self.gamma / g, self.psi)
 
 
 @dataclass
@@ -258,8 +247,8 @@ class MotorNoise:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, finite=("mean",), nonnegative=("std",),
-                     labels={"mean": "noise_mean", "std": "noise_std"})
+        check_fields(self, finite=("mean",), nonnegative=("std", "seed"),
+                     ints=("seed",), labels={"mean": "noise_mean", "std": "noise_std"})
         self.reset()
 
     def sample(self):
@@ -272,40 +261,40 @@ class MotorNoise:
 
     def reset(self, seed=None):
         if seed is not None:
-            self.seed = seed
+            self.seed = replace(self, seed=seed).seed  # checked before it is stored
         self._rng = np.random.default_rng(self.seed)
         self._block = []
 
 
+@dataclass(eq=False)
 class SimulatedSubject:
-    """Composable grey-box subject: map -> LTI -> additive noise."""
+    """Composable grey-box subject: map -> LTI -> additive noise. step()
+    reads map and dynamics on each call; reset() returns to initial_state."""
 
-    def __init__(self, pref_map, dynamics, noise=None, initial_state=None,
-                 subject_id="subject"):
-        if not dynamics.is_stable():
+    map: PreferenceMap
+    dynamics: AdaptationDynamics
+    noise: MotorNoise = field(default_factory=MotorNoise)
+    initial_state: tuple = None
+    subject_id: str = "subject"
+
+    def __post_init__(self):
+        if not self.dynamics.is_stable():
             raise ValueError("adaptation dynamics must be stable (rho(Phi) < 1)")
-        self.map = pref_map
-        self._lam = pref_map.lam.tolist()  # step()'s copy of the coefficients
-        self.dynamics = dynamics
-        self.noise = noise if noise is not None else MotorNoise()
-        self.subject_id = subject_id
-        x0 = (np.zeros(dynamics.order) if initial_state is None
-              else np.asarray(initial_state, dtype=float).ravel())
-        if x0.shape != (dynamics.order,):
-            raise ValueError("initial state dimension mismatch")
-        _check_finite("initial_state", x0)
-        self._x0 = self.state = tuple(x0.tolist())  # step()'s floats
+        if self.initial_state is None:
+            self.initial_state = (0.0,) * self.dynamics.order
+        check_fields(self, lengths={"initial_state": self.dynamics.order})
+        self.state = self.initial_state
 
     def step(self, theta):
         """Apply a synergy for one task iteration; returns measured J."""
         th = float(theta)
-        l2, l1, l0 = self._lam
+        l2, l1, l0 = self.map.lam
         u = l2 * th * th + l1 * th + l0  # map.value(th), on floats
         self.state, y = self.dynamics.step(self.state, u)
         return y + self.noise.sample()
 
     def reset(self, seed=None):
-        self.state = self._x0
+        self.state = self.initial_state
         self.noise.reset(seed)
 
     def optimum(self):
@@ -325,22 +314,17 @@ NOISE_STD_A = 16.81
 NOISE_STD_B = 22.36
 
 
+# A's and B's map and dynamics, frozen values that every subject built shares
+_MODEL_A = PreferenceMap(LAMBDA_A), AdaptationDynamics(PHI_A, GAMMA_A, PSI_A)
+_MODEL_B = PreferenceMap(LAMBDA_B), AdaptationDynamics(PHI_B, GAMMA_B, PSI_B)
+
+
 def subject_a(seed=0, noise_std=NOISE_STD_A):
-    return SimulatedSubject(
-        PreferenceMap(LAMBDA_A),
-        AdaptationDynamics(PHI_A, GAMMA_A, PSI_A),
-        MotorNoise(0.0, noise_std, seed),
-        subject_id="A",
-    )
+    return SimulatedSubject(*_MODEL_A, MotorNoise(0.0, noise_std, seed), subject_id="A")
 
 
 def subject_b(seed=0, noise_std=NOISE_STD_B):
-    return SimulatedSubject(
-        PreferenceMap(LAMBDA_B),
-        AdaptationDynamics(PHI_B, GAMMA_B, PSI_B),
-        MotorNoise(0.0, noise_std, seed),
-        subject_id="B",
-    )
+    return SimulatedSubject(*_MODEL_B, MotorNoise(0.0, noise_std, seed), subject_id="B")
 
 
 def static_subject(pref_map, steady_at=None):
@@ -352,8 +336,8 @@ def static_subject(pref_map, steady_at=None):
     one preserved). With steady_at set, the first output already reflects
     that synergy (a truly static plant has no settling transient).
     """
-    dyn = AdaptationDynamics(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
-    x0 = None if steady_at is None else np.array([pref_map.value(steady_at)])
+    dyn = AdaptationDynamics([[0.0]], [1.0], [1.0])
+    x0 = None if steady_at is None else (pref_map.value(steady_at),)
     return SimulatedSubject(pref_map, dyn, initial_state=x0, subject_id="static")
 
 
@@ -366,8 +350,8 @@ def save_subject(path, subject):
         "psi": format_vector(subject.dynamics.psi),
         "noise_mean": repr(subject.noise.mean),
         "noise_std": repr(subject.noise.std),
-        "seed": str(int(subject.noise.seed)),
-        "initial_state": format_vector(subject._x0),
+        "seed": str(subject.noise.seed),
+        "initial_state": format_vector(subject.initial_state),
         "id": subject.subject_id,
     }})
 
@@ -382,11 +366,13 @@ def load_subject(path):
     cp = read_config(path)
     if not cp.has_section("subject"):
         raise ValueError(f"{path}: no [subject] section")
-    sec = parse_section(cp["subject"], f"{path}: [subject]", SUBJECT_KEYS,
+    where = f"{path}: [subject]"
+    sec = parse_section(cp["subject"], where, SUBJECT_KEYS,
                         required=("lambda", "phi", "gamma", "psi"))
-    pref = PreferenceMap(sec["lambda"])
-    dyn = AdaptationDynamics(sec["phi"], sec["gamma"], sec["psi"])
-    noise = MotorNoise(sec.get("noise_mean", 0.0), sec.get("noise_std", 0.0),
-                       sec.get("seed", 0))
-    return SimulatedSubject(pref, dyn, noise, initial_state=sec.get("initial_state"),
-                            subject_id=sec.get("id", "subject"))
+    # values that parse but make no model are named after the file too
+    return parsed(lambda sec: SimulatedSubject(
+        PreferenceMap(sec["lambda"]),
+        AdaptationDynamics(sec["phi"], sec["gamma"], sec["psi"]),
+        MotorNoise(sec.get("noise_mean", 0.0), sec.get("noise_std", 0.0),
+                   sec.get("seed", 0)),
+        sec.get("initial_state"), sec.get("id", "subject")), sec, where)

@@ -3,10 +3,14 @@
 perfbench/tracer.py wraps package functions and methods by name, and
 perfbench/workloads.py calls package helpers; a rename or deletion in the
 package breaks the benchmark without failing any other test. Here one op
-of each workload runs under the span wrappers. Nothing under perfbench/ is
-written: its modules are imported without bytecode caching.
+of each workload runs under the span wrappers, and each workload's
+reference check, which the benchmark runs before any timing, passes.
+Nothing under perfbench/ is written: its modules are imported without
+bytecode caching, and reference.json is only read.
 """
 
+import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -17,20 +21,29 @@ from synergy_es.personalizer import DEFAULT_CONFIG
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GREYBOX_OP, BASELINE_OP = 0, 1  # op ids of the greybox-mc and baseline-io ops
+WORKLOADS = [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
-@pytest.fixture(scope="module")
-def perfbench():
+def _import_perfbench(*names):
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import tracer
-        import workloads
+        return tuple(importlib.import_module(name) for name in names)
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = saved
-    return tracer, workloads
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    return _import_perfbench("tracer", "workloads")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _import_perfbench("bootstrap", "reference")
 
 
 def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
@@ -84,3 +97,11 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
         for owner, attr in targets:
             assert not hasattr(getattr(owner, attr), "__wrapped__"), attr
 
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_reference_check_passes(tmp_path, monkeypatch, reference, workload):
+    bootstrap, ref = reference
+    monkeypatch.setattr(bootstrap, "WORK", tmp_path)  # csv_round_trip's files
+    recorded = ref.REFERENCE_PATH.read_bytes()
+    assert ref.check(ref.PARTS[workload]) == []
+    assert ref.REFERENCE_PATH.read_bytes() == recorded

@@ -217,6 +217,17 @@ BAD_SUBJECT = {
                    ": no [subject] section"),
     "bad_seed": (replace_line("seed", "seed = x\n"),
                  ": [subject] seed: invalid literal for int() with base 10: 'x'"),
+    # model errors, found once the values are parsed
+    "gamma_length": (replace_line("gamma", "gamma = 0.839 0.037 1.0\n"),
+                     ": [subject]: gamma must have shape (2,), not (3,)"),
+    "lambda_length": (replace_line("lambda", "lambda = -158.15 529.18\n"),
+                      ": [subject]: lambda must have 3 values, not "),
+    "unstable": (replace_line("phi", "phi = 0 1; 1 0.35\n"),
+                 ": [subject]: adaptation dynamics must be stable (rho(Phi) < 1)"),
+    "initial_state_length": (replace_line("initial_state", "initial_state = 0\n"),
+                             ": [subject]: initial_state must have 2 values, not "),
+    "negative_seed": (replace_line("seed", "seed = -1\n"),
+                      ": [subject]: seed = -1 must be >= 0"),
 }
 
 

@@ -337,7 +337,7 @@ class TestPersonalizerLoop:
         # to the J level rings through the pass band)
         def hats(shift):
             ref = (subject_a if name == "A" else subject_b)()
-            pmap = PreferenceMap(ref.map.lam + [0.0, 0.0, shift])
+            pmap = PreferenceMap(np.add(ref.map.lam, [0.0, 0.0, shift]))
             dyn = ref.dynamics
             steady = np.linalg.solve(np.eye(dyn.order) - dyn.phi,
                                      dyn.gamma) * pmap.value(theta_0)

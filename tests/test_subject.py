@@ -1,5 +1,6 @@
 """Tests for the grey-box subject model."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (GAMMA_A, LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
-                                PHI_A, PSI_A, AdaptationDynamics, MotorNoise,
-                                NonConcaveMapError, PreferenceMap,
+                                NOISE_STD_A, PHI_A, PSI_A, AdaptationDynamics,
+                                MotorNoise, NonConcaveMapError, PreferenceMap,
                                 SimulatedSubject, load_subject, save_subject,
                                 static_subject, subject_a, subject_b)
 from synergy_es.sysid import fit_adaptation_lti
@@ -366,8 +367,29 @@ class TestSimulatedSubject:
             initial_state=[np.inf, 0.0])),
     ], ids=["lambda", "phi", "gamma", "psi", "initial_state"])
     def test_non_finite_model_input_rejected(self, field, build):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} = .* must be finite"):
             build()
+
+    @pytest.mark.parametrize("seed, message", [(1.5, "seed = 1.5 must be an integer"),
+                                               (-1, "seed = -1 must be >= 0")],
+                             ids=["non_integer", "negative"])
+    def test_invalid_seed_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MotorNoise(0, 1, seed)
+        # a rejected reset leaves the seed and the sample stream as they were
+        noise = MotorNoise(0.0, 1.0, 5)
+        first = noise.sample()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            noise.reset(seed)
+        assert noise.seed == 5
+        assert [first, noise.sample()] == np.random.default_rng(5).standard_normal(2).tolist()
+
+    def test_assigned_map_reaches_step_and_optimum(self):
+        subj = subject_a(seed=3)
+        subj.map = MAP_B
+        want = SimulatedSubject(MAP_B, subj.dynamics, MotorNoise(0.0, NOISE_STD_A, 3))
+        assert [subj.step(1.2) for _ in range(20)] == [want.step(1.2) for _ in range(20)]
+        assert subj.optimum() == MAP_B.optimum()
 
     def test_unstable_dynamics_rejected(self):
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])
@@ -389,3 +411,34 @@ def test_subject_config_round_trip(tmp_path):
     js2 = [loaded.step(1.4) for _ in range(20)]
     subj.reset()
     assert js1 == js2
+
+
+class TestFrozenModel:
+    @pytest.mark.parametrize("model, name", [
+        (MAP_A, "lam"), *((subject_a().dynamics, name) for name in ("phi", "gamma", "psi"))],
+        ids=["lam", "phi", "gamma", "psi"])
+    def test_fields_cannot_be_assigned(self, model, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+
+    @pytest.mark.parametrize("name, index", [("phi", (0, 0)), ("gamma", 0), ("psi", 0)])
+    def test_dynamics_arrays_are_read_only_copies(self, name, index):
+        given = {"phi": PHI_A.copy(), "gamma": GAMMA_A.copy(), "psi": PSI_A.copy()}
+        dyn = AdaptationDynamics(**given)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dyn, name)[index] = 0.5
+        given[name][index] = 0.5  # the caller's array is not the stored one
+        assert dyn.step((1.0, 2.0), 0.0) == ((2.0, 0.768), 1.0)
+
+    def test_equal_maps_compare_and_hash_alike(self):
+        a, b = PreferenceMap([-1, 0, 0]), PreferenceMap(np.array([-1.0, -0.0, 0.0]))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.lam == (-1.0, 0.0, 0.0)
+        assert [type(v) for v in b.lam] == [float] * 3
+
+    def test_dynamics_keep_signed_zeros_and_compare_by_identity(self):
+        dyn = AdaptationDynamics([[-0.0]], [1.0], [1.0])
+        assert np.signbit(dyn.phi[0, 0])
+        assert dyn == dyn
+        assert dyn != AdaptationDynamics([[-0.0]], [1.0], [1.0])
