@@ -25,11 +25,11 @@ loop = Personalizer()
 subj = static_subject(pmap, steady_at=frozen)
 grads, curvs = [], []
 for _ in range(140):
-    loop.optimizer.theta_hat = frozen
+    loop.theta_hat = frozen
     theta = loop.applied_theta()
     j = subj.step(theta)
     loop.step(j)
-    loop.optimizer.theta_hat = frozen
+    loop.theta_hat = frozen
     grads.append(loop.records[-1].grad_est)
     curvs.append(loop.records[-1].curv_est)
 

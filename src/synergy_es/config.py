@@ -64,6 +64,11 @@ def parse_section(section, where, parsers, required=()):
             for key, text in section.items()}
 
 
+def _shown(value):
+    """value as an error message shows it: an array as nested lists."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
                  lengths=None, labels=None):
     """Check the named fields of the dataclass obj, then store them: ints
@@ -74,7 +79,7 @@ def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
 
     Each must be finite, and one in positive > 0, in nonnegative >= 0.
     The first that fails, in field order, raises a ValueError naming it
-    by labels.get(name, name).
+    by labels.get(name, name), with its value on one line.
     """
     lengths, labels = lengths or {}, labels or {}
     named = {*finite, *positive, *nonnegative, *ints, *lengths}
@@ -84,15 +89,15 @@ def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
         array = isinstance(n, tuple)
         if np.shape(value) != (n if array else () if n is None else (n,)):
             raise ValueError(f"{label} must have shape {n}, not {np.shape(value)}" if array
-                             else f"{label} must have {n} values, not {value}" if n
-                             else f"{label} = {value} must be one number")
+                             else f"{label} must have {n} values, not {_shown(value)}" if n
+                             else f"{label} = {_shown(value)} must be one number")
         if name in ints:
             try:
                 stored = operator.index(value)
             except TypeError:
-                raise ValueError(f"{label} = {value} must be an integer") from None
+                raise ValueError(f"{label} = {_shown(value)} must be an integer") from None
         elif not np.isfinite(value).all():
-            raise ValueError(f"{label} = {value} must be finite")
+            raise ValueError(f"{label} = {_shown(value)} must be finite")
         elif array:
             stored = np.array(value, dtype=float)
             stored.flags.writeable = False

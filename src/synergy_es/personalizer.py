@@ -22,6 +22,19 @@ Implementation notes, fixed by numerical analysis of the printed design:
   per-iteration loop runs on Python floats unpacked from the designs,
   since numpy's per-call overhead dominates work on 2- and 5-vectors.
 
+* Personalizer.step is one flat method: the filter recursion, observer
+  update, demodulation and switched update run inline, since a Python
+  call costs about as much as a stage's arithmetic. The dither and the
+  four phased references depend only on the config and the iteration
+  index, so they come from a per-config table (PersonalizerConfig.tables)
+  whose row i is built with the expressions of dither(i) and demodulate
+  at index i; a run past its end extends it (w i in floats is not
+  periodic, so rows are built per index, never repeated). The stages'
+  own BandPassFilter.step, GradCurvObserver.step and .demodulate and
+  SwitchedOptimizer.update stay, unused by the loops: they are the
+  reference the flat step is tested against bit for bit, and the names
+  the benchmark's tracer wraps.
+
 * Demodulation references carry the design-known chain phase (band-pass
   response times the one-iteration measurement latency) at w and 2w, so
   the estimates line up with the plant's dither response. Physical-unit
@@ -55,6 +68,7 @@ DEFAULT_L = np.array([1.5, 0.25, 0.25, 2.0, -2.0])
 
 NEWTON = "newton"
 GRADIENT = "gradient"
+TABLE_ROWS = 256  # rows a loop's per-config table grows by, past a run's end
 
 
 def clamp(x, lo, hi):
@@ -84,11 +98,10 @@ class BandPassFilter:
         self.bd = np.linalg.solve(m, b)
         self.cd = np.linalg.solve(m.T, c)
         self.dd = float(c @ self.bd) / 2.0
-        # the loop's copies: DC state per unit input, then the recursion
-        self._dc = np.linalg.solve(np.eye(2) - self.ad, self.bd).tolist()
-        (self._a00, self._a01), (self._a10, self._a11) = self.ad.tolist()
-        self._b0, self._b1 = self.bd.tolist()
-        self._c0, self._c1 = self.cd.tolist()
+        # the loops' floats: DC state per unit input, then the recursion
+        self.coefficients = (
+            *np.linalg.solve(np.eye(2) - self.ad, self.bd).tolist(),
+            *self.ad.ravel().tolist(), *self.bd.tolist(), *self.cd.tolist(), self.dd)
 
     def spectral_radius(self):
         return float(np.max(np.abs(np.linalg.eigvals(self.ad))))
@@ -100,13 +113,14 @@ class BandPassFilter:
 
     def step(self, state, j_value):
         """(band-passed output, next state); state is None before the first sample."""
+        dc0, dc1, a00, a01, a10, a11, b0, b1, c0, c1, dd = self.coefficients
         if state is None:
-            x0, x1 = self._dc[0] * j_value, self._dc[1] * j_value
+            x0, x1 = dc0 * j_value, dc1 * j_value
         else:
             x0, x1 = state
-        out = self._c0 * x0 + self._c1 * x1 + self.dd * j_value
-        return out, (self._a00 * x0 + self._a01 * x1 + self._b0 * j_value,
-                     self._a10 * x0 + self._a11 * x1 + self._b1 * j_value)
+        out = c0 * x0 + c1 * x1 + dd * j_value
+        return out, (a00 * x0 + a01 * x1 + b0 * j_value,
+                     a10 * x0 + a11 * x1 + b1 * j_value)
 
 
 class GradCurvObserver:
@@ -124,25 +138,25 @@ class GradCurvObserver:
         # h = 1 - cos kw (the flow integral's 1 / kw cancels the w)
         gain = [float(v) for v in gain_l]
         self.transition = np.eye(5)
-        self._injection = [w * gain[0]]  # the loop's copies, as floats
-        self._rotations = []  # (cos kw, sin kw) per k
+        injection = [w * gain[0]]
+        rotations = []  # (cos kw, sin kw) per k
         for k in (1, 2):
             s, c = math.sin(k * w), math.cos(k * w)
             h = 2.0 * math.sin(k * w / 2.0) ** 2  # 1 - cos kw, no cancellation
             l1, l2 = gain[2 * k - 1:2 * k + 1]
             blk = slice(2 * k - 1, 2 * k + 1)
             self.transition[blk, blk] = [[c, s], [-s, c]]
-            self._injection += [(s * l1 + h * l2) / k, (s * l2 - h * l1) / k]
-            self._rotations += [c, s]
-        self.injection = np.array(self._injection)
+            injection += [(s * l1 + h * l2) / k, (s * l2 - h * l1) / k]
+            rotations += [c, s]
+        self.injection = np.array(injection)
+        self.coefficients = (*rotations, *injection)  # the loops' floats
         closed = self.transition - np.outer(self.injection, OBSERVER_PSI)
         self.closed_loop_radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
 
     def step(self, z, filtered_value):
         """The state after state z takes in one filtered sample."""
         z0, z1, z2, z3, z4 = z
-        c1, s1, c2, s2 = self._rotations
-        i0, i1, i2, i3, i4 = self._injection
+        c1, s1, c2, s2, i0, i1, i2, i3, i4 = self.coefficients
         innovation = filtered_value - (z0 + z1 - 0.25 * z4)  # OBSERVER_PSI @ z
         return (z0 + i0 * innovation,
                 c1 * z1 + s1 * z2 + i1 * innovation,
@@ -250,6 +264,9 @@ class PersonalizerConfig:
         object.__setattr__(self, "design", (
             band, observer, (float(np.angle(g1)), float(abs(g1))),
             (float(np.angle(g2)), float(abs(g2)))))
+        # per loop class, the rows its step reads by iteration index;
+        # extend_table fills them as runs need
+        object.__setattr__(self, "tables", {})
 
     def as_dict(self):
         """Every field under its INI key (see INI_KEYS), e.g. for hashing."""
@@ -288,19 +305,52 @@ class StepRecord(NamedTuple):
     branch: str
 
 
-class EsLoop:
-    """The per-iteration contract both closed loops share.
+def measured(performance):
+    """performance as a float; a non-finite one is a sensor fault."""
+    j = float(performance)
+    if not math.isfinite(j):
+        raise ValueError("non-finite performance measurement (sensor fault)")
+    return j
 
-    A subclass holds its algorithm: the theta_hat estimate, dither(i) and
-    _update(j), which takes in J_i and returns the (filtered output,
-    gradient estimate, curvature estimate, branch) its trace row records.
+
+def extend_table(table, row, index):
+    """Extend table, whose entry i is row(i), to TABLE_ROWS rows past index.
+
+    The rows are built first and stored at their indices in one slice
+    assignment, so loops on other threads sharing the table never see a
+    row at the wrong index.
     """
+    start, stop = len(table), index + TABLE_ROWS
+    table[start:stop] = [row(i) for i in range(start, stop)]
 
-    def __init__(self, config):
+
+class Personalizer:
+    """Closed-loop synergy personalizer; call step(J_i) once per iteration."""
+
+    def __init__(self, config=DEFAULT_CONFIG):
         self.config = config
+        self.filter, self.observer, (_, gain1), (_, gain2) = config.design
+        a, (lo, hi) = config.dither_amplitude, config.bounds
+        # update bounded by the dither span; hat kept one span inside bounds
+        hat_lo, hat_hi = lo + 2 * a, hi - 2 * a
+        self.theta_hat = float(clamp(config.theta_0, hat_lo, hat_hi))
+        self.last_branch = GRADIENT
+        # step()'s constants: a, the estimate scales (a x the chain gain
+        # at w, a^2 x the one at 2w), the warmup, SwitchedOptimizer's
+        # -epsilon, k w, step_max and bounds, then the applied bounds
+        self._constants = (a, a * gain1, a * a * gain2, config.warmup_iterations,
+                           -config.epsilon, config.gain * config.omega_o, 2 * a,
+                           hat_lo, hat_hi, lo, hi)
+        self._rows = config.tables.setdefault(type(self), [])
+        self._state = None  # filter and observer state, from the first sample
         self.iteration = 0
         self.records = []
         self.applied_theta()  # sets what the first step records as applied
+
+    def dither(self, index):
+        """Two-tone perturbation a sin(w i) + a sin(2w i)."""
+        a, w = self.config.dither_amplitude, self.config.omega_o
+        return a * math.sin(w * index) + a * math.sin(2.0 * w * index)
 
     def applied_theta(self):
         """Synergy to apply at the current iteration (estimate + dither)."""
@@ -308,65 +358,89 @@ class EsLoop:
                                     *self.config.bounds)
         return self._theta_applied
 
+    def _row(self, index):
+        """Table row index: dither(index), then the sin and cos of the
+        references at w and 2w as GradCurvObserver.demodulate forms them."""
+        w, (_, _, (phase1, _), (phase2, _)) = self.config.omega_o, self.config.design
+        arg1, arg2 = w * index + phase1, 2 * w * index + phase2
+        return (self.dither(index), math.sin(arg1), math.cos(arg1), math.sin(arg2),
+                math.cos(arg2))
+
     def step(self, performance):
         """Consume J_i, update all states, return theta_{i+1} to apply.
 
         The trace records as applied the synergy that applied_theta() or
-        step() last returned.
+        step() last returned. The arithmetic is that of BandPassFilter.step,
+        GradCurvObserver.step and .demodulate and SwitchedOptimizer.update,
+        inline (see the module docstring).
         """
-        j = float(performance)
-        if not math.isfinite(j):
-            raise ValueError("non-finite performance measurement (sensor fault)")
-        filtered, grad, curv, branch = self._update(j)
-        # tuple.__new__, as StepRecord._make does: StepRecord() runs Python code
-        self.records.append(tuple.__new__(StepRecord, (
-            self.iteration, self._theta_applied, self.theta_hat, j, filtered,
-            grad, curv, branch)))
-        self.iteration += 1
-        return self.applied_theta()
-
-
-class Personalizer(EsLoop):
-    """Closed-loop synergy personalizer; call step(J_i) once per iteration."""
-
-    def __init__(self, config=DEFAULT_CONFIG):
-        self.filter, self.observer, (self._phase1, self._gain1), \
-            (self._phase2, self._gain2) = config.design
-        self.filter_state, self.observer_state = None, (0.0,) * 5
-        a = config.dither_amplitude
-        # update bounded by the dither span; hat kept one span inside bounds
-        self.optimizer = SwitchedOptimizer(
-            gain=config.gain, omega_o=config.omega_o, epsilon=config.epsilon,
-            bounds=(config.bounds[0] + 2 * a, config.bounds[1] - 2 * a),
-            theta_hat=config.theta_0, step_max=2 * a)
-        super().__init__(config)
-
-    @property
-    def theta_hat(self):
-        return self.optimizer.theta_hat
-
-    def dither(self, index):
-        """Two-tone perturbation a sin(w i) + a sin(2w i)."""
-        a, w = self.config.dither_amplitude, self.config.omega_o
-        return a * math.sin(w * index) + a * math.sin(2.0 * w * index)
-
-    def _update(self, j):
-        filtered, self.filter_state = self.filter.step(self.filter_state, j)
-        self.observer_state = self.observer.step(self.observer_state, filtered)
-        a = self.config.dither_amplitude
-        grad_phys = curv_phys = 0.0
+        j = measured(performance)
+        i = self.iteration
+        try:
+            dither, sin1, cos1, sin2, cos2 = self._rows[i + 1]
+        except IndexError:
+            extend_table(self._rows, self._row, i + 1)
+            dither, sin1, cos1, sin2, cos2 = self._rows[i + 1]
+        dc0, dc1, a00, a01, a10, a11, b0, b1, c0, c1, dd = self.filter.coefficients
+        if self._state is None:  # the first sample starts the filter at DC
+            x0, x1, z0, z1, z2, z3, z4 = dc0 * j, dc1 * j, 0.0, 0.0, 0.0, 0.0, 0.0
+        else:
+            x0, x1, z0, z1, z2, z3, z4 = self._state
+        # band-pass filter
+        filtered = c0 * x0 + c1 * x1 + dd * j
+        x0, x1 = a00 * x0 + a01 * x1 + b0 * j, a10 * x0 + a11 * x1 + b1 * j
+        # observer: the innovation against OBSERVER_PSI @ z, then rotations
+        rc1, rs1, rc2, rs2, i0, i1, i2, i3, i4 = self.observer.coefficients
+        innovation = filtered - (z0 + z1 - 0.25 * z4)
+        z0, z1, z2, z3, z4 = (z0 + i0 * innovation,
+                              rc1 * z1 + rs1 * z2 + i1 * innovation,
+                              rc1 * z2 - rs1 * z1 + i2 * innovation,
+                              rc2 * z3 + rs2 * z4 + i3 * innovation,
+                              rc2 * z4 - rs2 * z3 + i4 * innovation)
+        self._state = (x0, x1, z0, z1, z2, z3, z4)
+        a, grad_scale, curv_scale, warmup, neg_eps, kw, step_max, hat_lo, hat_hi, \
+            lo, hi = self._constants
+        theta_hat = self.theta_hat
+        grad = curv = 0.0
         if a > 0:  # the observer state now stands at iteration i + 1
-            g_chan, c_chan = self.observer.demodulate(
-                self.observer_state, self.iteration + 1, self._phase1, self._phase2)
+            g_chan = sin1 * z1 + cos1 * z2
+            c_chan = sin2 * z3 + cos2 * z4
             # map units: divide by the known chain gains, by the dither
             # amplitude scaling (a for the gradient channel) and by -a^2/4
             # for the curvature channel (the rectified second-order response
             # at 2w has amplitude -u'' a^2/4 on the cosine reference,
             # matching the -0.25 output weight of the observer)
-            grad_phys = g_chan / (a * self._gain1)
-            curv_phys = c_chan / (a * a * self._gain2)
-            if self.iteration >= self.config.warmup_iterations:
+            grad, curv = g_chan / grad_scale, c_chan / curv_scale
+            if i >= warmup:
                 # the optimizer runs on demodulated-signal units: the scale
                 # the published gain was tuned for (see module docstring)
-                self.optimizer.update(g_chan, c_chan)
-        return filtered, grad_phys, curv_phys, self.optimizer.last_branch
+                if abs(g_chan) < neg_eps * c_chan:
+                    delta = -g_chan / c_chan
+                    self.last_branch = NEWTON
+                else:
+                    delta = g_chan
+                    self.last_branch = GRADIENT
+                # the clamps, inline: min(max(x, lo), hi)
+                move = kw * delta
+                if -step_max > move:
+                    move = -step_max
+                if step_max < move:
+                    move = step_max
+                theta_hat += move
+                if hat_lo > theta_hat:
+                    theta_hat = hat_lo
+                if hat_hi < theta_hat:
+                    theta_hat = hat_hi
+                self.theta_hat = theta_hat
+        # tuple.__new__, as StepRecord._make does: StepRecord() runs Python code
+        self.records.append(tuple.__new__(StepRecord, (
+            i, self._theta_applied, theta_hat, j, filtered, grad, curv,
+            self.last_branch)))
+        self.iteration = i + 1
+        theta = theta_hat + dither
+        if lo > theta:
+            theta = lo
+        if hi < theta:
+            theta = hi
+        self._theta_applied = theta
+        return theta

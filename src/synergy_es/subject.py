@@ -14,6 +14,7 @@ earlier.
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import frexp, fsum, inf, isfinite
 
 import numpy as np
@@ -162,8 +163,12 @@ class AdaptationDynamics:
     def order(self):
         return self.phi.shape[0]
 
-    def spectral_radius(self):
+    @cached_property
+    def _spectral_radius(self):  # once per object: the dynamics are frozen
         return float(np.max(np.abs(np.linalg.eigvals(self.phi))))
+
+    def spectral_radius(self):
+        return self._spectral_radius
 
     def is_stable(self):
         return self.spectral_radius() < 1.0

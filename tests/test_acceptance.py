@@ -134,11 +134,11 @@ def _frozen_estimates(theta_frozen, n):
     subj = static_subject(PreferenceMap(LAMBDA_A), steady_at=theta_frozen)
     grads, curvs = [], []
     for _ in range(n):
-        loop.optimizer.theta_hat = theta_frozen
+        loop.theta_hat = theta_frozen
         theta = loop.applied_theta()
         j = subj.step(theta)
         loop.step(j)
-        loop.optimizer.theta_hat = theta_frozen
+        loop.theta_hat = theta_frozen
         grads.append(loop.records[-1].grad_est)
         curvs.append(loop.records[-1].curv_est)
     return np.array(grads), np.array(curvs)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from synergy_es.harness import ExperimentConfig
-from synergy_es.personalizer import DEFAULT_CONFIG
+from synergy_es.personalizer import NEWTON
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GREYBOX_OP, BASELINE_OP = 0, 1  # op ids of the greybox-mc and baseline-io ops
@@ -52,13 +52,14 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     assert list(loads)[GREYBOX_OP] == "greybox-mc"
     assert list(loads)[BASELINE_OP] == "baseline-io"
     spans = tracer.Tracer()
+    outs = []
     spans.install()
     try:
         for k, load in enumerate(loads.values()):
             inp = load.inputs(1, k)
             try:
-                out = spans.run_op(k, load.run, inp)
-                assert load.check(inp, out), load.name
+                outs.append(spans.run_op(k, load.run, inp))
+                assert load.check(inp, outs[-1]), load.name
             finally:
                 load.cleanup(inp)
     finally:
@@ -74,15 +75,16 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     episodes = workloads.GREYBOX_SEEDS
     assert calls("harness.run_episode") == calls("personalizer.init") == episodes
     per_episode = workloads.GREYBOX_ITERATIONS
-    assert calls("personalizer.filter") == episodes * per_episode
     assert calls("personalizer.step") == episodes * per_episode
-    # the observer wraps step and demodulate, one call each per iteration
-    assert calls("personalizer.observer") == 2 * episodes * per_episode
-    # the optimizer runs from the iteration after warmup on
-    warmup = DEFAULT_CONFIG.warmup_iterations
-    assert calls("personalizer.optimizer") == episodes * (per_episode - warmup)
-    assert spans.counters["newton_branches"] > 0  # read from last_branch
-    # both loops inherit one step: each wrapper counts its own loop only
+    # the flat step calls none of the stage methods it inlines: they are
+    # the reference of tests/test_personalizer.py only
+    for layer in ("personalizer.filter", "personalizer.observer",
+                  "personalizer.optimizer"):
+        assert all(calls(layer, k) == 0 for k in range(len(loads))), layer
+    # the branch column records the optimizer's branch per updated iteration
+    traces, _summary = outs[GREYBOX_OP]
+    assert sum(tr.column("branch").count(NEWTON) for tr in traces) > 0
+    # each loop has its own step, and each wrapper counts its own loop only
     assert calls("baseline.step") == 0
     assert calls("baseline.step", BASELINE_OP) == \
         workloads.BASELINE_SEEDS * ExperimentConfig().iterations

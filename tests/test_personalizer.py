@@ -1,22 +1,26 @@
 """Tests for the grey-box extremum-seeking loop."""
 
+import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import synergy_es
-from synergy_es.baseline import BlackBoxEs
+from synergy_es.baseline import GAIN, HIGHPASS_CUTOFF_RATIO, BlackBoxEs
 from synergy_es.personalizer import (DEFAULT_L, GRADIENT, NEWTON, OBSERVER_PHI,
-                                     OBSERVER_PSI, BandPassFilter,
+                                     OBSERVER_PSI, TABLE_ROWS, BandPassFilter,
                                      GradCurvObserver, Personalizer,
-                                     PersonalizerConfig, SwitchedOptimizer)
+                                     PersonalizerConfig, StepRecord,
+                                     SwitchedOptimizer, clamp, extend_table)
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, MotorNoise, PreferenceMap,
                                 SimulatedSubject, static_subject, subject_a,
                                 subject_b)
@@ -442,9 +446,9 @@ class TestPersonalizerLoop:
         for i in range(200):
             theta = float(np.clip(frozen + p.dither(p.iteration), 0.8, 2.4))
             j = subj.step(theta)
-            p.optimizer.theta_hat = frozen  # freeze the estimate
+            p.theta_hat = frozen  # freeze the estimate
             p.step(j)
-            p.optimizer.theta_hat = frozen
+            p.theta_hat = frozen
             grads.append(p.records[-1].grad_est)
         want, _ = pmap.derivatives(frozen)
         assert_allclose(grads[-1], want, rtol=0.02)
@@ -461,6 +465,194 @@ class TestPersonalizerLoop:
             assert np.isfinite(r.grad_est)
             assert r.branch in (NEWTON, GRADIENT)
 
+
+class ComposedPersonalizer:
+    """The grey-box loop as the stages compose it: BandPassFilter.step ->
+    GradCurvObserver.step -> .demodulate -> SwitchedOptimizer.update, with
+    the per-iteration bookkeeping the loops shared before the flat step.
+    The oracle of Personalizer.step."""
+
+    def __init__(self, config):
+        self.config = config
+        self.filter, self.observer, (self.phase1, self.gain1), \
+            (self.phase2, self.gain2) = config.design
+        self.filter_state, self.observer_state = None, (0.0,) * 5
+        a = config.dither_amplitude
+        self.optimizer = SwitchedOptimizer(
+            gain=config.gain, omega_o=config.omega_o, epsilon=config.epsilon,
+            bounds=(config.bounds[0] + 2 * a, config.bounds[1] - 2 * a),
+            theta_hat=config.theta_0, step_max=2 * a)
+        self.iteration, self.records = 0, []
+        self.applied_theta()
+
+    @property
+    def theta_hat(self):
+        return self.optimizer.theta_hat
+
+    @theta_hat.setter
+    def theta_hat(self, value):
+        self.optimizer.theta_hat = value
+
+    def applied_theta(self):
+        a, w = self.config.dither_amplitude, self.config.omega_o
+        i = self.iteration
+        dither = a * math.sin(w * i) + a * math.sin(2.0 * w * i)
+        self.theta_applied = clamp(self.theta_hat + dither, *self.config.bounds)
+        return self.theta_applied
+
+    def step(self, j):
+        filtered, self.filter_state = self.filter.step(self.filter_state, j)
+        self.observer_state = self.observer.step(self.observer_state, filtered)
+        a = self.config.dither_amplitude
+        grad = curv = 0.0
+        if a > 0:
+            g_chan, c_chan = self.observer.demodulate(
+                self.observer_state, self.iteration + 1, self.phase1, self.phase2)
+            grad = g_chan / (a * self.gain1)
+            curv = c_chan / (a * a * self.gain2)
+            if self.iteration >= self.config.warmup_iterations:
+                self.optimizer.update(g_chan, c_chan)
+        self.records.append(StepRecord(
+            self.iteration, self.theta_applied, self.theta_hat, j, filtered,
+            grad, curv, self.optimizer.last_branch))
+        self.iteration += 1
+        return self.applied_theta()
+
+
+class ComposedBlackBox:
+    """The black-box loop on the per-iteration bookkeeping it shared with
+    the grey-box loop before the flat steps. The oracle of BlackBoxEs.step."""
+
+    def __init__(self, config):
+        self.config = config
+        self.alpha = 1.0 / (1.0 + config.omega_o * HIGHPASS_CUTOFF_RATIO)
+        self.theta_hat = clamp(config.theta_0, *config.bounds)
+        self.hp_y, self.prev_j = 0.0, None
+        self.iteration, self.records = 0, []
+        self.applied_theta()
+
+    def applied_theta(self):
+        cfg = self.config
+        dither = cfg.dither_amplitude * math.sin(cfg.omega_o * self.iteration)
+        self.theta_applied = clamp(self.theta_hat + dither, *cfg.bounds)
+        return self.theta_applied
+
+    def step(self, j):
+        cfg = self.config
+        if self.prev_j is None:
+            self.hp_y = 0.0
+        else:
+            self.hp_y = self.alpha * (self.hp_y + j - self.prev_j)
+        self.prev_j = j
+        xi = math.sin(cfg.omega_o * self.iteration) * self.hp_y
+        if cfg.dither_amplitude > 0:
+            self.theta_hat = clamp(self.theta_hat + GAIN * xi, *cfg.bounds)
+        self.records.append(StepRecord(
+            self.iteration, self.theta_applied, self.theta_hat, j, self.hp_y,
+            math.nan, math.nan, ""))
+        self.iteration += 1
+        return self.applied_theta()
+
+
+def drive(loop, subject, n, frozen=None):
+    """n closed-loop steps; with frozen, theta_hat is set to it around each."""
+    for _ in range(n):
+        if frozen is not None:
+            loop.theta_hat = frozen
+        loop.step(subject.step(loop.applied_theta()))
+        if frozen is not None:
+            loop.theta_hat = frozen
+    # repr is exact for floats, keeps the sign of 0 and makes NaN equal NaN
+    return [tuple(map(repr, r)) for r in loop.records]
+
+
+@st.composite
+def configs(draw):
+    """Valid PersonalizerConfigs, a = 0 and warmup 0 included."""
+    lo = draw(st.floats(0.5, 1.5))
+    span = draw(st.floats(0.3, 2.0))
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99).map(lambda s: s * span / 4)))
+    try:
+        return PersonalizerConfig(
+            omega_o=draw(st.floats(0.05, np.pi / 2 - 0.05)), dither_amplitude=a,
+            gain=draw(st.floats(0.001, 1.0)), epsilon=draw(st.floats(0.001, 2.0)),
+            filter_gain=draw(st.floats(0.05, 5.0)), filter_q=draw(st.floats(0.3, 30.0)),
+            observer_gain=tuple(np.multiply(DEFAULT_L, draw(st.floats(0.2, 1.2)))),
+            theta_0=draw(st.floats(0.0, 4.0)), bounds=(lo, lo + span),
+            warmup_iterations=draw(st.integers(0, 20)))
+    except ValueError:  # an unstable observer or an underflowing a^2
+        assume(False)
+
+
+def subject_for(name, seed):
+    return (subject_a if name == "A" else subject_b)(seed=seed)
+
+
+class TestFlatStep:
+    """Personalizer.step and BlackBoxEs.step are the stages inlined: the
+    same records, bit for bit, as the composed oracles above, also past
+    the end of the per-config tables (TABLE_ROWS rows at a time)."""
+
+    @given(cfg=configs(), name=st.sampled_from("AB"), seed=st.integers(0, 2 ** 31 - 1),
+           n=st.one_of(st.integers(1, 40), st.integers(TABLE_ROWS - 2, TABLE_ROWS + 2),
+                       st.integers(900, 1100)))
+    @example(cfg=PersonalizerConfig(dither_amplitude=0.0), name="A", seed=0, n=300)
+    @example(cfg=PersonalizerConfig(warmup_iterations=0), name="B", seed=1, n=1000)
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    def test_greybox_matches_composed_stages_property(self, cfg, name, seed, n):
+        flat = drive(Personalizer(cfg), subject_for(name, seed), n)
+        assert flat == drive(ComposedPersonalizer(cfg), subject_for(name, seed), n)
+
+    @given(cfg=configs(), name=st.sampled_from("AB"), seed=st.integers(0, 2 ** 31 - 1),
+           n=st.one_of(st.integers(1, 40), st.integers(900, 1100)))
+    @example(cfg=PersonalizerConfig(dither_amplitude=0.0), name="B", seed=2, n=300)
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    def test_blackbox_matches_composed_bookkeeping_property(self, cfg, name, seed, n):
+        flat = drive(BlackBoxEs(cfg), subject_for(name, seed), n)
+        assert flat == drive(ComposedBlackBox(cfg), subject_for(name, seed), n)
+
+    @pytest.mark.parametrize("frozen", [1.0, 1.7, 2.5])  # 2.5: past the bounds
+    def test_frozen_estimate_matches_composed_stages(self, frozen):
+        cfg = PersonalizerConfig()
+        subj = static_subject(PreferenceMap(LAMBDA_A), steady_at=1.0)
+        flat = drive(Personalizer(cfg), subj, 300, frozen)
+        subj = static_subject(PreferenceMap(LAMBDA_A), steady_at=1.0)
+        assert flat == drive(ComposedPersonalizer(cfg), subj, 300, frozen)
+
+    def test_loops_share_their_configs_tables(self):
+        cfg = PersonalizerConfig(omega_o=0.3)
+        first = drive(Personalizer(cfg), subject_a(seed=5), 2 * TABLE_ROWS + 3)
+        rows = cfg.tables[Personalizer]
+        assert len(rows) > 2 * TABLE_ROWS + 3
+        # a second run reads the rows the first one built, and agrees
+        assert drive(Personalizer(cfg), subject_a(seed=5), 2 * TABLE_ROWS + 3) == first
+        assert cfg.tables[Personalizer] is rows
+        assert rows[7] == Personalizer(cfg)._row(7)
+        assert rows[7][0] == Personalizer(cfg).dither(7)
+
+    def test_threads_extending_one_table_keep_rows_at_their_index(self):
+        # loops on several threads may share a config, so its tables: the
+        # four here extend one table at once, switching between rows
+        table, start = [], threading.Barrier(4)
+
+        def row(i):
+            time.sleep(0)  # give the other threads a turn
+            return i
+
+        def run():
+            start.wait()
+            for index in range(0, 4 * TABLE_ROWS, 5):
+                if index >= len(table):
+                    extend_table(table, row, index)
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(table) >= 4 * TABLE_ROWS
+        assert table == list(range(len(table)))
 
 def test_runtime_does_not_import_scipy():
     # numpy is the only runtime dependency: the filter and observer designs

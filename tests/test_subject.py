@@ -370,6 +370,23 @@ class TestSimulatedSubject:
         with pytest.raises(ValueError, match=f"^{field} = .* must be finite"):
             build()
 
+    def test_non_finite_matrix_named_on_one_line(self):
+        phi = np.array([[0.0, 1.0], [np.nan, 0.35]])
+        with pytest.raises(ValueError) as err:
+            AdaptationDynamics(phi, GAMMA_A, PSI_A)
+        assert "\n" not in str(err.value)
+        assert str(err.value) == "phi = [[0.0, 1.0], [nan, 0.35]] must be finite"
+
+    def test_spectral_radius_computed_once_per_object(self, monkeypatch):
+        dyn = AdaptationDynamics(PHI_A, GAMMA_A, PSI_A)
+        calls, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda m: calls.append(m) or eigvals(m))
+        radii = {SimulatedSubject(MAP_A, dyn).dynamics.spectral_radius()
+                 for _ in range(3)}
+        assert radii == {float(np.max(np.abs(eigvals(PHI_A))))}
+        assert dyn.is_stable() and len(calls) == 1
+
     @pytest.mark.parametrize("seed, message", [(1.5, "seed = 1.5 must be an integer"),
                                                (-1, "seed = -1 must be >= 0")],
                              ids=["non_integer", "negative"])
