@@ -6,8 +6,9 @@ dither back. BlackBoxEs takes the grey-box personalizer's config, so both
 loops run with one tuning, and reads only a, omega_o, bounds and theta_0
 from it. The integrator gain is fixed at the comparison value 0.005 (not
 the grey-box k) and the washout cutoff at omega_o / 5. Like the
-personalizer, the loop runs on Python floats in one flat step, with
-sin(w i) from a per-config table.
+personalizer, the loop is run(plant, n), one flat body on Python floats
+held in locals, with sin(w i) from a per-config table; an episode is one
+run, and step(J) is a one-iteration run.
 """
 
 import math
@@ -47,42 +48,53 @@ class BlackBoxEs:
         return math.sin(self.config.omega_o * index)
 
     def step(self, performance):
-        """Consume J_i, update the estimate, return theta_{i+1} to apply.
+        """Consume J_i, update the estimate, return theta_{i+1} to apply: a
+        one-iteration run on a plant that measures performance."""
+        return self.run(lambda _theta: performance, 1)
 
-        The trace records as applied the synergy that applied_theta() or
-        step() last returned.
+    def run(self, plant, iterations):
+        """Run iterations closed-loop iterations; return the theta to apply next.
+
+        Per iteration, J = plant(theta applied) and the update of one step.
+        The trace records as applied the synergy that applied_theta(),
+        step() or run() last returned, then the one each iteration
+        computes. The state, held in locals, is stored back when the run
+        ends, also when plant raises or J is not finite at iteration k:
+        the loop is then as k steps leave it.
         """
-        j = measured(performance)
-        i, sines = self.iteration, self._sines
+        start = done = self.iteration
+        sines = self._sines
+        if len(sines) <= start + iterations:  # sin(w (i + 1)) for each iteration i
+            extend_table(sines, self._sine, start + iterations)
+        alpha, a, (lo, hi) = self._alpha, self.config.dither_amplitude, self.config.bounds
+        hp_y, prev_j = self._hp_y, self._prev_j
+        theta_hat, theta = self.theta_hat, self._theta_applied
+        append, new, nan = self.records.append, tuple.__new__, math.nan
         try:
-            next_sine = sines[i + 1]
-        except IndexError:
-            extend_table(sines, self._sine, i + 1)
-            next_sine = sines[i + 1]
-        if self._prev_j is None:
-            hp_y = 0.0  # start at the washout steady state
-        else:
-            hp_y = self._alpha * (self._hp_y + j - self._prev_j)
-        self._hp_y, self._prev_j = hp_y, j
-        cfg = self.config
-        lo, hi = cfg.bounds
-        theta_hat = self.theta_hat
-        if cfg.dither_amplitude > 0:  # no excitation, no update
-            theta_hat += GAIN * (sines[i] * hp_y)  # demodulate, integrate
-            # the clamps, inline: min(max(x, lo), hi)
-            if lo > theta_hat:
-                theta_hat = lo
-            if hi < theta_hat:
-                theta_hat = hi
-            self.theta_hat = theta_hat
-        # trace schema matches the personalizer; grad/curv columns stay empty
-        self.records.append(tuple.__new__(StepRecord, (
-            i, self._theta_applied, theta_hat, j, hp_y, math.nan, math.nan, "")))
-        self.iteration = i + 1
-        theta = theta_hat + cfg.dither_amplitude * next_sine
-        if lo > theta:
-            theta = lo
-        if hi < theta:
-            theta = hi
-        self._theta_applied = theta
+            for i in range(start, start + iterations):
+                j = measured(plant(theta))
+                if prev_j is None:
+                    hp_y = 0.0  # start at the washout steady state
+                else:
+                    hp_y = alpha * (hp_y + j - prev_j)
+                prev_j = j
+                if a > 0:  # no excitation, no update
+                    theta_hat += GAIN * (sines[i] * hp_y)  # demodulate, integrate
+                    # the clamps, inline: min(max(x, lo), hi)
+                    if lo > theta_hat:
+                        theta_hat = lo
+                    if hi < theta_hat:
+                        theta_hat = hi
+                # trace schema matches the personalizer; grad/curv columns
+                # stay empty
+                append(new(StepRecord, (i, theta, theta_hat, j, hp_y, nan, nan, "")))
+                theta = theta_hat + a * sines[i + 1]
+                if lo > theta:
+                    theta = lo
+                if hi < theta:
+                    theta = hi
+                done = i + 1
+        finally:
+            self._hp_y, self._prev_j, self.theta_hat = hp_y, prev_j, theta_hat
+            self.iteration, self._theta_applied = done, theta
         return theta

@@ -12,6 +12,7 @@ import operator
 import os
 import traceback
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -24,6 +25,7 @@ from .subject import MotorNoise, load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
 TRACE_COLUMNS = list(StepRecord._fields)
+_THETA_HAT = itemgetter(TRACE_COLUMNS.index("theta_hat"))
 ALGORITHMS = ("greybox", "blackbox", "sweep", "fixed")
 
 SWEEP_START = 0.8
@@ -90,6 +92,11 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", seeds)
 
     def config_hash(self):
+        """16 hex digits of the sha256 of the settings a run depends on."""
+        return self._hash
+
+    @cached_property
+    def _hash(self):  # once per object: the config is frozen
         p = self.personalizer
         blob = json.dumps({
             "subject": self.subject,
@@ -131,9 +138,7 @@ def run_episode(config, seed=None):
     algo = config.algorithm
     if algo in ("greybox", "blackbox"):
         loop = (Personalizer if algo == "greybox" else BlackBoxEs)(config.personalizer)
-        theta = loop.applied_theta()
-        for _ in range(config.iterations):
-            theta = loop.step(subject.step(theta))
+        loop.run(subject.step, config.iterations)
         rows = loop.records
     else:
         if algo == "sweep":
@@ -152,12 +157,29 @@ def convergence_iteration(theta_hats, theta_star):
     """First iteration i from which |theta_hat - theta*| < CONVERGENCE_TOL
     holds for CONVERGENCE_HOLD consecutive iterations; None when never
     reached."""
-    ok = np.abs(np.asarray(theta_hats, dtype=float) - theta_star) < CONVERGENCE_TOL
-    # held[i] = number of ok iterations in the window i .. i + HOLD - 1
-    counts = np.concatenate(([0], np.cumsum(ok)))
-    held = counts[CONVERGENCE_HOLD:] - counts[:-CONVERGENCE_HOLD]
-    hits = np.flatnonzero(held == CONVERGENCE_HOLD)
-    return int(hits[0]) if hits.size else None
+    theta_star, held = float(theta_star), 0  # held: ok iterations up to i
+    for i, theta_hat in enumerate(map(float, theta_hats)):
+        if abs(theta_hat - theta_star) < CONVERGENCE_TOL:
+            held += 1
+            if held == CONVERGENCE_HOLD:
+                return i - CONVERGENCE_HOLD + 1
+        else:
+            held = 0
+    return None
+
+
+def _median(values):
+    """np.median of a list of floats, on Python floats where the bits do
+    not depend on the order numpy's partition leaves: that is, unless a
+    value is NaN, the median is 0 (of either sign) or the list is empty."""
+    ordered = sorted(values)
+    n, total = len(ordered), sum(ordered)
+    if n and total == total:  # no NaN: a NaN makes the sum NaN
+        mid = n // 2
+        med = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+        if med:
+            return med
+    return float(np.median(values))
 
 
 def _ints(values):
@@ -262,10 +284,9 @@ def summarize_batch(traces, theta_star):
     """Pure aggregation of per-seed traces into batch statistics."""
     convs, finals = [], []
     for tr in traces:
-        hats = tr.column("theta_hat")
-        conv = convergence_iteration(hats, theta_star)
-        convs.append(conv)
-        finals.append(float(np.median(hats[-CONVERGENCE_HOLD:])))
+        hats = list(map(_THETA_HAT, tr.rows))
+        convs.append(convergence_iteration(hats, theta_star))
+        finals.append(_median(list(map(float, hats[-CONVERGENCE_HOLD:]))))
     reached = [c for c in convs if c is not None]
     # non-converged seeds rank above every converged one for the median
     ranked = [np.inf if c is None else c for c in convs]

@@ -22,18 +22,21 @@ Implementation notes, fixed by numerical analysis of the printed design:
   per-iteration loop runs on Python floats unpacked from the designs,
   since numpy's per-call overhead dominates work on 2- and 5-vectors.
 
-* Personalizer.step is one flat method: the filter recursion, observer
-  update, demodulation and switched update run inline, since a Python
-  call costs about as much as a stage's arithmetic. The dither and the
+* Personalizer.run(plant, n) is the loop: n iterations of one flat
+  body in which the filter recursion, observer update, demodulation and
+  switched update run inline, on the constants and state held in
+  locals, since a Python call or attribute round trip costs about as
+  much as a stage's arithmetic. An episode is one run; step(J) is a
+  one-iteration run on a plant that measures J. The dither and the
   four phased references depend only on the config and the iteration
   index, so they come from a per-config table (PersonalizerConfig.tables)
   whose row i is built with the expressions of dither(i) and demodulate
-  at index i; a run past its end extends it (w i in floats is not
-  periodic, so rows are built per index, never repeated). The stages'
-  own BandPassFilter.step, GradCurvObserver.step and .demodulate and
-  SwitchedOptimizer.update stay, unused by the loops: they are the
-  reference the flat step is tested against bit for bit, and the names
-  the benchmark's tracer wraps.
+  at index i; a run extends it up front to cover its iterations (w i in
+  floats is not periodic, so rows are built per index, never repeated).
+  The stages' own BandPassFilter.step, GradCurvObserver.step and
+  .demodulate and SwitchedOptimizer.update stay, unused by the loops:
+  they are the reference the flat body is tested against bit for bit,
+  and the names the benchmark's tracer wraps.
 
 * Demodulation references carry the design-known chain phase (band-pass
   response times the one-iteration measurement latency) at w and 2w, so
@@ -325,7 +328,8 @@ def extend_table(table, row, index):
 
 
 class Personalizer:
-    """Closed-loop synergy personalizer; call step(J_i) once per iteration."""
+    """Closed-loop synergy personalizer: run(plant, n) for n iterations on a
+    plant, or step(J_i) once per iteration with J measured outside."""
 
     def __init__(self, config=DEFAULT_CONFIG):
         self.config = config
@@ -367,80 +371,96 @@ class Personalizer:
                 math.cos(arg2))
 
     def step(self, performance):
-        """Consume J_i, update all states, return theta_{i+1} to apply.
+        """Consume J_i, update all states, return theta_{i+1} to apply: a
+        one-iteration run on a plant that measures performance."""
+        return self.run(lambda _theta: performance, 1)
 
-        The trace records as applied the synergy that applied_theta() or
-        step() last returned. The arithmetic is that of BandPassFilter.step,
+    def run(self, plant, iterations):
+        """Run iterations closed-loop iterations; return the theta to apply next.
+
+        Per iteration, J = plant(theta applied) and the update of one step.
+        The trace records as applied the synergy that applied_theta(),
+        step() or run() last returned, then the one each iteration
+        computes. The arithmetic is that of BandPassFilter.step,
         GradCurvObserver.step and .demodulate and SwitchedOptimizer.update,
-        inline (see the module docstring).
+        inline, on the loop's state held in locals (see the module
+        docstring). The state is stored back when the run ends, also when
+        plant raises or J is not finite at iteration k: the loop is then
+        as k steps leave it.
         """
-        j = measured(performance)
-        i = self.iteration
-        try:
-            dither, sin1, cos1, sin2, cos2 = self._rows[i + 1]
-        except IndexError:
-            extend_table(self._rows, self._row, i + 1)
-            dither, sin1, cos1, sin2, cos2 = self._rows[i + 1]
+        start = done = self.iteration
+        rows = self._rows
+        if len(rows) <= start + iterations:  # row i + 1 for each iteration i
+            extend_table(rows, self._row, start + iterations)
         dc0, dc1, a00, a01, a10, a11, b0, b1, c0, c1, dd = self.filter.coefficients
-        if self._state is None:  # the first sample starts the filter at DC
-            x0, x1, z0, z1, z2, z3, z4 = dc0 * j, dc1 * j, 0.0, 0.0, 0.0, 0.0, 0.0
-        else:
-            x0, x1, z0, z1, z2, z3, z4 = self._state
-        # band-pass filter
-        filtered = c0 * x0 + c1 * x1 + dd * j
-        x0, x1 = a00 * x0 + a01 * x1 + b0 * j, a10 * x0 + a11 * x1 + b1 * j
-        # observer: the innovation against OBSERVER_PSI @ z, then rotations
         rc1, rs1, rc2, rs2, i0, i1, i2, i3, i4 = self.observer.coefficients
-        innovation = filtered - (z0 + z1 - 0.25 * z4)
-        z0, z1, z2, z3, z4 = (z0 + i0 * innovation,
-                              rc1 * z1 + rs1 * z2 + i1 * innovation,
-                              rc1 * z2 - rs1 * z1 + i2 * innovation,
-                              rc2 * z3 + rs2 * z4 + i3 * innovation,
-                              rc2 * z4 - rs2 * z3 + i4 * innovation)
-        self._state = (x0, x1, z0, z1, z2, z3, z4)
         a, grad_scale, curv_scale, warmup, neg_eps, kw, step_max, hat_lo, hat_hi, \
             lo, hi = self._constants
-        theta_hat = self.theta_hat
-        grad = curv = 0.0
-        if a > 0:  # the observer state now stands at iteration i + 1
-            g_chan = sin1 * z1 + cos1 * z2
-            c_chan = sin2 * z3 + cos2 * z4
-            # map units: divide by the known chain gains, by the dither
-            # amplitude scaling (a for the gradient channel) and by -a^2/4
-            # for the curvature channel (the rectified second-order response
-            # at 2w has amplitude -u'' a^2/4 on the cosine reference,
-            # matching the -0.25 output weight of the observer)
-            grad, curv = g_chan / grad_scale, c_chan / curv_scale
-            if i >= warmup:
-                # the optimizer runs on demodulated-signal units: the scale
-                # the published gain was tuned for (see module docstring)
-                if abs(g_chan) < neg_eps * c_chan:
-                    delta = -g_chan / c_chan
-                    self.last_branch = NEWTON
-                else:
-                    delta = g_chan
-                    self.last_branch = GRADIENT
-                # the clamps, inline: min(max(x, lo), hi)
-                move = kw * delta
-                if -step_max > move:
-                    move = -step_max
-                if step_max < move:
-                    move = step_max
-                theta_hat += move
-                if hat_lo > theta_hat:
-                    theta_hat = hat_lo
-                if hat_hi < theta_hat:
-                    theta_hat = hat_hi
-                self.theta_hat = theta_hat
-        # tuple.__new__, as StepRecord._make does: StepRecord() runs Python code
-        self.records.append(tuple.__new__(StepRecord, (
-            i, self._theta_applied, theta_hat, j, filtered, grad, curv,
-            self.last_branch)))
-        self.iteration = i + 1
-        theta = theta_hat + dither
-        if lo > theta:
-            theta = lo
-        if hi < theta:
-            theta = hi
-        self._theta_applied = theta
+        fresh = self._state is None  # the first sample starts the filter at DC
+        x0, x1, z0, z1, z2, z3, z4 = (0.0,) * 7 if fresh else self._state
+        theta_hat, branch, theta = self.theta_hat, self.last_branch, self._theta_applied
+        append, new = self.records.append, tuple.__new__
+        try:
+            for i in range(start, start + iterations):
+                j = measured(plant(theta))
+                dither, sin1, cos1, sin2, cos2 = rows[i + 1]
+                if fresh:
+                    x0, x1, fresh = dc0 * j, dc1 * j, False
+                # band-pass filter
+                filtered = c0 * x0 + c1 * x1 + dd * j
+                x0, x1 = a00 * x0 + a01 * x1 + b0 * j, a10 * x0 + a11 * x1 + b1 * j
+                # observer: the innovation against OBSERVER_PSI @ z, then rotations
+                innovation = filtered - (z0 + z1 - 0.25 * z4)
+                z0, z1, z2, z3, z4 = (z0 + i0 * innovation,
+                                      rc1 * z1 + rs1 * z2 + i1 * innovation,
+                                      rc1 * z2 - rs1 * z1 + i2 * innovation,
+                                      rc2 * z3 + rs2 * z4 + i3 * innovation,
+                                      rc2 * z4 - rs2 * z3 + i4 * innovation)
+                grad = curv = 0.0
+                if a > 0:  # the observer state now stands at iteration i + 1
+                    g_chan = sin1 * z1 + cos1 * z2
+                    c_chan = sin2 * z3 + cos2 * z4
+                    # map units: divide by the known chain gains, by the
+                    # dither amplitude scaling (a for the gradient channel)
+                    # and by -a^2/4 for the curvature channel (the rectified
+                    # second-order response at 2w has amplitude -u'' a^2/4
+                    # on the cosine reference, matching the -0.25 output
+                    # weight of the observer)
+                    grad, curv = g_chan / grad_scale, c_chan / curv_scale
+                    if i >= warmup:
+                        # the optimizer runs on demodulated-signal units: the
+                        # scale the published gain was tuned for (see module
+                        # docstring)
+                        if abs(g_chan) < neg_eps * c_chan:
+                            delta = -g_chan / c_chan
+                            branch = NEWTON
+                        else:
+                            delta = g_chan
+                            branch = GRADIENT
+                        # the clamps, inline: min(max(x, lo), hi)
+                        move = kw * delta
+                        if -step_max > move:
+                            move = -step_max
+                        if step_max < move:
+                            move = step_max
+                        theta_hat += move
+                        if hat_lo > theta_hat:
+                            theta_hat = hat_lo
+                        if hat_hi < theta_hat:
+                            theta_hat = hat_hi
+                # tuple.__new__, as StepRecord._make does: StepRecord() runs
+                # Python code
+                append(new(StepRecord, (i, theta, theta_hat, j, filtered, grad, curv,
+                                        branch)))
+                theta = theta_hat + dither
+                if lo > theta:
+                    theta = lo
+                if hi < theta:
+                    theta = hi
+                done = i + 1
+        finally:
+            self.iteration, self.theta_hat, self.last_branch = done, theta_hat, branch
+            self._theta_applied = theta
+            if not fresh:
+                self._state = (x0, x1, z0, z1, z2, z3, z4)
         return theta

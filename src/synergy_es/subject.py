@@ -154,10 +154,11 @@ class AdaptationDynamics:
         own["_gamma"] = self.gamma.tolist()
         own["_fast"] = _in_range(self.phi.ravel().tolist() + self.psi.tolist())
         # the order-2 body's coefficients: per chain its first a, then the
-        # fma's (a, hi, lo); Phi rows start at x1, Psi at x0
+        # fma's term (a, hi, lo), hi None where a*x is exact; Phi rows
+        # start at x1, Psi at x0
         own["_order2"] = None if n != 2 or not self._fast else tuple(
-            v for s, _, ((a, _, _, _),) in self._chains
-            for v in (s, *_split(a))) + tuple(self._gamma)
+            v for s, _, ((a, ah, al, _),) in self._chains
+            for v in (s, a, ah, al)) + tuple(self._gamma)
 
     @property
     def order(self):
@@ -191,25 +192,35 @@ class AdaptationDynamics:
             x0, x1 = state
             if (_TINY <= abs(x0) <= _HUGE or not x0) and (_TINY <= abs(x1) <= _HUGE or not x1):
                 # _fma_chains unrolled: Phi rows fma(a, x0, b * x1), Psi
-                # fma(c1, x1, c0 * x0)
-                t = _SPLIT * x0
-                h0 = t - (t - x0)
-                l0 = x0 - h0
-                t = _SPLIT * x1
-                h1 = t - (t - x1)
-                l1 = x1 - h1
+                # fma(c1, x1, c0 * x0); an exact term's fma is p + s
+                if a0h is not None or a1h is not None:
+                    t = _SPLIT * x0
+                    h0 = t - (t - x0)
+                    l0 = x0 - h0
                 s = b0 * x1
                 p = a0 * x0
-                e = ((a0h * h0 - p) + a0h * l0 + a0l * h0) + a0l * l0
-                r0 = fsum((p, e, s)) if e else p + s
+                if a0h is None:
+                    r0 = p + s
+                else:
+                    e = ((a0h * h0 - p) + a0h * l0 + a0l * h0) + a0l * l0
+                    r0 = fsum((p, e, s)) if e else p + s
                 s = b1 * x1
                 p = a1 * x0
-                e = ((a1h * h0 - p) + a1h * l0 + a1l * h0) + a1l * l0
-                r1 = fsum((p, e, s)) if e else p + s
+                if a1h is None:
+                    r1 = p + s
+                else:
+                    e = ((a1h * h0 - p) + a1h * l0 + a1l * h0) + a1l * l0
+                    r1 = fsum((p, e, s)) if e else p + s
                 s = c0 * x0
                 p = c1 * x1
-                e = ((c1h * h1 - p) + c1h * l1 + c1l * h1) + c1l * l1
-                y = fsum((p, e, s)) if e else p + s
+                if c1h is None:
+                    y = p + s
+                else:
+                    t = _SPLIT * x1
+                    h1 = t - (t - x1)
+                    l1 = x1 - h1
+                    e = ((c1h * h1 - p) + c1h * l1 + c1l * h1) + c1l * l1
+                    y = fsum((p, e, s)) if e else p + s
                 return (r0 + 0.0 + g0 * u, r1 + 0.0 + g1 * u), y + 0.0
         if len(state) != len(self._gamma):
             raise ValueError(f"state has {len(state)} values, "

@@ -74,8 +74,13 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
 
     episodes = workloads.GREYBOX_SEEDS
     assert calls("harness.run_episode") == calls("personalizer.init") == episodes
-    per_episode = workloads.GREYBOX_ITERATIONS
-    assert calls("personalizer.step") == episodes * per_episode
+    # run_episode drives each loop with one run() call, which calls the
+    # subject's step once per iteration and neither loop's step
+    assert calls("subject.step") == episodes * workloads.GREYBOX_ITERATIONS
+    assert calls("subject.step", BASELINE_OP) == \
+        workloads.BASELINE_SEEDS * ExperimentConfig().iterations
+    for layer in ("personalizer.step", "baseline.step"):
+        assert all(calls(layer, k) == 0 for k in range(len(loads))), layer
     # the flat step calls none of the stage methods it inlines: they are
     # the reference of tests/test_personalizer.py only
     for layer in ("personalizer.filter", "personalizer.observer",
@@ -84,11 +89,6 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     # the branch column records the optimizer's branch per updated iteration
     traces, _summary = outs[GREYBOX_OP]
     assert sum(tr.column("branch").count(NEWTON) for tr in traces) > 0
-    # each loop has its own step, and each wrapper counts its own loop only
-    assert calls("baseline.step") == 0
-    assert calls("baseline.step", BASELINE_OP) == \
-        workloads.BASELINE_SEEDS * ExperimentConfig().iterations
-    assert calls("personalizer.step", BASELINE_OP) == 0
     assert calls("personalizer.init", BASELINE_OP) == 0
     # the arm-sweep cache sits behind the traced name: one call per synergy
     reach = list(loads).index("reach")

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import struct
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from synergy_es.cli import main
 from synergy_es.config import read_config, write_config
-from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, TRACE_COLUMNS,
-                                EpisodeTrace, ExperimentConfig,
+from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, CONVERGENCE_TOL,
+                                TRACE_COLUMNS, EpisodeTrace, ExperimentConfig,
                                 compare_traces, convergence_iteration,
                                 read_trace_csv, run_batch, run_episode,
                                 summarize_batch, write_trace_csv)
@@ -470,6 +471,18 @@ class TestConfig:
             cls(**kwargs)
         assert str(exc.value) == message
 
+    def test_config_hash_is_computed_once_per_config(self):
+        cfg = ExperimentConfig(subject="B", algorithm="blackbox", seeds=(1, 2))
+        first = cfg.config_hash()
+        assert cfg.config_hash() is first  # stored, not computed again
+        assert first == ExperimentConfig._hash.func(cfg)  # a fresh computation
+        for changed in (replace(cfg, iterations=151), replace(cfg, algorithm="greybox"),
+                        replace(cfg, personalizer=PersonalizerConfig(gain=0.04))):
+            assert changed.config_hash() != first
+            assert changed.config_hash() == ExperimentConfig._hash.func(changed)
+        # the seeds of a batch share its hash
+        assert replace(cfg, seeds=(3,)).config_hash() == first
+
     def test_experiment_config_cannot_be_assigned(self):
         """A field set after construction would skip its check: a negative
         noise_std would run a whole episode."""
@@ -548,6 +561,56 @@ class TestBatch:
         want = window_loop(ok)
         assert got == want
         assert type(got) is type(want)
+
+
+def _numpy_summary(traces, theta_star):
+    """Per trace, (convergence iteration, final theta) by the numpy
+    expressions summarize_batch used before it ran on Python floats: the
+    oracle of its bits."""
+    out = []
+    for tr in traces:
+        hats = tr.column("theta_hat")
+        with np.errstate(invalid="ignore"):  # inf - inf
+            ok = np.abs(np.asarray(hats, dtype=float) - theta_star) < CONVERGENCE_TOL
+        counts = np.concatenate(([0], np.cumsum(ok)))
+        held = counts[CONVERGENCE_HOLD:] - counts[:-CONVERGENCE_HOLD]
+        hits = np.flatnonzero(held == CONVERGENCE_HOLD)
+        out.append((int(hits[0]) if hits.size else None,
+                    float(np.median(hats[-CONVERGENCE_HOLD:]))))
+    return out
+
+
+def _bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+# theta_hat values: near theta* = 1.5 (converged or not), signed zeros,
+# non-finite values and NaNs of either sign, and any float
+_HAT = st.one_of(st.floats(1.35, 1.65), st.floats(),
+                 st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                  -math.nan, 1.45, 1.55]))
+
+
+class TestSummarizeBits:
+    @given(runs=st.lists(st.lists(st.tuples(_HAT, st.integers(1, 30)), min_size=1,
+                                  max_size=6), min_size=1, max_size=4),
+           theta_star=st.one_of(st.just(1.5), st.sampled_from([0.0, -0.0, math.inf,
+                                                               math.nan])))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_summary_bits_equal_numpy_expressions_property(self, runs, theta_star):
+        """Traces of 1-80 rows: shorter than CONVERGENCE_HOLD, even and odd
+        final windows, NaN, +-inf and signed zeros."""
+        traces = []
+        for trace_runs in runs:
+            hats = [h for h, length in trace_runs for _ in range(length)][:80]
+            traces.append(EpisodeTrace(
+                [StepRecord(i, h, h, 0.0, 0.0, 0.0, 0.0, "") for i, h in enumerate(hats)],
+                {}))
+        summary = summarize_batch(traces, theta_star)
+        want = _numpy_summary(traces, theta_star)
+        got = list(zip(summary["per_seed_convergence"], summary["per_seed_final_theta"]))
+        assert [(c, type(c), _bits(f)) for c, f in got] == \
+            [(c, type(c), _bits(f)) for c, f in want]
 
 
 class TestCompare:

@@ -654,6 +654,154 @@ class TestFlatStep:
         assert len(table) >= 4 * TABLE_ROWS
         assert table == list(range(len(table)))
 
+
+def stepped(loop, plant, n):
+    """n steps, each on the J that plant gives for the theta the last returned."""
+    theta = loop.applied_theta()
+    for _ in range(n):
+        theta = loop.step(plant(theta))
+    return theta
+
+
+def snapshot(loop):
+    """The loop's records and state: every attribute but the config and
+    what it shares, by repr, so bit for bit, NaN and -0.0 included."""
+    own = {k: v for k, v in vars(loop).items()
+           if k not in ("config", "filter", "observer", "_rows", "_sines")}
+    return repr(sorted(own.items()))
+
+
+class FaultAt:
+    """subject.step, but at call k the J is bad (or, bad None, it raises)."""
+
+    def __init__(self, subject, k, bad):
+        self.subject, self.k, self.bad, self.calls = subject, k, bad, 0
+
+    def __call__(self, theta):
+        self.calls += 1
+        if self.calls - 1 == self.k:
+            if self.bad is None:
+                raise RuntimeError("the plant failed")
+            return self.bad
+        return self.subject.step(theta)
+
+
+LOOPS = [Personalizer, BlackBoxEs]
+RUN_LENGTHS = st.one_of(st.integers(0, 40), st.integers(TABLE_ROWS - 2, TABLE_ROWS + 2),
+                        st.integers(950, 1050))
+
+
+class TestRun:
+    """run(plant, n) is n steps: the same records, returned theta and
+    attributes, bit for bit, for runs split anywhere, across the table's
+    end, and when plant fails at an iteration."""
+
+    @given(loop=st.sampled_from(LOOPS), cfg=configs(), name=st.sampled_from("AB"),
+           seed=st.integers(0, 2 ** 31 - 1), lengths=st.lists(RUN_LENGTHS, min_size=1,
+                                                              max_size=4))
+    @example(loop=Personalizer, cfg=PersonalizerConfig(dither_amplitude=0.0), name="A",
+             seed=0, lengths=[1, TABLE_ROWS])
+    @example(loop=Personalizer, cfg=PersonalizerConfig(warmup_iterations=0), name="B",
+             seed=1, lengths=[TABLE_ROWS + 1, 1, 1000])
+    @example(loop=BlackBoxEs, cfg=PersonalizerConfig(dither_amplitude=0.0), name="B",
+             seed=2, lengths=[0, TABLE_ROWS - 1, 2])
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    def test_runs_equal_steps_property(self, loop, cfg, name, seed, lengths):
+        ran, subj = loop(cfg), subject_for(name, seed)
+        theta = [ran.run(subj.step, n) for n in lengths][-1]
+        by_step = loop(cfg)
+        assert repr(theta) == repr(stepped(by_step, subject_for(name, seed).step,
+                                           sum(lengths)))
+        assert snapshot(ran) == snapshot(by_step)
+
+    @given(cfg=configs(), name=st.sampled_from("AB"), seed=st.integers(0, 2 ** 31 - 1),
+           lengths=st.lists(RUN_LENGTHS, min_size=1, max_size=3))
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    def test_runs_match_composed_stages_property(self, cfg, name, seed, lengths):
+        ran, subj = Personalizer(cfg), subject_for(name, seed)
+        theta = [ran.run(subj.step, n) for n in lengths][-1]
+        composed = ComposedPersonalizer(cfg)
+        stepped(composed, subject_for(name, seed).step, sum(lengths))
+        assert [tuple(map(repr, r)) for r in ran.records] == \
+            [tuple(map(repr, r)) for r in composed.records]
+        assert (repr(theta), ran.theta_hat, ran.last_branch) == (
+            repr(composed.theta_applied), composed.theta_hat,
+            composed.optimizer.last_branch)
+
+    @pytest.mark.parametrize("frozen", [1.0, 1.7, 2.5])  # 2.5: past the bounds
+    def test_frozen_estimate_between_one_iteration_runs(self, frozen):
+        cfg = PersonalizerConfig()
+        ran = Personalizer(cfg)
+        subj = static_subject(PreferenceMap(LAMBDA_A), steady_at=1.0)
+        for _ in range(300):
+            ran.theta_hat = frozen
+            ran.applied_theta()
+            ran.run(subj.step, 1)
+            ran.theta_hat = frozen
+        subj = static_subject(PreferenceMap(LAMBDA_A), steady_at=1.0)
+        assert [tuple(map(repr, r)) for r in ran.records] == drive(
+            Personalizer(cfg), subj, 300, frozen)
+
+    @given(loop=st.sampled_from(LOOPS), cfg=configs(), seed=st.integers(0, 2 ** 31 - 1),
+           k=st.integers(0, 300), rest=st.integers(0, 300),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf, None]))
+    @example(loop=Personalizer, cfg=PersonalizerConfig(), seed=3, k=0, rest=20, bad=None)
+    @example(loop=Personalizer, cfg=PersonalizerConfig(), seed=3, k=20, rest=20,
+             bad=math.nan)
+    @example(loop=BlackBoxEs, cfg=PersonalizerConfig(), seed=4, k=TABLE_ROWS, rest=5,
+             bad=-math.inf)
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    def test_failure_at_iteration_k_leaves_k_steps_property(self, loop, cfg, seed, k,
+                                                            rest, bad):
+        ran, by_step = loop(cfg), loop(cfg)
+        plant = FaultAt(subject_a(seed=seed), k, bad)
+        error = RuntimeError if bad is None else ValueError
+        with pytest.raises(error, match="plant failed" if bad is None else "non-finite"):
+            ran.run(plant, k + 1 + rest)
+        stepping = subject_a(seed=seed)
+        stepped(by_step, stepping.step, k)
+        assert snapshot(ran) == snapshot(by_step)
+        # and the loop goes on as if the bad iteration never happened
+        assert repr(ran.run(plant, rest)) == repr(stepped(by_step, stepping.step, rest))
+        assert snapshot(ran) == snapshot(by_step)
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=["greybox", "blackbox"])
+    def test_threads_running_on_one_config_share_its_table(self, loop):
+        # loops on several threads may share a config, so its table: four
+        # runs extend it at once, in short runs that switch threads
+        n, chunk = 4 * TABLE_ROWS + 3, 5
+        want = loop(PersonalizerConfig(omega_o=0.3))
+        want.run(subject_a(seed=9).step, n)
+        cfg, start = PersonalizerConfig(omega_o=0.3), threading.Barrier(4)
+        loops = [loop(cfg) for _ in range(4)]
+
+        def run(ran):
+            subject = subject_a(seed=9)
+
+            def measure(theta):
+                time.sleep(0)  # give the other threads a turn
+                return subject.step(theta)
+
+            start.wait(timeout=60)
+            for _ in range(0, n, chunk):
+                ran.run(measure, min(chunk, n - ran.iteration))
+
+        threads = [threading.Thread(target=run, args=(ran,)) for ran in loops]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside runs too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        table, alone = cfg.tables[loop], want.config.tables[loop]
+        assert len(table) > n and table[:len(alone)] == alone[:len(table)]
+        assert all(snapshot(ran) == snapshot(want) for ran in loops)
+
+
 def test_runtime_does_not_import_scipy():
     # numpy is the only runtime dependency: the filter and observer designs
     # and the whiteness threshold are closed forms

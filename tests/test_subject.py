@@ -13,8 +13,9 @@ from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (GAMMA_A, LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
                                 NOISE_STD_A, PHI_A, PSI_A, AdaptationDynamics,
                                 MotorNoise, NonConcaveMapError, PreferenceMap,
-                                SimulatedSubject, load_subject, save_subject,
-                                static_subject, subject_a, subject_b)
+                                SimulatedSubject, _fma_chains, _in_range, _split,
+                                load_subject, save_subject, static_subject,
+                                subject_a, subject_b)
 from synergy_es.sysid import fit_adaptation_lti
 
 MAP_A = PreferenceMap(LAMBDA_A)
@@ -116,6 +117,22 @@ def _random_dynamics(draw, max_order=3):
                               values[order * (order + 1):])
 
 
+# an fma coefficient of the order-2 step: 0 of either sign or a power of 2,
+# whose product is exact, or any cell
+_TERM = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-60, 60)).map(
+                      lambda sk: sk[0] * 2.0 ** sk[1]), _CELL)
+
+
+@st.composite
+def _exact_term_dynamics(draw):
+    """Order-2 dynamics whose three fma coefficients (Phi[0][0], Phi[1][0]
+    and Psi[1]) are drawn from _TERM."""
+    t0, t1, t2 = draw(st.lists(_TERM, min_size=3, max_size=3))
+    b0, b1, g0, g1, c0 = draw(st.lists(_CELL, min_size=5, max_size=5))
+    return AdaptationDynamics([[t0, b0], [t1, b1]], [g0, g1], [c0, t2])
+
+
 def _package_dynamics():
     """A, B, the static subject and the order-2 and order-3 companion forms
     fitted to a noisy sweep of A and of B."""
@@ -158,21 +175,36 @@ class TestAdaptationDynamics:
         with pytest.raises(ValueError):
             dyn.step(np.zeros(3), 1.0)
 
-    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics()),
+    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(),
+                         _exact_term_dynamics()),
            cells=st.lists(_CELL, min_size=3, max_size=3), u=_CELL)
     @example(dyn=static_subject(MAP_A).dynamics, cells=[-0.0] * 3, u=-0.0)
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @example(dyn=AdaptationDynamics([[-0.0, 3.0], [0.25, 0.1]], [1.0, 2.0],
+                                    [0.7, -0.0]), cells=[-0.0, 0.0, 0.0], u=-0.0)
+    @example(dyn=AdaptationDynamics([[2.0 ** -60, 1.0], [-(2.0 ** 60), 0.3]],
+                                    [0.5, -1.5], [0.2, -0.5]),
+             cells=[1e6, -3.7, 0.0], u=1.0)
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     def test_step_bits_equal_matrix_products_property(self, dyn, cells, u):
         """step() gives, bit for bit, phi @ state + gamma * u and psi @ state,
-        for random realizations of order 1-3 and for every form the package
-        builds: subjects A and B, the static subject and the companion forms
-        fit_adaptation_lti returns. Signed zeros included: @ gives 0.0 where
-        ndarray.dot alone gives -0.0 at order 1."""
+        for random realizations of order 1-3, for order-2 ones whose fma
+        coefficients are 0 or powers of 2 (whose products the unrolled
+        order-2 body adds without Dekker's term), and for every form the
+        package builds: subjects A and B, the static subject and the
+        companion forms fit_adaptation_lti returns. Signed zeros included:
+        @ gives 0.0 where ndarray.dot alone gives -0.0 at order 1. Where the
+        unrolled order-2 body runs, it also gives _fma_chains' bits."""
         state = np.array(cells[:dyn.order])
         next_state, y = dyn.step(state, u)
         want = dyn.phi @ state + dyn.gamma * float(u)
         assert np.array(next_state).tobytes() == want.tobytes()
         assert np.float64(y).tobytes() == (dyn.psi @ state).tobytes()
+        xs = state.tolist()
+        if dyn._order2 is not None and _in_range(xs):
+            *rows, psi_x = _fma_chains(dyn._chains, [_split(x) for x in xs])
+            general = [r + 0.0 + g * float(u) for r, g in zip(rows, dyn.gamma.tolist())]
+            assert [v.hex() for v in next_state] == [v.hex() for v in general]
+            assert y.hex() == (psi_x + 0.0).hex()
 
     @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(4)),
            cells=st.lists(_CELL, min_size=4, max_size=4), u=_CELL)
