@@ -71,11 +71,10 @@ def _shown(value):
 
 def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
                  lengths=None, labels=None):
-    """Check the named fields of the dataclass obj, then store them: ints
-    as ints, lengths ({name: n}, n values each) as tuples of floats, the
-    rest as floats, -0.0 as 0.0, so equal values make equal objects. A
-    lengths entry that is a shape, such as (n, n), stores a read-only
-    float64 array of that shape instead, signs of zero kept.
+    """Check the named fields of the dataclass obj, then store them as
+    check_value gives them: ints as ints, lengths ({name: n}, n values
+    each) as tuples of floats or, where n is a shape such as (n, n), as
+    read-only float64 arrays, the rest as floats.
 
     Each must be finite, and one in positive > 0, in nonnegative >= 0.
     The first that fails, in field order, raises a ValueError naming it
@@ -84,30 +83,50 @@ def check_fields(obj, finite=(), positive=(), nonnegative=(), ints=(),
     lengths, labels = lengths or {}, labels or {}
     named = {*finite, *positive, *nonnegative, *ints, *lengths}
     for name in (f.name for f in fields(obj) if f.name in named):
-        value, label = getattr(obj, name), labels.get(name, name)
-        n = lengths.get(name)
-        array = isinstance(n, tuple)
-        if np.shape(value) != (n if array else () if n is None else (n,)):
-            raise ValueError(f"{label} must have shape {n}, not {np.shape(value)}" if array
-                             else f"{label} must have {n} values, not {_shown(value)}" if n
-                             else f"{label} = {_shown(value)} must be one number")
-        if name in ints:
-            try:
-                stored = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{label} = {_shown(value)} must be an integer") from None
-        elif not np.isfinite(value).all():
-            raise ValueError(f"{label} = {_shown(value)} must be finite")
-        elif array:
-            stored = np.array(value, dtype=float)
-            stored.flags.writeable = False
-        else:
-            stored = tuple(float(v) + 0.0 for v in value) if n else float(value) + 0.0
+        label = labels.get(name, name)
+        stored = check_value(getattr(obj, name), label, lengths.get(name), name in ints)
         if name in positive and not stored > 0:
             raise ValueError(f"{label} = {stored} must be positive")
         if name in nonnegative and not stored >= 0:
             raise ValueError(f"{label} = {stored} must be >= 0")
         object.__setattr__(obj, name, stored)
+
+
+def check_value(value, label, n=None, integer=False):
+    """value, checked, as it is stored: an int if integer; for n values (n
+    a count) a tuple of floats; for n a shape, such as (n, n), a read-only
+    float64 array of that shape, signs of zero kept; else a float. A
+    float is stored with -0.0 as 0.0, so equal values make equal objects.
+
+    A value of the wrong shape, not an integer where integer is set, or
+    not finite raises a ValueError '<label> = <value> ...', the value on
+    one line.
+    """
+    if n is None and type(value) in (float, int):  # no numpy call; not bool
+        if integer:
+            if type(value) is float:
+                raise ValueError(f"{label} = {value} must be an integer")
+            return value
+        if not math.isfinite(value):
+            raise ValueError(f"{label} = {value} must be finite")
+        return float(value) + 0.0
+    array = isinstance(n, tuple)
+    if np.shape(value) != (n if array else () if n is None else (n,)):
+        raise ValueError(f"{label} must have shape {n}, not {np.shape(value)}" if array
+                         else f"{label} must have {n} values, not {_shown(value)}" if n
+                         else f"{label} = {_shown(value)} must be one number")
+    if integer:
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise ValueError(f"{label} = {_shown(value)} must be an integer") from None
+    if not np.isfinite(value).all():
+        raise ValueError(f"{label} = {_shown(value)} must be finite")
+    if array:
+        stored = np.array(value, dtype=float)
+        stored.flags.writeable = False
+        return stored
+    return tuple(float(v) + 0.0 for v in value) if n else float(value) + 0.0
 
 
 def read_config(path):

@@ -12,14 +12,15 @@ Note the relative degree: J_i reflects the synergy applied one iteration
 earlier.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from math import frexp, fsum, inf, isfinite
+from operator import attrgetter
 
 import numpy as np
 
-from .config import (check_fields, format_matrix, format_vector, parse_matrix,
+from .config import (check_fields, check_value, format_matrix, format_vector, parse_matrix,
                      parse_section, parse_vector, parsed, read_config, write_config)
 
 THETA_BOUNDS = (0.8, 2.4)
@@ -85,44 +86,86 @@ def _chain_order(n):
     return {1: (0,), 2: (1, 0), 3: (1, 0, 2)}.get(n, range(n))
 
 
-def _chain_terms(coefficients, order):
-    """(a_j0, j0, fma terms) of one chain. A term is (a, a_hi, a_lo, j), or
-    (a, None, None, j) where a is 0 or a power of 2, so that a*x is exact."""
-    j0, *rest = order
-    terms = []
-    for j in rest:
-        a = coefficients[j]
-        terms.append((a, None, None, j) if not a or abs(frexp(a)[0]) == 0.5
-                     else (*_split(a), j))
-    return coefficients[j0], j0, tuple(terms)
+def _term_kind(a, first):
+    """How a kernel adds a*x to its chain: '0' drops it, '1' adds x, 'x'
+    adds the product (the chain's first, or a power of 2, so a*x is
+    exact) and 'd' adds it by Dekker's product and fsum."""
+    if not a:
+        return "0"
+    if a == 1.0:
+        return "1"
+    return "x" if first or abs(frexp(a)[0]) == 0.5 else "d"
 
 
-def _fma_chains(chains, xs):
-    """Per chain of _chain_terms, fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0)),
-    each x = xs[j] split as (x, x_hi, x_lo)."""
-    out = []
-    for s, j, terms in chains:
-        s *= xs[j][0]
-        for a, ah, al, j in terms:
-            x, xh, xl = xs[j]
-            p = a * x
-            if ah is None:
-                s = p + s
+def _kernel_source(n, kinds):
+    """Source of kernel(<coefficients>, g0, ..., exact), which returns
+    step(state, u) for one chain structure: the order n and, per chain
+    (the n rows of Phi, then Psi), a _term_kind per term in chain order.
+
+    The body is the chains unrolled, with the coefficients as arguments:
+    a '0' term is dropped, a '1' term adds x, an 'x' term adds a*x without
+    Dekker's term, and a state value is split once, where a 'd' term needs
+    it. A zero's sign can differ from the full chain's only in a partial
+    sum, which the final + 0.0 clears. A state value outside
+    [_TINY, _HUGE] takes exact(state, u). The tests keep the plain chain,
+    Dekker's product on every term, as the bit-for-bit reference
+    (_fma_chains in tests/test_subject.py).
+    """
+    params, body, split, out = [], [], set(), []
+    for i, (order, chain) in enumerate(zip([_chain_order(n)] * n + [range(n)], kinds)):
+        s = None  # the chain's sum so far, an expression; None while 0
+        for j, kind in zip(order, chain):
+            a = f"a{i}_{j}"
+            if kind == "0":
                 continue
-            e = ((ah * xh - p) + ah * xl + al * xh) + al * xl  # a*x - p, exactly
-            s = fsum((p, e, s)) if e else p + s  # e == 0: p + s is the fma
-        out.append(s)
-    return out
+            product = f"x{j}" if kind == "1" else f"{a} * x{j}"
+            params += {"x": [a], "d": [a, a + "h", a + "l"]}.get(kind, [])
+            if s is None:
+                s = product
+            elif kind != "d":
+                s = f"{product} + {s if s.isidentifier() else f'({s})'}"
+            else:
+                if not s.isidentifier():  # a sum or product: bind it once
+                    body.append(f"r{i} = {s}")
+                    s = f"r{i}"
+                split.add(j)
+                body += [f"p = {product}",
+                         f"e = (({a}h * h{j} - p) + {a}h * l{j} + {a}l * h{j}) + {a}l * l{j}",
+                         f"r{i} = fsum((p, e, {s})) if e else p + {s}"]
+                s = f"r{i}"
+        out.append("0.0" if s is None else f"{s} + 0.0")
+    comma = "," * (n == 1)  # a 1-tuple
+    lines = [
+        f"def kernel({', '.join(params + [f'g{i}' for i in range(n)])}, exact):",
+        "    def step(state, u):",
+        "        u = float(u)",
+        "        try:",
+        f"            {', '.join(f'x{j}' for j in range(n))}{comma} = state",
+        "        except ValueError:",
+        '            raise ValueError(f"state has {len(state)} values, "',
+        f'                             "the dynamics order is {n}") from None',
+        "        if not (" + " and\n                ".join(
+            f"({_TINY!r} <= abs(x{j}) <= {_HUGE!r} or not x{j})" for j in range(n)) + "):",
+        "            return exact(state, u)",
+        *(f"        {line}" for j in sorted(split) for line in (
+            f"t = {_SPLIT!r} * x{j}", f"h{j} = t - (t - x{j})", f"l{j} = x{j} - h{j}")),
+        *(f"        {line}" for line in body),
+        f"        return ({', '.join(f'{r} + g{i} * u' for i, r in enumerate(out[:n]))}"
+        f"{comma}), {out[n]}",
+        "    return step",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _exact_fma_chains(chains, xs):
-    """_fma_chains on values outside [_TINY, _HUGE]: each fma rounded from
-    its exact value, or inf or nan where IEEE gives it."""
+    """Per chain of (a, j) terms, fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0))
+    with x = xs[j], each fma rounded from its exact value, or inf or nan
+    where IEEE gives it: the step for values outside [_TINY, _HUGE]."""
     out = []
-    for s, j, terms in chains:
-        s *= xs[j][0]
-        for a, _, _, j in terms:
-            x = xs[j][0]
+    for (s, j), *terms in chains:
+        s *= xs[j]
+        for a, j in terms:
+            x = xs[j]
             if not isfinite(x):
                 s = a * x + s
             elif isfinite(s):  # else a*x + s is s: a*x is finite
@@ -135,10 +178,42 @@ def _exact_fma_chains(chains, xs):
     return out
 
 
+def _exact_step(chains, gamma, state, u):
+    """step() on _exact_fma_chains."""
+    u = float(u)
+    if len(state) != len(gamma):
+        raise ValueError(f"state has {len(state)} values, "
+                         f"the dynamics order is {len(gamma)}")
+    *rows, y = _exact_fma_chains(chains, list(state))
+    return tuple([r + 0.0 + g * u for r, g in zip(rows, gamma)]), y + 0.0
+
+
+@lru_cache(maxsize=128)
+def _kernel(n, kinds):
+    """kernel of _kernel_source(n, kinds), compiled once per structure."""
+    namespace = {"fsum": fsum}
+    exec(compile(_kernel_source(n, kinds), f"<step kernel {n} {kinds}>", "exec"),
+         namespace)
+    return namespace["kernel"]
+
+
 @dataclass(frozen=True, eq=False)
 class AdaptationDynamics:
     """Iteration-domain LTI (Phi, Gamma, Psi) modeling motor adaptation,
-    stored as read-only float64 arrays (-0.0 kept); == is identity."""
+    stored as read-only float64 arrays (-0.0 kept); == is identity.
+
+    step(state, u) is one recursion step: it returns (next_state as a tuple
+    of floats, noise-free output Psi x). Each row of Phi x and Psi x is a
+    chain of fused multiply-adds in the order of _chain_order; then a Phi
+    row r gives r + 0.0 + g * u and Psi x gives y + 0.0 (the + 0.0 turns
+    -0.0 into 0.0). Up to order 3 these are the bits of
+    phi @ state + gamma * u and psi @ state on OpenBLAS's Haswell kernels,
+    but computed on Python floats, so they are the same whatever BLAS
+    numpy runs on. step is the kernel of the dynamics' chain structure
+    (_kernel_source), bound to their coefficients; dynamics with a
+    coefficient outside [_TINY, _HUGE] step by _exact_step. A state of
+    the wrong dimension raises ValueError.
+    """
 
     phi: np.ndarray
     gamma: np.ndarray
@@ -147,18 +222,22 @@ class AdaptationDynamics:
     def __post_init__(self):
         n = len(np.atleast_1d(self.phi))
         check_fields(self, lengths={"phi": (n, n), "gamma": (n,), "psi": (n,)})
-        own = vars(self)  # what step() reads, set past the frozen __setattr__
-        # step()'s chains: one per row of Phi, then Psi's
-        own["_chains"] = [*(_chain_terms(row, _chain_order(n)) for row in self.phi.tolist()),
-                          _chain_terms(self.psi.tolist(), range(n))]
-        own["_gamma"] = self.gamma.tolist()
-        own["_fast"] = _in_range(self.phi.ravel().tolist() + self.psi.tolist())
-        # the order-2 body's coefficients: per chain its first a, then the
-        # fma's term (a, hi, lo), hi None where a*x is exact; Phi rows
-        # start at x1, Psi at x0
-        own["_order2"] = None if n != 2 or not self._fast else tuple(
-            v for s, _, ((a, ah, al, _),) in self._chains
-            for v in (s, a, ah, al)) + tuple(self._gamma)
+        phi, gamma, psi = self.phi.tolist(), self.gamma.tolist(), self.psi.tolist()
+        # (a, j) per term of each chain: one per row of Phi, then Psi's
+        chains = [*([(row[j], j) for j in _chain_order(n)] for row in phi),
+                  [(psi[j], j) for j in range(n)]]
+        step = partial(_exact_step, chains, gamma)
+        if _in_range([a for chain in chains for a, _ in chain]):
+            kinds = tuple("".join(_term_kind(a, not k) for k, (a, _) in enumerate(chain))
+                          for chain in chains)
+            coefficients = [v for chain, chain_kinds in zip(chains, kinds)
+                            for (a, _), kind in zip(chain, chain_kinds) if kind in "xd"
+                            for v in ((a,) if kind == "x" else _split(a))]
+            step = _kernel(n, kinds)(*coefficients, *gamma, step)
+        vars(self)["step"] = step  # set past the frozen __setattr__
+
+    def __reduce__(self):  # step is a closure; rebuild it from the arrays
+        return AdaptationDynamics, (self.phi, self.gamma, self.psi)
 
     @property
     def order(self):
@@ -173,67 +252,6 @@ class AdaptationDynamics:
 
     def is_stable(self):
         return self.spectral_radius() < 1.0
-
-    def step(self, state, u):
-        """One recursion step: returns (next_state as a tuple of floats,
-        noise-free output Psi x).
-
-        Each row of Phi x and Psi x is the FMA chain of _fma_chains, in the
-        order of _chain_order; then a Phi row r gives r + 0.0 + g * u and
-        Psi x gives y + 0.0 (the + 0.0 turns -0.0 into 0.0). Up to order 3
-        these are the bits of phi @ state + gamma * u and psi @ state on
-        OpenBLAS's Haswell kernels, but computed on Python floats, so they
-        are the same whatever BLAS numpy runs on. A state of the wrong
-        dimension raises ValueError.
-        """
-        u = float(u)
-        if self._order2 is not None:
-            b0, a0, a0h, a0l, b1, a1, a1h, a1l, c0, c1, c1h, c1l, g0, g1 = self._order2
-            x0, x1 = state
-            if (_TINY <= abs(x0) <= _HUGE or not x0) and (_TINY <= abs(x1) <= _HUGE or not x1):
-                # _fma_chains unrolled: Phi rows fma(a, x0, b * x1), Psi
-                # fma(c1, x1, c0 * x0); an exact term's fma is p + s
-                if a0h is not None or a1h is not None:
-                    t = _SPLIT * x0
-                    h0 = t - (t - x0)
-                    l0 = x0 - h0
-                s = b0 * x1
-                p = a0 * x0
-                if a0h is None:
-                    r0 = p + s
-                else:
-                    e = ((a0h * h0 - p) + a0h * l0 + a0l * h0) + a0l * l0
-                    r0 = fsum((p, e, s)) if e else p + s
-                s = b1 * x1
-                p = a1 * x0
-                if a1h is None:
-                    r1 = p + s
-                else:
-                    e = ((a1h * h0 - p) + a1h * l0 + a1l * h0) + a1l * l0
-                    r1 = fsum((p, e, s)) if e else p + s
-                s = c0 * x0
-                p = c1 * x1
-                if c1h is None:
-                    y = p + s
-                else:
-                    t = _SPLIT * x1
-                    h1 = t - (t - x1)
-                    l1 = x1 - h1
-                    e = ((c1h * h1 - p) + c1h * l1 + c1l * h1) + c1l * l1
-                    y = fsum((p, e, s)) if e else p + s
-                return (r0 + 0.0 + g0 * u, r1 + 0.0 + g1 * u), y + 0.0
-        if len(state) != len(self._gamma):
-            raise ValueError(f"state has {len(state)} values, "
-                             f"the dynamics order is {len(self._gamma)}")
-        xs, fast = [], self._fast
-        for x in state:
-            t = _SPLIT * x
-            h = t - (t - x)
-            xs.append((x, h, x - h))
-            if not (_TINY <= abs(x) <= _HUGE or not x):
-                fast = False
-        *rows, y = (_fma_chains if fast else _exact_fma_chains)(self._chains, xs)
-        return tuple([r + 0.0 + g * u for r, g in zip(rows, self._gamma)]), y + 0.0
 
     def steady_state_gain(self):
         """Psi (I - Phi)^-1 Gamma; errors on a marginally stable plant."""
@@ -282,31 +300,37 @@ class MotorNoise:
         self._block = []
 
 
-@dataclass(eq=False)
 class SimulatedSubject:
-    """Composable grey-box subject: map -> LTI -> additive noise. step()
-    reads map and dynamics on each call; reset() returns to initial_state."""
+    """Composable grey-box subject: map -> LTI -> additive noise.
 
-    map: PreferenceMap
-    dynamics: AdaptationDynamics
-    noise: MotorNoise = field(default_factory=MotorNoise)
-    initial_state: tuple = None
-    subject_id: str = "subject"
+    map, dynamics and initial_state are fixed when the subject is built;
+    assigning one raises AttributeError (a different model is a new
+    subject). noise, a MotorNoise that checks itself, may be replaced.
+    reset() returns to initial_state.
+    """
 
-    def __post_init__(self):
-        if not self.dynamics.is_stable():
+    def __init__(self, map, dynamics, noise=None, initial_state=None,
+                 subject_id="subject"):
+        if not dynamics.is_stable():
             raise ValueError("adaptation dynamics must be stable (rho(Phi) < 1)")
-        if self.initial_state is None:
-            self.initial_state = (0.0,) * self.dynamics.order
-        check_fields(self, lengths={"initial_state": self.dynamics.order})
-        self.state = self.initial_state
+        n = dynamics.order
+        self._map, self._dynamics = map, dynamics
+        self._initial_state = ((0.0,) * n if initial_state is None
+                               else check_value(initial_state, "initial_state", n))
+        self.noise = MotorNoise() if noise is None else noise
+        self.subject_id = subject_id
+        self.state = self._initial_state
+
+    map = property(attrgetter("_map"))
+    dynamics = property(attrgetter("_dynamics"))
+    initial_state = property(attrgetter("_initial_state"))
 
     def step(self, theta):
         """Apply a synergy for one task iteration; returns measured J."""
         th = float(theta)
-        l2, l1, l0 = self.map.lam
+        l2, l1, l0 = self._map.lam
         u = l2 * th * th + l1 * th + l0  # map.value(th), on floats
-        self.state, y = self.dynamics.step(self.state, u)
+        self.state, y = self._dynamics.step(self.state, u)
         return y + self.noise.sample()
 
     def reset(self, seed=None):

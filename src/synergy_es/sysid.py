@@ -11,6 +11,7 @@ the same samples.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from statistics import NormalDist
 
@@ -122,6 +123,15 @@ def _companion_realization(b, den):
     return AdaptationDynamics(phi, gamma, psi)
 
 
+@lru_cache(maxsize=None)
+def _pole_grid_indices(npts, order):
+    """Grid-point indices of every nondecreasing pole tuple, in scan order,
+    as a read-only array built once per (npts, order)."""
+    tuples = np.array(list(combinations_with_replacement(range(npts), order)))
+    tuples.flags.writeable = False
+    return tuples
+
+
 def fit_adaptation_lti(u_series, j_series, order=2):
     """Constrained fit: real poles in (0, 1), unity gain, min one-step MSE.
 
@@ -152,8 +162,7 @@ def fit_adaptation_lti(u_series, j_series, order=2):
         basis = _lag_residual_basis(u, y, order_n)
         best = None
         lo, hi, npts = p_min, p_max, 13
-        # grid-point indices of every nondecreasing pole tuple, in scan order
-        tuples = np.array(list(combinations_with_replacement(range(npts), order_n)))
+        tuples = _pole_grid_indices(npts, order_n)
         for _ in range(4):  # refinable grid
             cands = np.vstack([np.linspace(lo, hi, npts)[tuples], *extra])
             dens = _poles_to_denominator(cands)
@@ -240,9 +249,9 @@ def identify_from_records(thetas, performances, order=2):
     dyn, mse = fit_adaptation_lti(u, performances, order)
 
     # free-run residuals of the returned model, for the noise analysis
-    x, pred = (0.0,) * dyn.order, []
+    x, pred, step = (0.0,) * dyn.order, [], dyn.step
     for ui in u.tolist():
-        x, y = dyn.step(x, ui)
+        x, y = step(x, ui)
         pred.append(y)
     resid = performances - np.array(pred)
     return pref, dyn, mse, resid, whiteness_test(resid)

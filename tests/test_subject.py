@@ -1,7 +1,9 @@
 """Tests for the grey-box subject model."""
 
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from synergy_es.harness import ExperimentConfig, run_episode
+from synergy_es.harness import ExperimentConfig, make_subject, run_episode
 from synergy_es.subject import (GAMMA_A, LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
                                 NOISE_STD_A, PHI_A, PSI_A, AdaptationDynamics,
                                 MotorNoise, NonConcaveMapError, PreferenceMap,
-                                SimulatedSubject, _fma_chains, _in_range, _split,
-                                load_subject, save_subject, static_subject,
-                                subject_a, subject_b)
-from synergy_es.sysid import fit_adaptation_lti
+                                SimulatedSubject, _exact_fma_chains, _in_range,
+                                _kernel, _kernel_source, _split, load_subject,
+                                save_subject, static_subject, subject_a, subject_b)
+from synergy_es.sysid import fit_adaptation_lti, identify_from_records
 
 MAP_A = PreferenceMap(LAMBDA_A)
 MAP_B = PreferenceMap(LAMBDA_B)
@@ -104,33 +106,25 @@ class TestPreferenceMap:
 
 
 _CELL = st.floats(-1e6, 1e6, allow_nan=False)
+# a coefficient: 0 or 1 of either sign, a power of 2 (whose product is
+# exact; 2**-500 and 2**460 lie outside [_TINY, _HUGE]) or any cell
+_COEFFICIENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.tuples(st.sampled_from([1.0, -1.0]),
+              st.integers(-60, 60) | st.sampled_from([-500, 460])).map(
+        lambda sk: sk[0] * 2.0 ** sk[1]),
+    _CELL)
+# a state value: any cell, or a zero or value outside [_TINY, _HUGE]
+_STATE = _CELL | st.sampled_from([0.0, -0.0, 2.0 ** -460, -1e-300, 2.0 ** 470, -1e200])
 
 
 @st.composite
-def _random_dynamics(draw, max_order=3):
+def _random_dynamics(draw, max_order=3, coefficient=_CELL):
     order = draw(st.integers(1, max_order))
-    cells = st.lists(_CELL, min_size=order * (order + 2),
-                     max_size=order * (order + 2))
-    values = np.array(draw(cells))
-    return AdaptationDynamics(values[:order * order].reshape(order, order),
-                              values[order * order:order * (order + 1)],
-                              values[order * (order + 1):])
-
-
-# an fma coefficient of the order-2 step: 0 of either sign or a power of 2,
-# whose product is exact, or any cell
-_TERM = st.one_of(st.sampled_from([0.0, -0.0]),
-                  st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-60, 60)).map(
-                      lambda sk: sk[0] * 2.0 ** sk[1]), _CELL)
-
-
-@st.composite
-def _exact_term_dynamics(draw):
-    """Order-2 dynamics whose three fma coefficients (Phi[0][0], Phi[1][0]
-    and Psi[1]) are drawn from _TERM."""
-    t0, t1, t2 = draw(st.lists(_TERM, min_size=3, max_size=3))
-    b0, b1, g0, g1, c0 = draw(st.lists(_CELL, min_size=5, max_size=5))
-    return AdaptationDynamics([[t0, b0], [t1, b1]], [g0, g1], [c0, t2])
+    phi, psi = (draw(st.lists(coefficient, min_size=k, max_size=k))
+                for k in (order * order, order))
+    gamma = draw(st.lists(_CELL, min_size=order, max_size=order))
+    return AdaptationDynamics(np.reshape(phi, (order, order)), gamma, psi)
 
 
 def _package_dynamics():
@@ -147,6 +141,10 @@ def _package_dynamics():
     return forms
 
 
+# the chain order of a Phi row: OpenBLAS's Haswell gemv up to order 3
+_ROW_ORDER = {1: [0], 2: [1, 0], 3: [1, 0, 2]}
+
+
 def _fma_chain(coefficients, xs, order):
     """fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0)) over the indices in
     order, each fma rounded once from its exact value."""
@@ -155,6 +153,192 @@ def _fma_chain(coefficients, xs, order):
     for j in rest:
         s = float(Fraction(coefficients[j]) * Fraction(xs[j]) + Fraction(s))
     return s
+
+
+def _chains(dyn):
+    """The (a, j) terms of each chain of dyn, in chain order: one per row
+    of Phi, then Psi's, in index order."""
+    n = dyn.order
+    return [*([(row[j], j) for j in _ROW_ORDER.get(n, range(n))] for row in dyn.phi.tolist()),
+            list(zip(dyn.psi.tolist(), range(n)))]
+
+
+def _fma_chains(chains, xs):
+    """Per chain, fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0)) with x = xs[j],
+    every fma Dekker's exact product a*x = p + e, whatever a is, summed
+    with s by fsum: the bits of the step for coefficients and states in
+    [_TINY, _HUGE]."""
+    out = []
+    for (s, j), *terms in chains:
+        s *= xs[j]
+        for a, j in terms:
+            x = xs[j]
+            _, ah, al = _split(a)
+            _, xh, xl = _split(x)
+            p = a * x
+            s = fsum((p, ((ah * xh - p) + ah * xl + al * xh) + al * xl, s))
+        out.append(s)
+    return out
+
+
+def _reference_step(dyn, state, u):
+    """step() by _fma_chains, or by _exact_fma_chains where a coefficient
+    or a state value lies outside [_TINY, _HUGE], plus the gamma u terms."""
+    chains = _chains(dyn)
+    fast = _in_range([a for chain in chains for a, _ in chain] + state)
+    *rows, y = (_fma_chains if fast else _exact_fma_chains)(chains, state)
+    return [r + 0.0 + g * u for r, g in zip(rows, dyn.gamma.tolist())], y + 0.0
+
+
+# the kernel source of each chain structure the package builds (see
+# _package_dynamics), pinned so that a change to the template shows here
+_PINNED_KERNELS = {
+    # the static subject
+    (1, ('0', '1')): '''\
+def kernel(g0, exact):
+    def step(state, u):
+        u = float(u)
+        try:
+            x0, = state
+        except ValueError:
+            raise ValueError(f"state has {len(state)} values, "
+                             "the dynamics order is 1") from None
+        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0)):
+            return exact(state, u)
+        return (0.0 + g0 * u,), x0 + 0.0
+    return step
+''',
+    # subjects A and B
+    (2, ('10', 'xd', '10')): '''\
+def kernel(a1_1, a1_0, a1_0h, a1_0l, g0, g1, exact):
+    def step(state, u):
+        u = float(u)
+        try:
+            x0, x1 = state
+        except ValueError:
+            raise ValueError(f"state has {len(state)} values, "
+                             "the dynamics order is 2") from None
+        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
+            return exact(state, u)
+        t = 134217729.0 * x0
+        h0 = t - (t - x0)
+        l0 = x0 - h0
+        r1 = a1_1 * x1
+        p = a1_0 * x0
+        e = ((a1_0h * h0 - p) + a1_0h * l0 + a1_0l * h0) + a1_0l * l0
+        r1 = fsum((p, e, r1)) if e else p + r1
+        return (x1 + 0.0 + g0 * u, r1 + 0.0 + g1 * u), x0 + 0.0
+    return step
+''',
+    # the order-2 companion form fit_adaptation_lti returns
+    (2, ('xd', '01', 'xd')): '''\
+def kernel(a0_1, a0_0, a0_0h, a0_0l, a2_0, a2_1, a2_1h, a2_1l, g0, g1, exact):
+    def step(state, u):
+        u = float(u)
+        try:
+            x0, x1 = state
+        except ValueError:
+            raise ValueError(f"state has {len(state)} values, "
+                             "the dynamics order is 2") from None
+        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
+            return exact(state, u)
+        t = 134217729.0 * x0
+        h0 = t - (t - x0)
+        l0 = x0 - h0
+        t = 134217729.0 * x1
+        h1 = t - (t - x1)
+        l1 = x1 - h1
+        r0 = a0_1 * x1
+        p = a0_0 * x0
+        e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+        r0 = fsum((p, e, r0)) if e else p + r0
+        r2 = a2_0 * x0
+        p = a2_1 * x1
+        e = ((a2_1h * h1 - p) + a2_1h * l1 + a2_1l * h1) + a2_1l * l1
+        r2 = fsum((p, e, r2)) if e else p + r2
+        return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u), r2 + 0.0
+    return step
+''',
+    # the order-3 companion form
+    (3, ('xdd', '010', '100', 'xdd')): '''\
+def kernel(a0_1, a0_0, a0_0h, a0_0l, a0_2, a0_2h, a0_2l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2l, g0, g1, g2, exact):
+    def step(state, u):
+        u = float(u)
+        try:
+            x0, x1, x2 = state
+        except ValueError:
+            raise ValueError(f"state has {len(state)} values, "
+                             "the dynamics order is 3") from None
+        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1) and
+                (3.4395525670743494e-136 <= abs(x2) <= 2.9073548971824276e+135 or not x2)):
+            return exact(state, u)
+        t = 134217729.0 * x0
+        h0 = t - (t - x0)
+        l0 = x0 - h0
+        t = 134217729.0 * x1
+        h1 = t - (t - x1)
+        l1 = x1 - h1
+        t = 134217729.0 * x2
+        h2 = t - (t - x2)
+        l2 = x2 - h2
+        r0 = a0_1 * x1
+        p = a0_0 * x0
+        e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+        r0 = fsum((p, e, r0)) if e else p + r0
+        p = a0_2 * x2
+        e = ((a0_2h * h2 - p) + a0_2h * l2 + a0_2l * h2) + a0_2l * l2
+        r0 = fsum((p, e, r0)) if e else p + r0
+        r3 = a3_0 * x0
+        p = a3_1 * x1
+        e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
+        r3 = fsum((p, e, r3)) if e else p + r3
+        p = a3_2 * x2
+        e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
+        r3 = fsum((p, e, r3)) if e else p + r3
+        return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u), r3 + 0.0
+    return step
+''',
+    # the order-3 form with a pole at 0: Phi[0][2] is 0
+    (3, ('xd0', '010', '100', 'xdd')): '''\
+def kernel(a0_1, a0_0, a0_0h, a0_0l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2l, g0, g1, g2, exact):
+    def step(state, u):
+        u = float(u)
+        try:
+            x0, x1, x2 = state
+        except ValueError:
+            raise ValueError(f"state has {len(state)} values, "
+                             "the dynamics order is 3") from None
+        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1) and
+                (3.4395525670743494e-136 <= abs(x2) <= 2.9073548971824276e+135 or not x2)):
+            return exact(state, u)
+        t = 134217729.0 * x0
+        h0 = t - (t - x0)
+        l0 = x0 - h0
+        t = 134217729.0 * x1
+        h1 = t - (t - x1)
+        l1 = x1 - h1
+        t = 134217729.0 * x2
+        h2 = t - (t - x2)
+        l2 = x2 - h2
+        r0 = a0_1 * x1
+        p = a0_0 * x0
+        e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+        r0 = fsum((p, e, r0)) if e else p + r0
+        r3 = a3_0 * x0
+        p = a3_1 * x1
+        e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
+        r3 = fsum((p, e, r3)) if e else p + r3
+        p = a3_2 * x2
+        e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
+        r3 = fsum((p, e, r3)) if e else p + r3
+        return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u), r3 + 0.0
+    return step
+''',
+}
 
 
 class TestAdaptationDynamics:
@@ -171,40 +355,57 @@ class TestAdaptationDynamics:
         assert_allclose(state, 0.0, atol=0.0)
 
     def test_dimension_mismatch(self):
-        dyn = subject_a(noise_std=0.0).dynamics
-        with pytest.raises(ValueError):
-            dyn.step(np.zeros(3), 1.0)
+        for order in (1, 2, 3, 4):
+            dyn = AdaptationDynamics(np.eye(order) / 2, np.ones(order), np.ones(order))
+            for n in (order - 1, order + 1):
+                with pytest.raises(ValueError, match=f"^state has {n} values, "
+                                                     f"the dynamics order is {order}$"):
+                    dyn.step(np.zeros(n), 1.0)
 
-    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(),
-                         _exact_term_dynamics()),
-           cells=st.lists(_CELL, min_size=3, max_size=3), u=_CELL)
-    @example(dyn=static_subject(MAP_A).dynamics, cells=[-0.0] * 3, u=-0.0)
+    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(4),
+                         _random_dynamics(4, _COEFFICIENT)),
+           cells=st.lists(_STATE, min_size=4, max_size=4), u=_CELL)
+    @example(dyn=static_subject(MAP_A).dynamics, cells=[-0.0] * 4, u=-0.0)
     @example(dyn=AdaptationDynamics([[-0.0, 3.0], [0.25, 0.1]], [1.0, 2.0],
-                                    [0.7, -0.0]), cells=[-0.0, 0.0, 0.0], u=-0.0)
+                                    [0.7, -0.0]), cells=[-0.0, 0.0, 0.0, 0.0], u=-0.0)
     @example(dyn=AdaptationDynamics([[2.0 ** -60, 1.0], [-(2.0 ** 60), 0.3]],
                                     [0.5, -1.5], [0.2, -0.5]),
-             cells=[1e6, -3.7, 0.0], u=1.0)
-    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+             cells=[1e6, -3.7, 0.0, 0.0], u=1.0)
+    # a state value, then a coefficient, outside [_TINY, _HUGE]
+    @example(dyn=subject_a().dynamics, cells=[2.0 ** -460, -1e200, 0.0, 0.0], u=1.0)
+    @example(dyn=AdaptationDynamics([[2.0 ** -500, 1.0], [0.5, -1.0]], [1.0, 3.0],
+                                    [-1.0, 2.0 ** 460]), cells=[1e6, -3.7, 0.0, 0.0], u=2.0)
+    # every kind of term in one order-4 chain structure
+    @example(dyn=AdaptationDynamics([[0.0, 1.0, -1.0, 0.3], [-0.0, 2.0 ** -7, 0.1, 1.0],
+                                     [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]],
+                                    [0.5, -0.25, 1.0, 0.0], [0.0, 0.7, 1.0, -2.0]),
+             cells=[0.1, -0.0, 3.0, 1e6], u=-0.3)
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
     def test_step_bits_equal_matrix_products_property(self, dyn, cells, u):
-        """step() gives, bit for bit, phi @ state + gamma * u and psi @ state,
-        for random realizations of order 1-3, for order-2 ones whose fma
-        coefficients are 0 or powers of 2 (whose products the unrolled
-        order-2 body adds without Dekker's term), and for every form the
-        package builds: subjects A and B, the static subject and the
-        companion forms fit_adaptation_lti returns. Signed zeros included:
-        @ gives 0.0 where ndarray.dot alone gives -0.0 at order 1. Where the
-        unrolled order-2 body runs, it also gives _fma_chains' bits."""
-        state = np.array(cells[:dyn.order])
-        next_state, y = dyn.step(state, u)
-        want = dyn.phi @ state + dyn.gamma * float(u)
-        assert np.array(next_state).tobytes() == want.tobytes()
-        assert np.float64(y).tobytes() == (dyn.psi @ state).tobytes()
-        xs = state.tolist()
-        if dyn._order2 is not None and _in_range(xs):
-            *rows, psi_x = _fma_chains(dyn._chains, [_split(x) for x in xs])
-            general = [r + 0.0 + g * float(u) for r, g in zip(rows, dyn.gamma.tolist())]
-            assert [v.hex() for v in next_state] == [v.hex() for v in general]
-            assert y.hex() == (psi_x + 0.0).hex()
+        """step() gives, bit for bit, the chains of _fma_chains (Dekker's
+        product on every term) or, where a coefficient or state value lies
+        outside [_TINY, _HUGE], of _exact_fma_chains, plus the gamma u
+        terms, for random realizations of order 1-4, whose coefficients
+        include 0 and 1 of either sign and powers of 2 (terms that each
+        kernel drops, adds or adds without Dekker's term), and for every
+        form the package builds: subjects A and B, the static subject and
+        the companion forms fit_adaptation_lti returns. Up to order 3 they
+        are also phi @ state + gamma * u and psi @ state. Signed zeros
+        included: @ gives 0.0 where ndarray.dot alone gives -0.0 at order 1."""
+        xs = cells[:dyn.order]
+        next_state, y = dyn.step(tuple(xs), u)
+        want_state, want_y = _reference_step(dyn, xs, float(u))
+        assert [v.hex() for v in next_state] == [v.hex() for v in want_state]
+        assert y.hex() == want_y.hex()
+        state = np.array(xs)
+        with np.errstate(over="ignore"):  # numpy warns where a product overflows
+            from_array = dyn.step(state, u)
+            assert [v.hex() for v in (*from_array[0], from_array[1])] == [
+                v.hex() for v in (*next_state, y)]
+            if dyn.order <= 3:
+                want = dyn.phi @ state + dyn.gamma * float(u)
+                assert np.array(next_state).tobytes() == want.tobytes()
+                assert np.float64(y).tobytes() == (dyn.psi @ state).tobytes()
 
     @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(4)),
            cells=st.lists(_CELL, min_size=4, max_size=4), u=_CELL)
@@ -239,7 +440,7 @@ class TestAdaptationDynamics:
         n = dyn.order
         state = tuple(cells[:n])
         next_state, y = dyn.step(state, u)
-        row_order = {1: [0], 2: [1, 0], 3: [1, 0, 2]}.get(n, range(n))
+        row_order = _ROW_ORDER.get(n, range(n))
         want = [_fma_chain(row, state, row_order) + 0.0 + g * u
                 for row, g in zip(dyn.phi.tolist(), dyn.gamma.tolist())]
         assert [v.hex() for v in next_state] == [v.hex() for v in want]
@@ -331,6 +532,33 @@ class TestAdaptationDynamics:
             assert (tail <= c * bound + 1e-9).all()
 
 
+class TestStepKernel:
+    def test_package_structures_are_pinned(self):
+        built = {dyn.step.__code__.co_filename for dyn in _package_dynamics()}
+        assert built == {f"<step kernel {n} {kinds}>" for n, kinds in _PINNED_KERNELS}
+        for (n, kinds), source in _PINNED_KERNELS.items():
+            assert _kernel_source(n, kinds) == source
+
+    def test_one_compile_per_structure(self):
+        # identification over 10 sweeps each of A and B at orders 2 and 3
+        # builds 80 dynamics, and compiles one kernel per chain structure
+        _kernel.cache_clear()
+        built = set()
+        for name in "AB":
+            for seed in range(10):
+                sweep = run_episode(ExperimentConfig(subject=name, algorithm="sweep"), seed)
+                for order in (2, 3):
+                    dyn = identify_from_records(sweep.column("theta_applied"),
+                                                sweep.column("J"), order)[1]
+                    built.add(dyn.step.__code__.co_filename)
+        assert _kernel.cache_info().misses == len(built) == 3
+
+    def test_out_of_range_coefficients_take_the_exact_step(self):
+        dyn = AdaptationDynamics([[2.0 ** -500, 0.5], [1.0, 0.0]], [1.0, 0.0], [0.0, 1.0])
+        assert not hasattr(dyn.step, "__code__")  # no kernel: _exact_step
+        assert dyn.step((1e6, 3.0), 2.0) == ((1.5 + 2.0, 1e6), 3.0)
+
+
 class TestSimulatedSubject:
     def test_settles_to_vertex_value(self):
         subj = subject_a(noise_std=0.0)
@@ -409,6 +637,13 @@ class TestSimulatedSubject:
         assert "\n" not in str(err.value)
         assert str(err.value) == "phi = [[0.0, 1.0], [nan, 0.35]] must be finite"
 
+    def test_plain_scalars_stored_as_float_and_int(self):
+        # a bool is checked as numpy checks it: True is 1.0 and the seed 1
+        noise = MotorNoise(-0.0, True, True)
+        assert [(type(v), v) for v in (noise.mean, noise.std, noise.seed)] == [
+            (float, 0.0), (float, 1.0), (int, 1)]
+        assert str(noise.mean) == "0.0"
+
     def test_spectral_radius_computed_once_per_object(self, monkeypatch):
         dyn = AdaptationDynamics(PHI_A, GAMMA_A, PSI_A)
         calls, eigvals = [], np.linalg.eigvals
@@ -433,12 +668,34 @@ class TestSimulatedSubject:
         assert noise.seed == 5
         assert [first, noise.sample()] == np.random.default_rng(5).standard_normal(2).tolist()
 
-    def test_assigned_map_reaches_step_and_optimum(self):
-        subj = subject_a(seed=3)
-        subj.map = MAP_B
-        want = SimulatedSubject(MAP_B, subj.dynamics, MotorNoise(0.0, NOISE_STD_A, 3))
+    @pytest.mark.parametrize("name, value", [
+        ("map", MAP_B),
+        ("dynamics", AdaptationDynamics([[1.5, 0.0], [0.0, 0.0]], GAMMA_A, PSI_A)),
+        ("initial_state", (np.nan, 0.0))], ids=["map", "dynamics", "initial_state"])
+    def test_model_cannot_be_assigned(self, name, value):
+        subj, want = subject_a(seed=3), subject_a(seed=3)
+        with pytest.raises(AttributeError):
+            setattr(subj, name, value)
+        subj.reset()
         assert [subj.step(1.2) for _ in range(20)] == [want.step(1.2) for _ in range(20)]
-        assert subj.optimum() == MAP_B.optimum()
+        assert subj.optimum() == MAP_A.optimum()
+
+    def test_subject_file_noise_override(self, tmp_path):
+        # make_subject replaces a subject file's noise std and seed, its mean kept
+        path = tmp_path / "subject.ini"
+        dyn = subject_b().dynamics
+        save_subject(path, SimulatedSubject(MAP_B, dyn, MotorNoise(1.5, 2.0, 9)))
+        subj = make_subject(str(path), 4, noise_std=7.0)
+        assert (subj.noise.mean, subj.noise.std, subj.noise.seed) == (1.5, 7.0, 4)
+        want = SimulatedSubject(MAP_B, dyn, MotorNoise(1.5, 7.0, 4))
+        assert [subj.step(1.3) for _ in range(20)] == [want.step(1.3) for _ in range(20)]
+        assert make_subject(str(path), 4).noise.std == 2.0
+
+    def test_subject_pickles(self):
+        subj = subject_b(seed=5)
+        subj.step(1.1)
+        copy = pickle.loads(pickle.dumps(subj))
+        assert [copy.step(1.4) for _ in range(20)] == [subj.step(1.4) for _ in range(20)]
 
     def test_unstable_dynamics_rejected(self):
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])

@@ -1,6 +1,6 @@
 """Tests for the identification toolkit."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, subject_a)
-from synergy_es.sysid import (_arx_residuals, _lag_residual_basis,
+from synergy_es.sysid import (_arx_residuals, _lag_residual_basis, _pole_grid_indices,
                               _poles_to_denominator, fit_adaptation_lti,
                               fit_preference_map, identify_from_records,
                               whiteness_test, write_fitted_subject,
@@ -220,6 +220,14 @@ class TestClosedFormScoring:
         closed = np.mean((basis @ dens.T) ** 2, axis=0)
         per_candidate = [_arx_residuals(u, y, den)[1] for den in dens]
         assert_allclose(closed, per_candidate, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_pole_grid_indices_built_once_read_only(self, order):
+        grid = _pole_grid_indices(13, order)
+        assert grid is _pole_grid_indices(13, order)
+        assert not grid.flags.writeable
+        assert grid.tolist() == [list(c) for c in
+                                 combinations_with_replacement(range(13), order)]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("order", [2, 3])
