@@ -8,49 +8,35 @@ from it. The integrator gain is fixed at the comparison value 0.005 (not
 the grey-box k) and the washout cutoff at omega_o / 5. Like the
 personalizer, the loop is run(plant, n), one flat body on Python floats
 held in locals, with sin(w i) from a per-config table; an episode is one
-run, and step(J) is a one-iteration run.
+run. Construction, applied_theta(), step(J) (a one-iteration run) and the
+table's growth, to exactly the rows a run reads, are personalizer.EsLoop's.
 """
 
 import math
 
-from .personalizer import DEFAULT_CONFIG, StepRecord, clamp, extend_table, measured
+from .personalizer import DEFAULT_CONFIG, EsLoop, StepRecord, clamp, measured
 
 GAIN = 0.005  # integrator gain of the comparison scheme
 HIGHPASS_CUTOFF_RATIO = 0.2  # washout cutoff = omega_o / 5
 
 
-class BlackBoxEs:
+class BlackBoxEs(EsLoop):
     """Sinusoidal-perturbation ES with a first-order high-pass washout."""
 
     def __init__(self, config=DEFAULT_CONFIG):
-        self.config = config
         wc = config.omega_o * HIGHPASS_CUTOFF_RATIO
         self._alpha = 1.0 / (1.0 + wc)  # discrete first-order high-pass pole
-        self.theta_hat = clamp(config.theta_0, *config.bounds)
         self._hp_y = 0.0
         self._prev_j = None
-        self._sines = config.tables.setdefault(type(self), [])  # sin(w i)
-        self.iteration = 0
-        self.records = []
-        self.applied_theta()  # sets what the first step records as applied
+        super().__init__(config, clamp(config.theta_0, *config.bounds))
 
     def dither(self, index):
         """Single-tone perturbation a sin(w i)."""
         return self.config.dither_amplitude * math.sin(self.config.omega_o * index)
 
-    def applied_theta(self):
-        """Synergy to apply at the current iteration (estimate + dither)."""
-        self._theta_applied = clamp(self.theta_hat + self.dither(self.iteration),
-                                    *self.config.bounds)
-        return self._theta_applied
-
-    def _sine(self, index):
+    def _row(self, index):
+        """Table row index: sin(w index)."""
         return math.sin(self.config.omega_o * index)
-
-    def step(self, performance):
-        """Consume J_i, update the estimate, return theta_{i+1} to apply: a
-        one-iteration run on a plant that measures performance."""
-        return self.run(lambda _theta: performance, 1)
 
     def run(self, plant, iterations):
         """Run iterations closed-loop iterations; return the theta to apply next.
@@ -62,10 +48,8 @@ class BlackBoxEs:
         ends, also when plant raises or J is not finite at iteration k:
         the loop is then as k steps leave it.
         """
+        sines = self._table(iterations)  # sin(w (i + 1)) for each iteration i
         start = done = self.iteration
-        sines = self._sines
-        if len(sines) <= start + iterations:  # sin(w (i + 1)) for each iteration i
-            extend_table(sines, self._sine, start + iterations)
         alpha, a, (lo, hi) = self._alpha, self.config.dither_amplitude, self.config.bounds
         hp_y, prev_j = self._hp_y, self._prev_j
         theta_hat, theta = self.theta_hat, self._theta_applied

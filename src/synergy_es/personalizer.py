@@ -26,17 +26,20 @@ Implementation notes, fixed by numerical analysis of the printed design:
   body in which the filter recursion, observer update, demodulation and
   switched update run inline, on the constants and state held in
   locals, since a Python call or attribute round trip costs about as
-  much as a stage's arithmetic. An episode is one run; step(J) is a
-  one-iteration run on a plant that measures J. The dither and the
-  four phased references depend only on the config and the iteration
-  index, so they come from a per-config table (PersonalizerConfig.tables)
-  whose row i is built with the expressions of dither(i) and demodulate
-  at index i; a run extends it up front to cover its iterations (w i in
-  floats is not periodic, so rows are built per index, never repeated).
-  The stages' own BandPassFilter.step, GradCurvObserver.step and
-  .demodulate and SwitchedOptimizer.update stay, unused by the loops:
-  they are the reference the flat body is tested against bit for bit,
-  and the names the benchmark's tracer wraps.
+  much as a stage's arithmetic. An episode is one run. The dither and
+  the four phased references depend only on the config and the
+  iteration index, so they come from a per-config table
+  (PersonalizerConfig.tables) whose row i is built with the expressions
+  of dither(i) and demodulate at index i (w i in floats is not periodic,
+  so rows are built per index, never repeated). The stages' own
+  BandPassFilter.step, GradCurvObserver.step and .demodulate and
+  SwitchedOptimizer.update stay, unused by the loops: they are the
+  reference the flat body is tested against bit for bit, and the names
+  the benchmark's tracer wraps.
+
+* EsLoop, shared with baseline.BlackBoxEs, holds what runs once per loop
+  or run: construction, applied_theta(), step(J) (a one-iteration run) and
+  the table's growth, before a run, to exactly the rows the run reads.
 
 * Demodulation references carry the design-known chain phase (band-pass
   response times the one-iteration measurement latency) at w and 2w, so
@@ -71,7 +74,6 @@ DEFAULT_L = np.array([1.5, 0.25, 0.25, 2.0, -2.0])
 
 NEWTON = "newton"
 GRADIENT = "gradient"
-TABLE_ROWS = 256  # rows a loop's per-config table grows by, past a run's end
 
 
 def clamp(x, lo, hi):
@@ -267,8 +269,8 @@ class PersonalizerConfig:
         object.__setattr__(self, "design", (
             band, observer, (float(np.angle(g1)), float(abs(g1))),
             (float(np.angle(g2)), float(abs(g2)))))
-        # per loop class, the rows its step reads by iteration index;
-        # extend_table fills them as runs need
+        # per loop class, the rows its run reads by iteration index;
+        # EsLoop._table grows them as runs need
         object.__setattr__(self, "tables", {})
 
     def as_dict(self):
@@ -316,28 +318,51 @@ def measured(performance):
     return j
 
 
-def extend_table(table, row, index):
-    """Extend table, whose entry i is row(i), to TABLE_ROWS rows past index.
+class EsLoop:
+    """What both ES loops do once per loop or once per run; the loops add
+    dither(i), _row(i) and run(plant, n), the flat per-iteration body."""
 
-    The rows are built first and stored at their indices in one slice
-    assignment, so loops on other threads sharing the table never see a
-    row at the wrong index.
-    """
-    start, stop = len(table), index + TABLE_ROWS
-    table[start:stop] = [row(i) for i in range(start, stop)]
+    def __init__(self, config, theta_hat):
+        self.config, self.theta_hat = config, theta_hat
+        self.iteration = 0
+        self.records = []
+        self._rows = config.tables.setdefault(type(self), [])
+        self.applied_theta()  # sets what the first step records as applied
+
+    def applied_theta(self):
+        """Synergy to apply at the current iteration (estimate + dither)."""
+        self._theta_applied = clamp(self.theta_hat + self.dither(self.iteration),
+                                    *self.config.bounds)
+        return self._theta_applied
+
+    def step(self, performance):
+        """Consume J_i, update all states, return theta_{i+1} to apply: a
+        one-iteration run on a plant that measures performance."""
+        return self.run(lambda _theta: performance, 1)
+
+    def _table(self, iterations):
+        """The per-config table, row i = _row(i), grown to exactly the rows
+        0..iteration + iterations that a run of iterations reads. Built rows
+        are stored by index in one slice assignment: rows that a loop sharing
+        the config added meanwhile stay (rows[have:] would cut them)."""
+        if iterations < 0:
+            raise ValueError(f"iterations = {iterations} must be non-negative")
+        rows, stop = self._rows, self.iteration + iterations + 1
+        have = len(rows)
+        if have < stop:
+            rows[have:stop] = [self._row(i) for i in range(have, stop)]
+        return rows
 
 
-class Personalizer:
+class Personalizer(EsLoop):
     """Closed-loop synergy personalizer: run(plant, n) for n iterations on a
     plant, or step(J_i) once per iteration with J measured outside."""
 
     def __init__(self, config=DEFAULT_CONFIG):
-        self.config = config
         self.filter, self.observer, (_, gain1), (_, gain2) = config.design
         a, (lo, hi) = config.dither_amplitude, config.bounds
         # update bounded by the dither span; hat kept one span inside bounds
         hat_lo, hat_hi = lo + 2 * a, hi - 2 * a
-        self.theta_hat = float(clamp(config.theta_0, hat_lo, hat_hi))
         self.last_branch = GRADIENT
         # step()'s constants: a, the estimate scales (a x the chain gain
         # at w, a^2 x the one at 2w), the warmup, SwitchedOptimizer's
@@ -345,22 +370,13 @@ class Personalizer:
         self._constants = (a, a * gain1, a * a * gain2, config.warmup_iterations,
                            -config.epsilon, config.gain * config.omega_o, 2 * a,
                            hat_lo, hat_hi, lo, hi)
-        self._rows = config.tables.setdefault(type(self), [])
         self._state = None  # filter and observer state, from the first sample
-        self.iteration = 0
-        self.records = []
-        self.applied_theta()  # sets what the first step records as applied
+        super().__init__(config, float(clamp(config.theta_0, hat_lo, hat_hi)))
 
     def dither(self, index):
         """Two-tone perturbation a sin(w i) + a sin(2w i)."""
         a, w = self.config.dither_amplitude, self.config.omega_o
         return a * math.sin(w * index) + a * math.sin(2.0 * w * index)
-
-    def applied_theta(self):
-        """Synergy to apply at the current iteration (estimate + dither)."""
-        self._theta_applied = clamp(self.theta_hat + self.dither(self.iteration),
-                                    *self.config.bounds)
-        return self._theta_applied
 
     def _row(self, index):
         """Table row index: dither(index), then the sin and cos of the
@@ -369,11 +385,6 @@ class Personalizer:
         arg1, arg2 = w * index + phase1, 2 * w * index + phase2
         return (self.dither(index), math.sin(arg1), math.cos(arg1), math.sin(arg2),
                 math.cos(arg2))
-
-    def step(self, performance):
-        """Consume J_i, update all states, return theta_{i+1} to apply: a
-        one-iteration run on a plant that measures performance."""
-        return self.run(lambda _theta: performance, 1)
 
     def run(self, plant, iterations):
         """Run iterations closed-loop iterations; return the theta to apply next.
@@ -388,10 +399,8 @@ class Personalizer:
         plant raises or J is not finite at iteration k: the loop is then
         as k steps leave it.
         """
+        rows = self._table(iterations)  # row i + 1 for each iteration i
         start = done = self.iteration
-        rows = self._rows
-        if len(rows) <= start + iterations:  # row i + 1 for each iteration i
-            extend_table(rows, self._row, start + iterations)
         dc0, dc1, a00, a01, a10, a11, b0, b1, c0, c1, dd = self.filter.coefficients
         rc1, rs1, rc2, rs2, i0, i1, i2, i3, i4 = self.observer.coefficients
         a, grad_scale, curv_scale, warmup, neg_eps, kw, step_max, hat_lo, hat_hi, \

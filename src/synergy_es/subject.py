@@ -197,6 +197,17 @@ def _kernel(n, kinds):
     return namespace["kernel"]
 
 
+def steady_state_gain(phi, gamma, psi):
+    """Psi (I - Phi)^-1 Gamma; errors on a marginally stable plant."""
+    try:
+        sol = np.linalg.solve(np.eye(len(gamma)) - phi, gamma)
+    except np.linalg.LinAlgError:
+        raise ValueError("(I - Phi) is singular; no finite steady-state gain")
+    if not np.isfinite(sol).all():
+        raise ValueError("(I - Phi) is singular; no finite steady-state gain")
+    return float(psi @ sol)
+
+
 @dataclass(frozen=True, eq=False)
 class AdaptationDynamics:
     """Iteration-domain LTI (Phi, Gamma, Psi) modeling motor adaptation,
@@ -255,14 +266,7 @@ class AdaptationDynamics:
 
     def steady_state_gain(self):
         """Psi (I - Phi)^-1 Gamma; errors on a marginally stable plant."""
-        eye = np.eye(self.order)
-        try:
-            sol = np.linalg.solve(eye - self.phi, self.gamma)
-        except np.linalg.LinAlgError:
-            raise ValueError("(I - Phi) is singular; no finite steady-state gain")
-        if not np.isfinite(sol).all():
-            raise ValueError("(I - Phi) is singular; no finite steady-state gain")
-        return float(self.psi @ sol)
+        return steady_state_gain(self.phi, self.gamma, self.psi)
 
     def normalized(self):
         """Scale Gamma so the steady-state gain is exactly 1."""

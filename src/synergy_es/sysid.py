@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import format_matrix, format_vector
 from .subject import (AdaptationDynamics, MotorNoise, PreferenceMap,
-                      SimulatedSubject, save_subject)
+                      SimulatedSubject, save_subject, steady_state_gain)
 
 _RESIDUAL_START = 1  # predictions start at sample 1 with zero-padded history
 _MAX_LAG = 10  # whiteness test: autocorrelation lags 1.._MAX_LAG at most
@@ -111,7 +111,7 @@ def _arx_residuals(u, y, den):
 
 
 def _companion_realization(b, den):
-    """Controller-canonical state space for b(z)/den(z), strictly proper."""
+    """(Phi, Gamma, Psi), controller-canonical, for b(z)/den(z), strictly proper."""
     n = len(den) - 1
     phi = np.zeros((n, n))
     phi[0, :] = -den[1:]
@@ -119,8 +119,7 @@ def _companion_realization(b, den):
         phi[1:, :-1] = np.eye(n - 1)
     gamma = np.zeros(n)
     gamma[0] = 1.0
-    psi = np.asarray(b, dtype=float)
-    return AdaptationDynamics(phi, gamma, psi)
+    return phi, gamma, np.asarray(b, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -179,10 +178,10 @@ def fit_adaptation_lti(u_series, j_series, order=2):
     den = search(order, () if order == 2 else [(0.0, *search(2)[1])])[2]
     b, mse = _arx_residuals(u, y, den)
 
-    dyn = _companion_realization(b, den)
-    gain = dyn.steady_state_gain()
-    if gain != 0.0:
-        dyn = dyn.normalized()
+    # one model per fit: Gamma scaled to unity gain, left as is at gain 0
+    phi, gamma, psi = _companion_realization(b, den)
+    gain = steady_state_gain(phi, gamma, psi)
+    dyn = AdaptationDynamics(phi, gamma / gain if gain != 0.0 else gamma, psi)
 
     # diagnostic only: compare with the unconstrained ARX fit
     _, mse_free = _unconstrained_arx(u, y, order)

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from synergy_es.baseline import BlackBoxEs
 from synergy_es.harness import ExperimentConfig
-from synergy_es.personalizer import NEWTON
+from synergy_es.personalizer import NEWTON, EsLoop, Personalizer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GREYBOX_OP, BASELINE_OP = 0, 1  # op ids of the greybox-mc and baseline-io ops
@@ -98,6 +99,27 @@ def test_every_workload_runs_under_the_tracer(tmp_path, perfbench):
     for targets in tracer.LAYERS.values():
         for owner, attr in targets:
             assert not hasattr(getattr(owner, attr), "__wrapped__"), attr
+
+
+def test_each_loops_step_is_its_own_layer(perfbench):
+    # both loops inherit step from EsLoop; the tracer wraps it by name on
+    # each class, so personalizer.step and baseline.step stay apart
+    tracer, _ = perfbench
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        grey, black = Personalizer.step, BlackBoxEs.step
+        assert grey is not black
+        assert grey.__wrapped__ is EsLoop.step is black.__wrapped__
+        Personalizer().step(1.0)
+        BlackBoxEs().step(1.0)
+        BlackBoxEs().step(1.0)
+    finally:
+        spans.uninstall()
+    cols = spans.arrays()
+    names = list(cols["names"][cols["layer"]])
+    assert (names.count("personalizer.step"), names.count("baseline.step")) == (1, 2)
+    assert Personalizer.step is EsLoop.step is BlackBoxEs.step
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -17,15 +17,16 @@ from numpy.testing import assert_allclose
 import synergy_es
 from synergy_es.baseline import GAIN, HIGHPASS_CUTOFF_RATIO, BlackBoxEs
 from synergy_es.personalizer import (DEFAULT_L, GRADIENT, NEWTON, OBSERVER_PHI,
-                                     OBSERVER_PSI, TABLE_ROWS, BandPassFilter,
+                                     OBSERVER_PSI, BandPassFilter, EsLoop,
                                      GradCurvObserver, Personalizer,
                                      PersonalizerConfig, StepRecord,
-                                     SwitchedOptimizer, clamp, extend_table)
+                                     SwitchedOptimizer, clamp)
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, MotorNoise, PreferenceMap,
                                 SimulatedSubject, static_subject, subject_a,
                                 subject_b)
 
 W = np.pi / 4
+LONG_RUN = 256  # iterations of the tests' runs of a few hundred
 
 
 def optimizer(**kwargs):
@@ -590,11 +591,11 @@ def subject_for(name, seed):
 
 class TestFlatStep:
     """Personalizer.step and BlackBoxEs.step are the stages inlined: the
-    same records, bit for bit, as the composed oracles above, also past
-    the end of the per-config tables (TABLE_ROWS rows at a time)."""
+    same records, bit for bit, as the composed oracles above, on per-config
+    tables that grow with every step."""
 
     @given(cfg=configs(), name=st.sampled_from("AB"), seed=st.integers(0, 2 ** 31 - 1),
-           n=st.one_of(st.integers(1, 40), st.integers(TABLE_ROWS - 2, TABLE_ROWS + 2),
+           n=st.one_of(st.integers(1, 40), st.integers(LONG_RUN - 2, LONG_RUN + 2),
                        st.integers(900, 1100)))
     @example(cfg=PersonalizerConfig(dither_amplitude=0.0), name="A", seed=0, n=300)
     @example(cfg=PersonalizerConfig(warmup_iterations=0), name="B", seed=1, n=1000)
@@ -621,38 +622,52 @@ class TestFlatStep:
 
     def test_loops_share_their_configs_tables(self):
         cfg = PersonalizerConfig(omega_o=0.3)
-        first = drive(Personalizer(cfg), subject_a(seed=5), 2 * TABLE_ROWS + 3)
+        first = drive(Personalizer(cfg), subject_a(seed=5), 2 * LONG_RUN + 3)
         rows = cfg.tables[Personalizer]
-        assert len(rows) > 2 * TABLE_ROWS + 3
+        assert len(rows) == 2 * LONG_RUN + 4  # the rows the steps read, no more
         # a second run reads the rows the first one built, and agrees
-        assert drive(Personalizer(cfg), subject_a(seed=5), 2 * TABLE_ROWS + 3) == first
+        assert drive(Personalizer(cfg), subject_a(seed=5), 2 * LONG_RUN + 3) == first
         assert cfg.tables[Personalizer] is rows
         assert rows[7] == Personalizer(cfg)._row(7)
         assert rows[7][0] == Personalizer(cfg).dither(7)
 
     def test_threads_extending_one_table_keep_rows_at_their_index(self):
         # loops on several threads may share a config, so its tables: the
-        # four here extend one table at once, switching between rows
-        table, start = [], threading.Barrier(4)
+        # four here grow one table at once, switching between rows
+        cfg, start = PersonalizerConfig(), threading.Barrier(4)
+        loops = [Indexed(cfg, cfg.theta_0) for _ in range(4)]
 
-        def row(i):
-            time.sleep(0)  # give the other threads a turn
-            return i
-
-        def run():
+        def run(loop):
             start.wait()
-            for index in range(0, 4 * TABLE_ROWS, 5):
-                if index >= len(table):
-                    extend_table(table, row, index)
+            for _ in range(LONG_RUN):
+                loop.run(None, 4)
 
-        threads = [threading.Thread(target=run) for _ in range(4)]
+        threads = [threading.Thread(target=run, args=(loop,)) for loop in loops]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert len(table) >= 4 * TABLE_ROWS
+        table = cfg.tables[Indexed]
+        assert len(table) == loops[0].iteration + 1 == 4 * LONG_RUN + 1
         assert table == list(range(len(table)))
+
+
+class Indexed(EsLoop):
+    """The shell with table row i = i, built with a thread switch, and a run
+    that only grows the table and moves the iteration on."""
+
+    def dither(self, index):
+        return 0.0
+
+    def _row(self, index):
+        time.sleep(0)  # give the other threads a turn
+        return index
+
+    def run(self, plant, iterations):
+        self._table(iterations)
+        self.iteration += iterations
+        return self.applied_theta()
 
 
 def stepped(loop, plant, n):
@@ -667,7 +682,7 @@ def snapshot(loop):
     """The loop's records and state: every attribute but the config and
     what it shares, by repr, so bit for bit, NaN and -0.0 included."""
     own = {k: v for k, v in vars(loop).items()
-           if k not in ("config", "filter", "observer", "_rows", "_sines")}
+           if k not in ("config", "filter", "observer", "_rows")}
     return repr(sorted(own.items()))
 
 
@@ -687,7 +702,7 @@ class FaultAt:
 
 
 LOOPS = [Personalizer, BlackBoxEs]
-RUN_LENGTHS = st.one_of(st.integers(0, 40), st.integers(TABLE_ROWS - 2, TABLE_ROWS + 2),
+RUN_LENGTHS = st.one_of(st.integers(0, 40), st.integers(LONG_RUN - 2, LONG_RUN + 2),
                         st.integers(950, 1050))
 
 
@@ -700,11 +715,11 @@ class TestRun:
            seed=st.integers(0, 2 ** 31 - 1), lengths=st.lists(RUN_LENGTHS, min_size=1,
                                                               max_size=4))
     @example(loop=Personalizer, cfg=PersonalizerConfig(dither_amplitude=0.0), name="A",
-             seed=0, lengths=[1, TABLE_ROWS])
+             seed=0, lengths=[1, LONG_RUN])
     @example(loop=Personalizer, cfg=PersonalizerConfig(warmup_iterations=0), name="B",
-             seed=1, lengths=[TABLE_ROWS + 1, 1, 1000])
+             seed=1, lengths=[LONG_RUN + 1, 1, 1000])
     @example(loop=BlackBoxEs, cfg=PersonalizerConfig(dither_amplitude=0.0), name="B",
-             seed=2, lengths=[0, TABLE_ROWS - 1, 2])
+             seed=2, lengths=[0, LONG_RUN - 1, 2])
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     def test_runs_equal_steps_property(self, loop, cfg, name, seed, lengths):
         ran, subj = loop(cfg), subject_for(name, seed)
@@ -748,7 +763,7 @@ class TestRun:
     @example(loop=Personalizer, cfg=PersonalizerConfig(), seed=3, k=0, rest=20, bad=None)
     @example(loop=Personalizer, cfg=PersonalizerConfig(), seed=3, k=20, rest=20,
              bad=math.nan)
-    @example(loop=BlackBoxEs, cfg=PersonalizerConfig(), seed=4, k=TABLE_ROWS, rest=5,
+    @example(loop=BlackBoxEs, cfg=PersonalizerConfig(), seed=4, k=LONG_RUN, rest=5,
              bad=-math.inf)
     @settings(max_examples=30, deadline=None, database=None, derandomize=True)
     def test_failure_at_iteration_k_leaves_k_steps_property(self, loop, cfg, seed, k,
@@ -769,7 +784,7 @@ class TestRun:
     def test_threads_running_on_one_config_share_its_table(self, loop):
         # loops on several threads may share a config, so its table: four
         # runs extend it at once, in short runs that switch threads
-        n, chunk = 4 * TABLE_ROWS + 3, 5
+        n, chunk = 4 * LONG_RUN + 3, 5
         want = loop(PersonalizerConfig(omega_o=0.3))
         want.run(subject_a(seed=9).step, n)
         cfg, start = PersonalizerConfig(omega_o=0.3), threading.Barrier(4)
@@ -800,6 +815,43 @@ class TestRun:
         table, alone = cfg.tables[loop], want.config.tables[loop]
         assert len(table) > n and table[:len(alone)] == alone[:len(table)]
         assert all(snapshot(ran) == snapshot(want) for ran in loops)
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=["greybox", "blackbox"])
+    def test_growth_keeps_rows_added_while_it_builds(self, loop):
+        # the interleaving the thread tests hit by chance, made certain:
+        # while a run of 6 builds its rows 0-6, another loop on the config
+        # grows the table to 13 rows; storing the 7 rows must not cut it
+        cfg = PersonalizerConfig()
+        outer, inner = loop(cfg), loop(cfg)
+
+        def row(index):
+            if index == 3:
+                inner.run(subject_a(seed=1).step, 12)
+            return loop._row(outer, index)
+
+        outer._row = row
+        outer.run(subject_a(seed=2).step, 6)
+        table = cfg.tables[loop]
+        assert len(table) == 13
+        assert table == [loop._row(outer, i) for i in range(13)]
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=["greybox", "blackbox"])
+    def test_table_holds_the_rows_runs_read(self, loop):
+        cfg = PersonalizerConfig()
+        ran = loop(cfg)
+        assert cfg.tables[loop] == []  # made with the loop, grown by runs
+        for n, rows in [(0, 1), (150, 151), (7, 158), (0, 158)]:
+            ran.run(subject_a(seed=3).step, n)
+            assert len(cfg.tables[loop]) == rows == ran.iteration + 1
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=["greybox", "blackbox"])
+    def test_negative_run_length_rejected(self, loop):
+        ran, calls = loop(PersonalizerConfig()), []
+        before = snapshot(ran)
+        with pytest.raises(ValueError, match="iterations = -5 must be non-negative"):
+            ran.run(calls.append, -5)
+        assert calls == [] and snapshot(ran) == before
+        assert ran.run(calls.append, 0) == ran.applied_theta() and calls == []
 
 
 def test_runtime_does_not_import_scipy():
