@@ -12,6 +12,7 @@ reading under which both terms normalize to a 0..100 range.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,27 +150,44 @@ def simulate_reach(geom, task, theta, profile):
     1 cm/s after motion onset, or at the task time limit. The part that
     does not depend on theta comes from the arm sweep cached on the
     plant objects, whose float fields make equal objects compute equal bits.
+    The part that does is a fixed sequence of array operations written
+    into a fresh hand path, in the order of the per-sample formulas, and
+    the end error is sqrt(dx*dx + dy*dy) on Python floats, so its bits do
+    not depend on the BLAS kernel.
     """
-    if not np.isfinite(theta):
+    if not math.isfinite(theta):
         raise ValueError("synergy value must be finite")
     dt, times, shoulder, flex, ex, ey = _arm_sweep(geom, task.time_limit_s,
                                                    profile)
-    elbow = _ELBOW_START_RAD - float(theta) * flex
-    hx, hy = _hand_point(geom.forearm_hand_cm, (ex, ey), shoulder, elbow)
-    path = np.column_stack((times, hx, hy))
+    forearm = geom.forearm_hand_cm
+    path = np.empty((times.size, 3))
+    path[:, 0] = times
+    hx, hy = path[:, 1], path[:, 2]
+    # the forearm angle shoulder + elbow, as _hand_point computes it
+    fa = float(theta) * flex
+    np.subtract(_ELBOW_START_RAD, fa, out=fa)
+    np.add(shoulder, fa, out=fa)
+    np.multiply(forearm, np.sin(fa), out=hx)
+    np.add(ex, hx, out=hx)
+    np.multiply(forearm, np.cos(fa, out=fa), out=hy)
+    np.subtract(ey, hy, out=hy)
     # norm(diff(path[:, 1:]), axis=1) for real input is sqrt(dx*dx + dy*dy)
-    dx, dy = np.diff(hx), np.diff(hy)
-    speeds = np.sqrt(dx * dx + dy * dy) / dt
-    moving = speeds >= STOP_SPEED_CM_S
+    dx, dy = hx[1:] - hx[:-1], hy[1:] - hy[:-1]
+    moving = np.sqrt(dx * dx + dy * dy) / dt >= STOP_SPEED_CM_S
+    # the first sample at rest after the first one in motion; none (the
+    # time limit) when the hand never moves or is still moving at the end
     stop_idx = times.size - 1
-    if moving.any():
-        onset = int(np.argmax(moving))
-        rest = np.nonzero(~moving[onset:])[0]
-        if rest.size:
-            stop_idx = onset + int(rest[0])
-    t_f = float(times[stop_idx]) if moving.any() and stop_idx < times.size - 1 \
-        else task.time_limit_s
-    end_error = float(np.linalg.norm(path[stop_idx, 1:] - np.asarray(task.end_target)))
+    t_f = task.time_limit_s
+    if moving.size:
+        onset = int(moving.argmax())
+        rest = onset + int(moving[onset:].argmin())
+        if moving[onset] and not moving[rest]:
+            stop_idx = rest
+            t_f = float(times[rest])
+    end_x, end_y = task.end_target
+    dx_end = float(hx[stop_idx]) - end_x
+    dy_end = float(hy[stop_idx]) - end_y
+    end_error = math.sqrt(dx_end * dx_end + dy_end * dy_end)
     completed = end_error <= task.success_radius_cm
     return ReachOutcome(end_error, t_f, completed, path)
 

@@ -866,3 +866,31 @@ def test_runtime_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def test_setup_loads_no_harness_sysid_plant_plot_or_baseline():
+    """The package loads its exports on first use, so importing it and
+    building both subjects and a Personalizer loads none of these."""
+    code = ("import sys, synergy_es\n"
+            "synergy_es.subject_a(), synergy_es.subject_b(), synergy_es.Personalizer()\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('synergy_es.')))\n")
+    src = os.path.dirname(os.path.dirname(synergy_es.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    loaded = {m.split(".")[1] for m in out.stdout.split()}
+    assert "personalizer" in loaded and "subject" in loaded
+    assert not loaded & {"harness", "sysid", "plant", "svgplot", "baseline"}
+
+
+def test_every_export_is_its_submodules_object():
+    from synergy_es import harness  # a submodule by from-import, as before
+    assert harness is sys.modules["synergy_es.harness"]
+    for module, names in synergy_es._EXPORTS.items():
+        sub = getattr(synergy_es, module)
+        assert sub is sys.modules[f"synergy_es.{module}"]
+        for name in names:
+            assert getattr(synergy_es, name) is getattr(sub, name)
+            assert name in dir(synergy_es) and name in synergy_es.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        synergy_es.no_such_name

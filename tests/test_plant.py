@@ -1,12 +1,18 @@
 """Tests for the reaching plant and task objective."""
 
+import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import synergy_es
 
 from synergy_es.plant import (_ELBOW_START_RAD, STOP_SPEED_CM_S, ArmGeometry,
                               ReachOutcome, ReachTask, ShoulderProfile,
@@ -15,6 +21,10 @@ from synergy_es.plant import (_ELBOW_START_RAD, STOP_SPEED_CM_S, ArmGeometry,
                               objective, simulate_reach)
 
 NAN, INF = float("nan"), float("inf")
+# default arm, profile rate and peak for the stop rule's edge cases
+STOP_RULE_EDGE = dict(theta=1.7, upper=30.0, forearm=35.0, shoulder=(0.0, 0.0),
+                      peak=0.75, start=0.45, rate=90.0, field="duration_s",
+                      value=0.2)
 
 
 def outcome(err, tf):
@@ -41,7 +51,8 @@ def reference_reach(geom, task, theta, profile):
             stop_idx = onset + int(rest[0])
     t_f = float(times[stop_idx]) if moving.any() and stop_idx < times.size - 1 \
         else float(task.time_limit_s)
-    end_error = float(np.linalg.norm(path[stop_idx, 1:] - np.asarray(task.end_target)))
+    dx, dy = path[stop_idx, 1:] - np.asarray(task.end_target)
+    end_error = math.sqrt(dx * dx + dy * dy)
     completed = end_error <= task.success_radius_cm and t_f <= task.time_limit_s
     return ReachOutcome(end_error, t_f, completed, path)
 
@@ -235,6 +246,12 @@ class TestSimulateReach:
                                   "sample_rate_hz", "start_flexion_rad"]),
            value=st.floats(0.2, 3.0))
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    # the stop rule's edges on the default arm: a one-sample reach (the
+    # limit under half a sample), motion still on at the time limit, and
+    # motion from sample 0
+    @example(**STOP_RULE_EDGE, duration=1.5, limit=0.004)
+    @example(**STOP_RULE_EDGE, duration=3.0, limit=1.0)
+    @example(**STOP_RULE_EDGE, duration=0.1, limit=3.0)
     def test_cached_sweep_never_mixes_arms(self, theta, upper, forearm,
                                            shoulder, peak, start, duration,
                                            rate, limit, field, value):
@@ -299,6 +316,39 @@ class TestSimulateReach:
         (geom, task, prof), (geom_b, task_b, prof_b) = objs
         assert_same_outcome(simulate_reach(geom, task, theta, prof),
                             reference_reach(geom_b, task_b, theta, prof_b))
+
+
+# every outcome of the 81-point grid as a line of bits (hand path by hash)
+GRID_OUTCOMES = """
+import hashlib
+import numpy as np
+from synergy_es.plant import (default_geometry, default_profile, default_task,
+                              objective, simulate_reach)
+geom, prof = default_geometry(), default_profile()
+task = default_task(geom, prof)
+lines = []
+for theta in 0.8 + 0.02 * np.arange(81):
+    out = simulate_reach(geom, task, theta, prof)
+    lines.append(" ".join((hashlib.sha256(out.hand_path.tobytes()).hexdigest(),
+                           out.end_error_cm.hex(), out.completion_time_s.hex(),
+                           str(out.completed), objective(out).hex())))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Nehalem", "Prescott"])
+def test_reach_grid_on_kernels_without_fma(coretype):
+    """OPENBLAS_CORETYPE makes OpenBLAS pick an older CPU's kernels, which
+    do not fuse products. A reach calls no BLAS (the end error is
+    sqrt(dx*dx + dy*dy) on floats, not a BLAS dot), so every outcome of
+    the grid, and its J, keeps its bits."""
+    src = os.path.dirname(os.path.dirname(synergy_es.__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", GRID_OUTCOMES + "print(*lines, sep='\\n')"],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    scope = {}
+    exec(GRID_OUTCOMES, scope)
+    assert done.stdout.splitlines() == scope["lines"]
 
 
 # each plant class -> its fields and the range of values drawn for each;
