@@ -20,7 +20,7 @@ _EXPORTS = {
                 "convergence_iteration", "read_trace_csv", "run_batch",
                 "run_episode", "summarize_batch", "write_trace_csv"),
     "personalizer": ("BandPassFilter", "GradCurvObserver", "Personalizer",
-                     "PersonalizerConfig", "StepRecord", "SwitchedOptimizer"),
+                     "PersonalizerConfig", "StepRecord"),
     "plant": ("ArmGeometry", "ReachOutcome", "ReachTask", "ShoulderProfile",
               "default_geometry", "default_profile", "default_task",
               "export_hand_path", "objective", "simulate_reach"),

@@ -291,18 +291,17 @@ def summarize_batch(traces, theta_star):
     # non-converged seeds rank above every converged one for the median
     ranked = [np.inf if c is None else c for c in convs]
     med = float(np.median(ranked)) if ranked else None
-    summary = {
+    return {
         "episodes": len(traces),
         "converged": len(reached),
         "median_convergence_iteration": None if med is None or np.isinf(med) else med,
         "iqr_convergence":
             (float(np.percentile(reached, 75) - np.percentile(reached, 25))
              if len(reached) >= 2 else None),
-        "median_final_theta": float(np.median(finals)),
+        "median_final_theta": float(np.median(finals)) if finals else None,
         "per_seed_convergence": convs,
         "per_seed_final_theta": finals,
     }
-    return summary
 
 
 def run_batch(config, theta_star=None):
@@ -345,18 +344,14 @@ def run_batch(config, theta_star=None):
 
     if traces:
         iters = traces[0].column("iteration")
-        line_plot(os.path.join(config.output_dir,
-                               f"theta_{config.algorithm}.svg"),
-                  [(f"seed {t.metadata['seed']}", iters, t.column("theta_hat"))
-                   for t in traces[:10]],
-                  title="synergy estimate across iterations",
-                  xlabel="iteration", ylabel="theta_hat")
-        line_plot(os.path.join(config.output_dir,
-                               f"performance_{config.algorithm}.svg"),
-                  [(f"seed {t.metadata['seed']}", iters, t.column("J"))
-                   for t in traces[:10]],
-                  title="performance across iterations",
-                  xlabel="iteration", ylabel="J")
+        for stem, column, title in (("theta", "theta_hat", "synergy estimate"),
+                                    ("performance", "J", "performance")):
+            line_plot(os.path.join(config.output_dir,
+                                   f"{stem}_{config.algorithm}.svg"),
+                      [(f"seed {t.metadata['seed']}", iters, t.column(column))
+                       for t in traces[:10]],
+                      title=f"{title} across iterations",
+                      xlabel="iteration", ylabel=column)
     return summary, traces
 
 
@@ -366,15 +361,8 @@ def compare_traces(traces_a, traces_b, theta_star, tol=CONVERGENCE_TOL):
         raise ValueError(f"theta_star = {theta_star} must be finite")
     if not 0 < tol < math.inf:  # NaN fails
         raise ValueError(f"tol = {tol} must be finite and positive")
-    def successes(traces):
-        wins = 0
-        for tr in traces:
-            hats = tr.column("theta_hat")
-            if abs(hats[-1] - theta_star) < tol:
-                wins += 1
-        return wins
-
-    sa, sb = successes(traces_a), successes(traces_b)
+    sa, sb = (sum(1 for tr in traces if abs(tr.rows[-1].theta_hat - theta_star) < tol)
+              for traces in (traces_a, traces_b))
     return {
         "set_a_success": sa, "set_a_total": len(traces_a),
         "set_b_success": sb, "set_b_total": len(traces_b),

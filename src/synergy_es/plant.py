@@ -90,19 +90,12 @@ def _elbow_point(upper_arm_cm, shoulder_xy, shoulder_angle):
             sy - upper_arm_cm * np.cos(shoulder_angle))
 
 
-def _hand_point(forearm_hand_cm, elbow_xy, shoulder_angle, elbow_flexion):
-    """Hand point at the end of the forearm from the elbow joint."""
-    ex, ey = elbow_xy
-    fa = shoulder_angle + elbow_flexion
-    return (ex + forearm_hand_cm * np.sin(fa),
-            ey - forearm_hand_cm * np.cos(fa))
-
-
 def _hand_position(geom, shoulder_angle, elbow_flexion):
-    """Hand point [x, y] of one arm pose."""
-    elbow_xy = _elbow_point(geom.upper_arm_cm, geom.shoulder_xy, shoulder_angle)
-    return np.array(_hand_point(geom.forearm_hand_cm, elbow_xy, shoulder_angle,
-                                elbow_flexion))
+    """Hand point [x, y] of one arm pose: the forearm's end from the elbow joint."""
+    ex, ey = _elbow_point(geom.upper_arm_cm, geom.shoulder_xy, shoulder_angle)
+    fa = shoulder_angle + elbow_flexion
+    return np.array((ex + geom.forearm_hand_cm * np.sin(fa),
+                     ey - geom.forearm_hand_cm * np.cos(fa)))
 
 
 def default_geometry():
@@ -163,7 +156,7 @@ def simulate_reach(geom, task, theta, profile):
     path = np.empty((times.size, 3))
     path[:, 0] = times
     hx, hy = path[:, 1], path[:, 2]
-    # the forearm angle shoulder + elbow, as _hand_point computes it
+    # the forearm angle shoulder + elbow, as _hand_position computes it
     fa = float(theta) * flex
     np.subtract(_ELBOW_START_RAD, fa, out=fa)
     np.add(shoulder, fa, out=fa)

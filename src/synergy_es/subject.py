@@ -269,7 +269,10 @@ class AdaptationDynamics:
         return steady_state_gain(self.phi, self.gamma, self.psi)
 
     def normalized(self):
-        """Scale Gamma so the steady-state gain is exactly 1."""
+        """Scale Gamma so the steady-state gain is exactly 1: the public
+        unit-gain rule, which raises at gain 0. sysid.fit_adaptation_lti
+        scales Gamma itself, so that a zero-gain record still returns a
+        model and a fit builds one object."""
         g = self.steady_state_gain()
         if g == 0.0:
             raise ValueError("zero steady-state gain cannot be normalized")

@@ -100,10 +100,9 @@ def _arx_residuals(u, y, den):
     order, so MSEs of different orders are comparable.
     """
     n = len(den) - 1
-    rows = np.arange(_RESIDUAL_START, len(y))
-    target = y[rows].astype(float).copy()
+    target = y[_RESIDUAL_START:].astype(float)
     for kk in range(1, n + 1):
-        target += den[kk] * _lagged(y, kk)[rows]
+        target += den[kk] * _lagged(y, kk)[_RESIDUAL_START:]
     regress = _lag_columns(u, range(1, n + 1))
     b, *_ = np.linalg.lstsq(regress, target, rcond=None)
     resid = target - regress @ b
@@ -194,11 +193,11 @@ def fit_adaptation_lti(u_series, j_series, order=2):
 
 
 def _unconstrained_arx(u, y, n):
-    rows = np.arange(_RESIDUAL_START, len(y))
+    target = y[_RESIDUAL_START:]
     regress = np.column_stack([-_lag_columns(y, range(1, n + 1)),
                                _lag_columns(u, range(1, n + 1))])
-    theta, *_ = np.linalg.lstsq(regress, y[rows], rcond=None)
-    resid = y[rows] - regress @ theta
+    theta, *_ = np.linalg.lstsq(regress, target, rcond=None)
+    resid = target - regress @ theta
     return theta, float(np.mean(resid ** 2))
 
 

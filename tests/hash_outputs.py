@@ -1,0 +1,183 @@
+"""Print one sha256 per output group, to check that a change keeps every
+output byte of a checkout.
+
+    python tests/hash_outputs.py [CHECKOUT]
+
+CHECKOUT (default: the checkout holding this script) is the tree whose
+src/ and demos/ are run. Run it on two checkouts, for example a change and
+its parent, and compare the lines. Everything is written to a temporary
+directory that is removed at the end. pytest does not collect this file.
+
+Groups:
+- identify-report, identify-ini, identify-residuals: a sweep of A and of B
+  at seeds 0-59, identified at orders 2 and 3;
+- batch-<algorithm>-<subject>: run_batch's trace CSVs, summary CSV and both
+  SVGs over seeds 0-9, for grey-box A, black-box B, sweep A and fixed B;
+- compare-report, compare-cli: compare_traces on those batches' traces, in
+  process and read back from CSV, and the compare command's stdout;
+- reach: default_task() and every outcome of the 81-point theta grid;
+- golden, golden-Nehalem, golden-Prescott: the seed-0 episode of every
+  algorithm on A and B written as CSV (under the default BLAS kernel and,
+  in a subprocess, under OPENBLAS_CORETYPE Nehalem and Prescott), and both
+  plots of a black-box batch on B over seeds 0-9 under the default kernel;
+- demo-<name>: each demo's stdout and the files it writes.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+GRID = [0.8 + 0.02 * k for k in range(81)]
+
+
+def digest(items):
+    """sha256 over (name, bytes) pairs, each framed by its lengths."""
+    h = hashlib.sha256()
+    for name, data in items:
+        for part in (name.encode(), data):
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
+def files(directory):
+    return [(p.name, p.read_bytes()) for p in sorted(Path(directory).iterdir())]
+
+
+def identify_groups(tmp):
+    from synergy_es.harness import ExperimentConfig, run_episode
+    from synergy_es.sysid import (identify_from_records, write_fitted_subject,
+                                  write_identification_report)
+    groups = {"identify-report": [], "identify-ini": [], "identify-residuals": []}
+    for subject in "AB":
+        for seed in range(60):
+            trace = run_episode(ExperimentConfig(subject=subject, algorithm="sweep"), seed)
+            for order in (2, 3):
+                name = f"{subject}_s{seed}_o{order}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    pref, dyn, mse, resid, report = identify_from_records(
+                        trace.column("theta_applied"), trace.column("J"), order)
+                rpath, spath = tmp / f"{name}.txt", tmp / f"{name}.ini"
+                write_identification_report(rpath, pref, dyn, mse, report)
+                write_fitted_subject(spath, pref, dyn, report)
+                groups["identify-report"].append((name, rpath.read_bytes()))
+                groups["identify-ini"].append((name, spath.read_bytes()))
+                groups["identify-residuals"].append((name, resid.tobytes()))
+    return groups
+
+
+def batch_groups(tmp):
+    from synergy_es.cli import main
+    from synergy_es.harness import (ExperimentConfig, compare_traces,
+                                    read_trace_csv, run_batch)
+    groups, runs = {}, {}
+    for algorithm, subject in (("greybox", "A"), ("blackbox", "B"),
+                               ("sweep", "A"), ("fixed", "B")):
+        out = tmp / f"batch_{algorithm}_{subject}"
+        summary, traces = run_batch(ExperimentConfig(
+            subject=subject, algorithm=algorithm, seeds=tuple(range(10)),
+            output_dir=str(out)))
+        groups[f"batch-{algorithm}-{subject}"] = files(out)
+        runs[algorithm] = (summary["theta_star"], traces,
+                           sorted(str(p) for p in out.glob("trace_*.csv")))
+    reports, stdout = [], io.StringIO()
+    for a, b in (("greybox", "sweep"), ("blackbox", "fixed")):
+        theta_star, traces_a, paths_a = runs[a]
+        _, traces_b, paths_b = runs[b]
+        for tol in (0.1, 0.5):
+            name = f"{a}-{b}-tol{tol}"
+            reports.append((name, repr(compare_traces(
+                traces_a, traces_b, theta_star, tol)).encode()))
+            reports.append((name + "-csv", repr(compare_traces(
+                [read_trace_csv(p) for p in paths_a],
+                [read_trace_csv(p) for p in paths_b], theta_star, tol)).encode()))
+            with contextlib.redirect_stdout(stdout):
+                main(["compare", "--a", *paths_a, "--b", *paths_b,
+                      "--theta-star", repr(theta_star), "--tol", repr(tol)])
+    groups["compare-report"] = reports
+    groups["compare-cli"] = [("stdout", stdout.getvalue().encode())]
+    return groups
+
+
+def reach_groups():
+    from synergy_es.plant import (default_geometry, default_profile,
+                                  default_task, objective, simulate_reach)
+    geom, prof = default_geometry(), default_profile()
+    task = default_task(geom, prof)
+    items = [("task", repr(task).encode())]
+    for theta in GRID:
+        out = simulate_reach(geom, task, theta, prof)
+        items.append((theta.hex(), out.hand_path.tobytes() + " ".join((
+            out.end_error_cm.hex(), out.completion_time_s.hex(), str(out.completed),
+            objective(out).hex())).encode()))
+    return {"reach": items}
+
+
+def golden_files(out):
+    """The golden episodes' CSVs, written to out."""
+    from synergy_es.harness import (ALGORITHMS, ExperimentConfig, run_episode,
+                                    write_trace_csv)
+    out.mkdir()
+    for algorithm in ALGORITHMS:
+        for subject in "AB":
+            write_trace_csv(run_episode(ExperimentConfig(
+                subject=subject, algorithm=algorithm, seeds=(0,))),
+                out / f"{algorithm}_{subject}_s0.csv")
+    return files(out)
+
+
+def golden_groups(tmp, src):
+    from synergy_es.harness import ExperimentConfig, run_batch
+    out = tmp / "golden_plots"
+    run_batch(ExperimentConfig(subject="B", algorithm="blackbox",
+                               seeds=tuple(range(10)), output_dir=str(out)))
+    groups = {"golden": golden_files(tmp / "golden") +
+              [(name, (out / name).read_bytes())
+               for name in ("theta_blackbox.svg", "performance_blackbox.svg")]}
+    code = ("import runpy, sys; from pathlib import Path; "
+            f"g = runpy.run_path({__file__!r}); "
+            "print(g['digest'](g['golden_files'](Path(sys.argv[1]))))")
+    for coretype in ("Nehalem", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp / coretype)],
+                              env=env, check=True, capture_output=True, text=True,
+                              timeout=300)
+        groups[f"golden-{coretype}"] = done.stdout.strip()
+    return groups
+
+
+def demo_groups(tmp, root):
+    groups = {}
+    for demo in sorted((root / "demos").glob("demo_*.py")):
+        work = tmp / demo.stem
+        work.mkdir()
+        shutil.copy(demo, work / demo.name)  # its out/ lands next to the copy
+        done = subprocess.run([sys.executable, demo.name], cwd=work, check=True,
+                              capture_output=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+        groups[f"demo-{demo.stem}"] = [("stdout", done.stdout)] + files(work / "out")
+    return groups
+
+
+def main(argv):
+    root = Path(argv[0] if argv else Path(__file__).parent.parent).resolve()
+    src = root / "src"
+    sys.path.insert(0, str(src))
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        groups = {**identify_groups(tmp), **batch_groups(tmp), **reach_groups(),
+                  **golden_groups(tmp, src), **demo_groups(tmp, root)}
+    for group, items in groups.items():
+        print(f"{group:<32} {items if isinstance(items, str) else digest(items)}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

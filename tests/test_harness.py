@@ -534,6 +534,13 @@ class TestBatch:
         for key in ("median_convergence_iteration", "median_final_theta"):
             assert summary[key] == again[key]
 
+    def test_empty_summary_reads_none(self):
+        # no warning (an error here) from a median of nothing
+        assert summarize_batch([], 1.5) == {
+            "episodes": 0, "converged": 0, "median_convergence_iteration": None,
+            "iqr_convergence": None, "median_final_theta": None,
+            "per_seed_convergence": [], "per_seed_final_theta": []}
+
     def test_convergence_iteration_definition(self):
         hats = np.full(100, 2.0)
         hats[:40] = 1.0
@@ -625,3 +632,24 @@ class TestCompare:
         rep = compare_traces(ta, tb, ths)
         assert rep["set_a_total"] == rep["set_b_total"] == 4
         assert rep["set_a_success"] >= rep["set_b_success"]
+        # a trace read back from CSV scores as the trace it was written from
+        for i, tr in enumerate(ta):
+            write_trace_csv(tr, tmp_path / f"{i}.csv")
+        read = [read_trace_csv(tmp_path / f"{i}.csv") for i in range(4)]
+        assert compare_traces(read, tb, ths) == rep
+
+    # set A's final theta_hats (each after a first row of 9.0), theta*, tol
+    # and its successes: the comparison is strict, so a final theta_hat
+    # exactly tol away fails; set B, empty, scores 0 of 0
+    @pytest.mark.parametrize("finals, theta_star, tol, wins", [
+        ([1.75, 1.25], 1.5, 0.25, 0),
+        ([math.nextafter(1.75, 0), 1.25], 1.5, 0.25, 1),
+        ([0.1, math.nextafter(0.1, 0)], 0.0, CONVERGENCE_TOL, 1),
+        ([], 1.5, CONVERGENCE_TOL, 0)])
+    def test_success_is_the_last_rows_theta_hat(self, finals, theta_star, tol, wins):
+        traces = [EpisodeTrace([StepRecord(0, 9.0, 9.0, 0.0, 0.0, 0.0, 0.0, ""),
+                                StepRecord(1, f, f, 0.0, 0.0, 0.0, 0.0, "")], {})
+                  for f in finals]
+        assert compare_traces(traces, [], theta_star, tol) == {
+            "set_a_success": wins, "set_a_total": len(finals),
+            "set_b_success": 0, "set_b_total": 0, "a_minus_b": wins}
