@@ -30,8 +30,8 @@ for _ in range(140):
     j = subj.step(theta)
     loop.step(j)
     loop.theta_hat = frozen
-    grads.append(loop.records[-1].grad_est)
-    curvs.append(loop.records[-1].curv_est)
+    grads.append(loop.columns.grad_est[-1])
+    curvs.append(loop.columns.curv_est[-1])
 
 grads = np.array(grads)
 curvs = np.array(curvs)

@@ -8,13 +8,14 @@ from it. The integrator gain is fixed at the comparison value 0.005 (not
 the grey-box k) and the washout cutoff at omega_o / 5. Like the
 personalizer, the loop is run(plant, n), one flat body on Python floats
 held in locals, with sin(w i) from a per-config table; an episode is one
-run. Construction, applied_theta(), step(J) (a one-iteration run) and the
-table's growth, to exactly the rows a run reads, are personalizer.EsLoop's.
+run. Construction, applied_theta(), step(J) (a one-iteration run), the
+table's growth, to exactly the rows a run reads, and the trace, held as
+columns with records built on access, are personalizer.EsLoop's.
 """
 
 import math
 
-from .personalizer import DEFAULT_CONFIG, EsLoop, StepRecord, clamp, measured
+from .personalizer import DEFAULT_CONFIG, EsLoop, clamp, measured
 
 GAIN = 0.005  # integrator gain of the comparison scheme
 HIGHPASS_CUTOFF_RATIO = 0.2  # washout cutoff = omega_o / 5
@@ -53,7 +54,9 @@ class BlackBoxEs(EsLoop):
         alpha, a, (lo, hi) = self._alpha, self.config.dither_amplitude, self.config.bounds
         hp_y, prev_j = self._hp_y, self._prev_j
         theta_hat, theta = self.theta_hat, self._theta_applied
-        append, new, nan = self.records.append, tuple.__new__, math.nan
+        put_i, put_theta, put_hat, put_j, put_filtered, put_grad, put_curv, \
+            put_branch = [column.append for column in self.columns]
+        nan = math.nan
         try:
             for i in range(start, start + iterations):
                 j = measured(plant(theta))
@@ -71,7 +74,14 @@ class BlackBoxEs(EsLoop):
                         theta_hat = hi
                 # trace schema matches the personalizer; grad/curv columns
                 # stay empty
-                append(new(StepRecord, (i, theta, theta_hat, j, hp_y, nan, nan, "")))
+                put_i(i)
+                put_theta(theta)
+                put_hat(theta_hat)
+                put_j(j)
+                put_filtered(hp_y)
+                put_grad(nan)
+                put_curv(nan)
+                put_branch("")
                 theta = theta_hat + a * sines[i + 1]
                 if lo > theta:
                     theta = lo

@@ -59,7 +59,7 @@ def _write_episode(cfg, prefix):
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = trace_path(cfg.output_dir, prefix, trace)
     write_trace_csv(trace, path)
-    print(f"wrote {path} ({len(trace.rows)} iterations)")
+    print(f"wrote {path} ({len(trace.columns.iteration)} iterations)")
     return 0
 
 

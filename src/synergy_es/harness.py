@@ -1,6 +1,8 @@
 """Experiment orchestration: episodes, sweeps, Monte Carlo batches, traces.
 
-Traces are UTF-8 CSV with a header row; run metadata travels in leading
+A trace is held as columns, as the ES loops build it, and its rows are
+built on access (see the personalizer module docstring for why). Traces
+are UTF-8 CSV with a header row; run metadata travels in leading
 '# key: value' comment lines so a trace file round-trips losslessly.
 """
 
@@ -13,19 +15,18 @@ import os
 import traceback
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from . import baseline
 from .baseline import BlackBoxEs
 from .config import check_fields
-from .personalizer import DEFAULT_CONFIG, Personalizer, PersonalizerConfig, StepRecord
+from .personalizer import (DEFAULT_CONFIG, Personalizer, PersonalizerConfig,
+                           StepRecord, rows_of)
 from .subject import MotorNoise, load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
 TRACE_COLUMNS = list(StepRecord._fields)
-_THETA_HAT = itemgetter(TRACE_COLUMNS.index("theta_hat"))
 ALGORITHMS = ("greybox", "blackbox", "sweep", "fixed")
 
 SWEEP_START = 0.8
@@ -36,31 +37,58 @@ CONVERGENCE_TOL = 0.1
 CONVERGENCE_HOLD = 25
 
 
-@dataclass
 class EpisodeTrace:
-    rows: list  # one StepRecord per iteration
-    metadata: dict  # config_hash, seed, subject_id, algorithm
+    """One episode: columns, a StepRecord whose fields each hold one list
+    (the field's value per iteration), and metadata (config_hash, seed,
+    subject_id, algorithm)."""
 
-    def __post_init__(self):
-        if list(map(itemgetter(0), self.rows)) != list(range(len(self.rows))):
+    def __init__(self, rows, metadata):
+        """The trace of rows, one StepRecord or tuple per iteration."""
+        self._set(list(zip(*rows)) or [()] * len(TRACE_COLUMNS), metadata)
+
+    @classmethod
+    def from_columns(cls, columns, metadata):
+        """The trace of columns, one sequence per StepRecord field, copied."""
+        trace = cls.__new__(cls)
+        trace._set(columns, metadata)
+        return trace
+
+    def _set(self, columns, metadata):
+        if len(columns) != len(TRACE_COLUMNS):
+            raise ValueError(f"trace has {len(columns)} columns, "
+                             f"expected {len(TRACE_COLUMNS)}")
+        columns = StepRecord._make(map(list, columns))
+        n = len(columns.iteration)
+        for name, values in zip(TRACE_COLUMNS, columns):
+            if len(values) != n:  # zip would cut the rows to the shortest
+                raise ValueError(f"trace column {name} has {len(values)} values, "
+                                 f"iteration has {n}")
+        if columns.iteration != list(range(n)):
             raise ValueError("trace iterations must be contiguous from 0")
+        self.columns, self.metadata = columns, metadata
+
+    @property
+    def rows(self):
+        """One StepRecord per iteration, built from columns on each access."""
+        return rows_of(self.columns)
 
     def column(self, name):
-        values = map(attrgetter(name), self.rows)
+        values = getattr(self.columns, name)
         if name == "branch":
             return list(values)
-        return np.fromiter(values, float, len(self.rows))
+        return np.array(values, float)
 
     def __eq__(self, other):
-        """Equal rows, or equal columns in which NaN equals NaN."""
+        """Equal metadata and columns, in which NaN equals NaN."""
         if not isinstance(other, EpisodeTrace):
             return NotImplemented
-        if self.metadata != other.metadata or len(self.rows) != len(other.rows):
+        if self.metadata != other.metadata or \
+                len(self.columns.iteration) != len(other.columns.iteration):
             return False
-        return self.rows == other.rows or all(
+        return all(
             ours == theirs or all(a == b or (a != a and b != b)  # NaN != NaN
                                   for a, b in zip(ours, theirs))
-            for ours, theirs in zip(zip(*self.rows), zip(*other.rows)))
+            for ours, theirs in zip(self.columns, other.columns))
 
 
 @dataclass(frozen=True)
@@ -139,18 +167,18 @@ def run_episode(config, seed=None):
     if algo in ("greybox", "blackbox"):
         loop = (Personalizer if algo == "greybox" else BlackBoxEs)(config.personalizer)
         loop.run(subject.step, config.iterations)
-        rows = loop.records
+        columns = loop.columns
     else:
         if algo == "sweep":
             thetas = [SWEEP_START + SWEEP_SLOPE * i for i in range(SWEEP_ITERATIONS)]
         else:
             thetas = [config.fixed_theta] * config.iterations
-        rows = [tuple.__new__(StepRecord, (i, th, th, subject.step(th), 0.0, 0.0,
-                                           0.0, ""))
-                for i, th in enumerate(thetas)]
+        n, zeros = len(thetas), [0.0] * len(thetas)
+        columns = (range(n), thetas, thetas, list(map(subject.step, thetas)),
+                   zeros, zeros, zeros, [""] * n)
     meta = {"config_hash": config.config_hash(), "seed": seed,
             "subject_id": subject.subject_id, "algorithm": algo}
-    return EpisodeTrace(rows, meta)
+    return EpisodeTrace.from_columns(columns, meta)
 
 
 def convergence_iteration(theta_hats, theta_star):
@@ -223,7 +251,7 @@ def write_trace_csv(trace, path):
     for key, value in meta.items():
         if not set(value).isdisjoint("\r\n"):  # it would split its # line
             raise ValueError(f"trace metadata {key} {value!r} holds a line break")
-    cols = [fmt(col) for fmt, col in zip(_FORMAT, zip(*trace.rows))]
+    cols = [fmt(col) for fmt, col in zip(_FORMAT, trace.columns)]
     text = "".join(f"# {key}: {value}\n" for key, value in meta.items())
     # one join per row, each line ended by \r\n as csv's writer ends it
     text += "\r\n".join([",".join(TRACE_COLUMNS), *map(",".join, zip(*cols)), ""])
@@ -265,8 +293,7 @@ def read_trace_csv(path):
         except ValueError:
             raise ValueError(f"{path}: line {lines['seed']}: seed {text!r} "
                              "is not an integer") from None
-    return EpisodeTrace([tuple.__new__(StepRecord, row) for row in zip(*cols)],
-                        metadata)
+    return EpisodeTrace.from_columns(cols, metadata)
 
 
 def _raise_first_bad_cell(path, rows):
@@ -284,7 +311,7 @@ def summarize_batch(traces, theta_star):
     """Pure aggregation of per-seed traces into batch statistics."""
     convs, finals = [], []
     for tr in traces:
-        hats = list(map(_THETA_HAT, tr.rows))
+        hats = tr.columns.theta_hat
         convs.append(convergence_iteration(hats, theta_star))
         finals.append(_median(list(map(float, hats[-CONVERGENCE_HOLD:]))))
     reached = [c for c in convs if c is not None]
@@ -361,7 +388,7 @@ def compare_traces(traces_a, traces_b, theta_star, tol=CONVERGENCE_TOL):
         raise ValueError(f"theta_star = {theta_star} must be finite")
     if not 0 < tol < math.inf:  # NaN fails
         raise ValueError(f"tol = {tol} must be finite and positive")
-    sa, sb = (sum(1 for tr in traces if abs(tr.rows[-1].theta_hat - theta_star) < tol)
+    sa, sb = (sum(1 for tr in traces if abs(tr.columns.theta_hat[-1] - theta_star) < tol)
               for traces in (traces_a, traces_b))
     return {
         "set_a_success": sa, "set_a_total": len(traces_a),

@@ -41,6 +41,13 @@ Implementation notes, fixed by numerical analysis of the printed design:
   or run: construction, applied_theta(), step(J) (a one-iteration run) and
   the table's growth, before a run, to exactly the rows the run reads.
 
+* A loop's trace is held as columns, one list per StepRecord field, to
+  which each iteration appends its eight cells; records builds the
+  StepRecord rows from them on access. A StepRecord is a tuple subclass,
+  and the collector never untracks one, so a row per iteration would stay
+  on the collector's lists for the trace's whole life and set off
+  collections every few episodes; floats, ints and strs are never tracked.
+
 * Demodulation references carry the design-known chain phase (band-pass
   response times the one-iteration measurement latency) at w and 2w, so
   the estimates line up with the plant's dither response. Physical-unit
@@ -310,6 +317,11 @@ class StepRecord(NamedTuple):
     branch: str
 
 
+def rows_of(columns):
+    """The StepRecord rows of a trace held as columns, one list per field."""
+    return list(map(StepRecord._make, zip(*columns)))
+
+
 def measured(performance):
     """performance as a float; a non-finite one is a sensor fault."""
     j = float(performance)
@@ -325,9 +337,15 @@ class EsLoop:
     def __init__(self, config, theta_hat):
         self.config, self.theta_hat = config, theta_hat
         self.iteration = 0
-        self.records = []
+        # the trace, one list per StepRecord field (see the module docstring)
+        self.columns = StepRecord._make([] for _ in StepRecord._fields)
         self._rows = config.tables.setdefault(type(self), [])
         self.applied_theta()  # sets what the first step records as applied
+
+    @property
+    def records(self):
+        """The trace as StepRecord rows, built from columns on each access."""
+        return rows_of(self.columns)
 
     def applied_theta(self):
         """Synergy to apply at the current iteration (estimate + dither)."""
@@ -408,7 +426,8 @@ class Personalizer(EsLoop):
         fresh = self._state is None  # the first sample starts the filter at DC
         x0, x1, z0, z1, z2, z3, z4 = (0.0,) * 7 if fresh else self._state
         theta_hat, branch, theta = self.theta_hat, self.last_branch, self._theta_applied
-        append, new = self.records.append, tuple.__new__
+        put_i, put_theta, put_hat, put_j, put_filtered, put_grad, put_curv, \
+            put_branch = [column.append for column in self.columns]
         try:
             for i in range(start, start + iterations):
                 j = measured(plant(theta))
@@ -457,10 +476,14 @@ class Personalizer(EsLoop):
                             theta_hat = hat_lo
                         if hat_hi < theta_hat:
                             theta_hat = hat_hi
-                # tuple.__new__, as StepRecord._make does: StepRecord() runs
-                # Python code
-                append(new(StepRecord, (i, theta, theta_hat, j, filtered, grad, curv,
-                                        branch)))
+                put_i(i)
+                put_theta(theta)
+                put_hat(theta_hat)
+                put_j(j)
+                put_filtered(filtered)
+                put_grad(grad)
+                put_curv(curv)
+                put_branch(branch)
                 theta = theta_hat + dither
                 if lo > theta:
                     theta = lo

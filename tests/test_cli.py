@@ -26,6 +26,15 @@ def test_run_writes_trace(tmp_path, capsys):
     assert trace.metadata["seed"] == 3
 
 
+@pytest.mark.parametrize("argv, name, count", [
+    (["run", "--iterations", "40"], "trace_greybox_A_s0.csv", 40),
+    (["sweep", "--subject", "B"], "sweep_B_s0.csv", 201)])
+def test_episode_commands_print_iteration_count(tmp_path, capsys, argv, name, count):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == \
+        f"wrote {os.path.join(str(tmp_path), name)} ({count} iterations)\n"
+
+
 def test_sweep_command(tmp_path):
     rc = main(["sweep", "--subject", "B", "--seed", "0", "--out", str(tmp_path)])
     assert rc == 0

@@ -1,6 +1,7 @@
 """Tests for episode running, traces, batches, configs and comparisons."""
 
 import csv
+import gc
 import math
 import os
 import struct
@@ -14,12 +15,13 @@ from numpy.testing import assert_allclose
 
 from synergy_es.cli import main
 from synergy_es.config import read_config, write_config
+from synergy_es.baseline import BlackBoxEs
 from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, CONVERGENCE_TOL,
                                 TRACE_COLUMNS, EpisodeTrace, ExperimentConfig,
                                 compare_traces, convergence_iteration,
-                                read_trace_csv, run_batch, run_episode,
-                                summarize_batch, write_trace_csv)
-from synergy_es.personalizer import (DEFAULT_CONFIG, DEFAULT_L,
+                                make_subject, read_trace_csv, run_batch,
+                                run_episode, summarize_batch, write_trace_csv)
+from synergy_es.personalizer import (DEFAULT_CONFIG, DEFAULT_L, Personalizer,
                                      PersonalizerConfig, StepRecord)
 from synergy_es.plant import ArmGeometry, ReachTask, ShoulderProfile
 from synergy_es.subject import MotorNoise, subject_a
@@ -349,6 +351,91 @@ class TestTraceEquality:
         assert _odd_trace(seed=3) != _odd_trace()
         assert _odd_trace(length=2) != _odd_trace()
         assert _odd_trace(length=0) != _odd_trace()
+
+
+def _exact(rows):
+    # repr is exact for floats and makes NaN equal NaN
+    return [tuple(map(repr, r)) for r in rows]
+
+
+def _tracked_reachable(obj):
+    """How many objects the collector tracks that obj reaches, classes and
+    what they reach aside."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen and gc.is_tracked(o) and not isinstance(o, type):
+            seen.add(id(o))
+            todo.extend(gc.get_referents(o))
+    return len(seen)
+
+
+class TestTraceColumns:
+    """A trace is held as one list per StepRecord field; its rows, and a
+    loop's records, are built from them on access."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("subject", "AB")
+    def test_rows_rebuild_the_trace(self, algorithm, subject):
+        cfg = ExperimentConfig(subject=subject, algorithm=algorithm, iterations=60)
+        trace = run_episode(cfg, 5)
+        assert EpisodeTrace(trace.rows, trace.metadata) == trace
+        assert all(type(r) is StepRecord for r in trace.rows)
+        subj = make_subject(subject, 5)
+        if algorithm in ("greybox", "blackbox"):
+            loop = (Personalizer if algorithm == "greybox" else BlackBoxEs)(
+                cfg.personalizer)
+            loop.run(subj.step, cfg.iterations)
+            assert _exact(loop.records) == _exact(trace.rows)
+        else:  # the open-loop rows: the schedule, J, zeros and no branch
+            assert _exact(trace.rows) == _exact(
+                StepRecord(i, th, th, subj.step(th), 0.0, 0.0, 0.0, "")
+                for i, th in enumerate(trace.columns.theta_applied))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("subject", "AB")
+    def test_cells_have_their_fields_types(self, tmp_path, algorithm, subject):
+        # the writer's repr and the bits of column() rely on exact types
+        trace = run_episode(ExperimentConfig(subject=subject, algorithm=algorithm,
+                                             iterations=30))
+        write_trace_csv(trace, tmp_path / "t.csv")
+        types = list(StepRecord.__annotations__.values())
+        for tr in (trace, read_trace_csv(tmp_path / "t.csv")):
+            for name, kind, values in zip(TRACE_COLUMNS, types, tr.columns):
+                assert {type(v) for v in values} == {kind}, name
+
+    def test_no_tracked_object_per_iteration(self):
+        # a StepRecord, a tuple subclass, stays tracked by the collector
+        # for as long as it lives; a trace of floats, ints and strs holds
+        # none, so its episodes set off no collections
+        short, long = (run_episode(ExperimentConfig(iterations=n)) for n in (10, 150))
+        loop = Personalizer()
+        loop.run(subject_a().step, 150)
+        gc.collect()
+        for columns in (long.columns, loop.columns):
+            assert not any(map(gc.is_tracked, (v for values in columns for v in values)))
+        assert _tracked_reachable(long) == _tracked_reachable(short)
+
+    def test_from_columns_copies_and_rejects_ragged_columns(self):
+        trace = _odd_trace()
+        columns = [list(values) for values in trace.columns]
+        copied = EpisodeTrace.from_columns(columns, trace.metadata)
+        assert copied == trace
+        columns[3][0] = 9.0
+        assert copied == trace
+        with pytest.raises(ValueError, match="trace has 7 columns, expected 8"):
+            EpisodeTrace.from_columns(columns[:7], trace.metadata)
+        with pytest.raises(ValueError, match="trace has 7 columns, expected 8"):
+            EpisodeTrace([r[:7] for r in trace.rows], trace.metadata)
+        for name in TRACE_COLUMNS[1:]:
+            ragged = [list(values) for values in trace.columns]
+            ragged[TRACE_COLUMNS.index(name)].pop()
+            with pytest.raises(ValueError, match=f"trace column {name} has 2 values, "
+                                                 "iteration has 3"):
+                EpisodeTrace.from_columns(ragged, trace.metadata)
+        for iterations in ([0, 2, 1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="contiguous from 0"):
+                EpisodeTrace.from_columns([iterations, *columns[1:]], trace.metadata)
 
 
 def _changed(value):

@@ -773,6 +773,8 @@ class TestRun:
         error = RuntimeError if bad is None else ValueError
         with pytest.raises(error, match="plant failed" if bad is None else "non-finite"):
             ran.run(plant, k + 1 + rest)
+        # every trace column holds the k iterations before the bad one
+        assert [len(column) for column in ran.columns] == [k] * len(StepRecord._fields)
         stepping = subject_a(seed=seed)
         stepped(by_step, stepping.step, k)
         assert snapshot(ran) == snapshot(by_step)
