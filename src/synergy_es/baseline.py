@@ -9,8 +9,7 @@ the grey-box k) and the washout cutoff at omega_o / 5. Like the
 personalizer, the loop is run(plant, n), one flat body on Python floats
 held in locals, with sin(w i) from a per-config table; an episode is one
 run. Construction, applied_theta(), step(J) (a one-iteration run), the
-table's growth, to exactly the rows a run reads, and the trace, held as
-columns with records built on access, are personalizer.EsLoop's.
+table's growth and the trace, held as columns, are personalizer.EsLoop's.
 """
 
 import math

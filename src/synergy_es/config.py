@@ -130,17 +130,32 @@ def check_value(value, label, n=None, integer=False):
 
 
 def read_config(path):
-    """Read an INI config file, returning a configparser with case kept."""
-    cp = configparser.ConfigParser()
+    """Read an INI config file, returning a configparser with case kept and
+    no interpolation ('%' is an ordinary character). A file the parser
+    rejects raises a ValueError '<path>: line <n>: <reason>'."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    with open(path, "r", encoding="utf-8") as fh:
-        cp.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.line.strip()!r} "
+                         "is not under a [section] header") from None
+    except configparser.ParsingError as exc:
+        line, text = exc.errors[0]
+        raise ValueError(f"{path}: line {line}: cannot parse {text}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: [{exc.section}] "
+                         f"{exc.option}: repeated key") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: [{exc.section}]: "
+                         "repeated section") from None
     return cp
 
 
 def write_config(path, sections):
     """Write {section: {key: value}} to an INI file; sequences as vectors."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     for name, kv in sections.items():
         cp[name] = {k: format_vector(v) if isinstance(v, (list, tuple, np.ndarray))

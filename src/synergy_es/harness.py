@@ -1,9 +1,8 @@
 """Experiment orchestration: episodes, sweeps, Monte Carlo batches, traces.
 
-A trace is held as columns, as the ES loops build it, and its rows are
-built on access (see the personalizer module docstring for why). Traces
-are UTF-8 CSV with a header row; run metadata travels in leading
-'# key: value' comment lines so a trace file round-trips losslessly.
+A trace is held as columns, as the ES loops build it (the personalizer
+docstring says why). Traces are UTF-8 CSV with a header row; run metadata
+travels in leading '# key: value' lines so a trace file round-trips losslessly.
 """
 
 import csv
@@ -22,7 +21,7 @@ from . import baseline
 from .baseline import BlackBoxEs
 from .config import check_fields
 from .personalizer import (DEFAULT_CONFIG, Personalizer, PersonalizerConfig,
-                           StepRecord, rows_of)
+                           StepRecord)
 from .subject import MotorNoise, load_subject, subject_a, subject_b
 from .svgplot import line_plot
 
@@ -39,28 +38,17 @@ CONVERGENCE_HOLD = 25
 
 class EpisodeTrace:
     """One episode: columns, a StepRecord whose fields each hold one list
-    (the field's value per iteration), and metadata (config_hash, seed,
-    subject_id, algorithm)."""
+    (the field's value per iteration), copied from the one sequence per field
+    it is built from, and metadata (config_hash, seed, subject_id, algorithm)."""
 
-    def __init__(self, rows, metadata):
-        """The trace of rows, one StepRecord or tuple per iteration."""
-        self._set(list(zip(*rows)) or [()] * len(TRACE_COLUMNS), metadata)
-
-    @classmethod
-    def from_columns(cls, columns, metadata):
-        """The trace of columns, one sequence per StepRecord field, copied."""
-        trace = cls.__new__(cls)
-        trace._set(columns, metadata)
-        return trace
-
-    def _set(self, columns, metadata):
+    def __init__(self, columns, metadata):
         if len(columns) != len(TRACE_COLUMNS):
             raise ValueError(f"trace has {len(columns)} columns, "
                              f"expected {len(TRACE_COLUMNS)}")
         columns = StepRecord._make(map(list, columns))
         n = len(columns.iteration)
         for name, values in zip(TRACE_COLUMNS, columns):
-            if len(values) != n:  # zip would cut the rows to the shortest
+            if len(values) != n:
                 raise ValueError(f"trace column {name} has {len(values)} values, "
                                  f"iteration has {n}")
         if columns.iteration != list(range(n)):
@@ -69,8 +57,9 @@ class EpisodeTrace:
 
     @property
     def rows(self):
-        """One StepRecord per iteration, built from columns on each access."""
-        return rows_of(self.columns)
+        """One StepRecord per iteration, built on each access. Kept only for the
+        benchmark's len(trace.rows). ROADMAP item 9a ends that; item 16 then drops it."""
+        return list(map(StepRecord._make, zip(*self.columns)))
 
     def column(self, name):
         values = getattr(self.columns, name)
@@ -176,9 +165,8 @@ def run_episode(config, seed=None):
         n, zeros = len(thetas), [0.0] * len(thetas)
         columns = (range(n), thetas, thetas, list(map(subject.step, thetas)),
                    zeros, zeros, zeros, [""] * n)
-    meta = {"config_hash": config.config_hash(), "seed": seed,
-            "subject_id": subject.subject_id, "algorithm": algo}
-    return EpisodeTrace.from_columns(columns, meta)
+    return EpisodeTrace(columns, {"config_hash": config.config_hash(), "seed": seed,
+                                  "subject_id": subject.subject_id, "algorithm": algo})
 
 
 def convergence_iteration(theta_hats, theta_star):
@@ -271,8 +259,12 @@ def read_trace_csv(path):
             key, _, val = line[1:].partition(":")
             metadata[key.strip()] = val.strip()
             lines[key.strip()] = n
-        header = next(csv.reader(first), None)
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        try:
+            header = next(csv.reader(first), None)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:  # line n is the header, then reader's lines
+            raise ValueError(f"{path}: line {n + reader.line_num}: {exc}") from None
     if header != TRACE_COLUMNS:
         raise ValueError(f"{path}: trace header {header} is not {TRACE_COLUMNS}")
     for row in rows:
@@ -293,7 +285,7 @@ def read_trace_csv(path):
         except ValueError:
             raise ValueError(f"{path}: line {lines['seed']}: seed {text!r} "
                              "is not an integer") from None
-    return EpisodeTrace.from_columns(cols, metadata)
+    return EpisodeTrace(cols, metadata)
 
 
 def _raise_first_bad_cell(path, rows):

@@ -41,11 +41,10 @@ Implementation notes, fixed by numerical analysis of the printed design:
   or run: construction, applied_theta(), step(J) (a one-iteration run) and
   the table's growth, before a run, to exactly the rows the run reads.
 
-* A loop's trace is held as columns, one list per StepRecord field, to
-  which each iteration appends its eight cells; records builds the
-  StepRecord rows from them on access. A StepRecord is a tuple subclass,
-  and the collector never untracks one, so a row per iteration would stay
-  on the collector's lists for the trace's whole life and set off
+* A loop's trace is one list per StepRecord field, to which each
+  iteration appends its eight cells; no row is built. The collector never
+  untracks a tuple subclass such as StepRecord, so a row per iteration
+  would stay on its lists for the trace's whole life and set off
   collections every few episodes; floats, ints and strs are never tracked.
 
 * Demodulation references carry the design-known chain phase (band-pass
@@ -317,11 +316,6 @@ class StepRecord(NamedTuple):
     branch: str
 
 
-def rows_of(columns):
-    """The StepRecord rows of a trace held as columns, one list per field."""
-    return list(map(StepRecord._make, zip(*columns)))
-
-
 def measured(performance):
     """performance as a float; a non-finite one is a sensor fault."""
     j = float(performance)
@@ -341,11 +335,6 @@ class EsLoop:
         self.columns = StepRecord._make([] for _ in StepRecord._fields)
         self._rows = config.tables.setdefault(type(self), [])
         self.applied_theta()  # sets what the first step records as applied
-
-    @property
-    def records(self):
-        """The trace as StepRecord rows, built from columns on each access."""
-        return rows_of(self.columns)
 
     def applied_theta(self):
         """Synergy to apply at the current iteration (estimate + dither)."""

@@ -15,6 +15,11 @@ Groups:
   SVGs over seeds 0-9, for grey-box A, black-box B, sweep A and fixed B;
 - compare-report, compare-cli: compare_traces on those batches' traces, in
   process and read back from CSV, and the compare command's stdout;
+- long-<algorithm>, noise0-<algorithm>: grey-box and black-box episodes on
+  A and B written as CSV: 600 iterations at seeds 0-4, and 150 iterations
+  with noise_std 0;
+- step-<algorithm>: each loop driven by step(J) for 150 iterations on
+  subject_a(0), the repr of each of its columns;
 - reach: default_task() and every outcome of the 81-point theta grid;
 - golden, golden-Nehalem, golden-Prescott: the seed-0 episode of every
   algorithm on A and B written as CSV (under the default BLAS kernel and,
@@ -107,6 +112,36 @@ def batch_groups(tmp):
     return groups
 
 
+def trace_groups(tmp):
+    from synergy_es.harness import ExperimentConfig, run_episode, write_trace_csv
+    groups = {}
+    for group, seeds, settings in (("long", range(5), {"iterations": 600}),
+                                   ("noise0", (0,), {"noise_std": 0.0})):
+        for algorithm in ("greybox", "blackbox"):
+            items = groups[f"{group}-{algorithm}"] = []
+            for subject in "AB":
+                for seed in seeds:
+                    path = tmp / f"{group}_{algorithm}_{subject}_s{seed}.csv"
+                    write_trace_csv(run_episode(ExperimentConfig(
+                        subject=subject, algorithm=algorithm, **settings), seed), path)
+                    items.append((path.name, path.read_bytes()))
+    return groups
+
+
+def step_groups():
+    from synergy_es.baseline import BlackBoxEs
+    from synergy_es.personalizer import Personalizer
+    from synergy_es.subject import subject_a
+    groups = {}
+    for algorithm, loop in (("greybox", Personalizer()), ("blackbox", BlackBoxEs())):
+        subject, theta = subject_a(0), loop.applied_theta()
+        for _ in range(150):
+            theta = loop.step(subject.step(theta))
+        groups[f"step-{algorithm}"] = [(name, repr(column).encode()) for name, column
+                                       in zip(loop.columns._fields, loop.columns)]
+    return groups
+
+
 def reach_groups():
     from synergy_es.plant import (default_geometry, default_profile,
                                   default_task, objective, simulate_reach)
@@ -173,7 +208,8 @@ def main(argv):
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        groups = {**identify_groups(tmp), **batch_groups(tmp), **reach_groups(),
+        groups = {**identify_groups(tmp), **batch_groups(tmp), **trace_groups(tmp),
+                  **step_groups(), **reach_groups(),
                   **golden_groups(tmp, src), **demo_groups(tmp, root)}
     for group, items in groups.items():
         print(f"{group:<32} {items if isinstance(items, str) else digest(items)}")

@@ -139,8 +139,8 @@ def _frozen_estimates(theta_frozen, n):
         j = subj.step(theta)
         loop.step(j)
         loop.theta_hat = theta_frozen
-        grads.append(loop.records[-1].grad_est)
-        curvs.append(loop.records[-1].curv_est)
+        grads.append(loop.columns.grad_est[-1])
+        curvs.append(loop.columns.curv_est[-1])
     return np.array(grads), np.array(curvs)
 
 

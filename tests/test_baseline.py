@@ -69,9 +69,9 @@ class TestBlackBoxEs:
         es = BlackBoxEs()
         with pytest.raises(ValueError, match="non-finite"):
             es.step(float(bad))
-        assert (es.iteration, es.records) == (0, [])
+        assert (es.iteration, es.columns) == (0, ([],) * 8)
         es.step(50.0)
-        assert es.records[0].filtered_output == 0.0
+        assert es.columns.filtered_output[0] == 0.0
 
     def test_default_gain_is_comparison_value(self):
         assert baseline.GAIN == 0.005
@@ -80,7 +80,7 @@ class TestBlackBoxEs:
         es = BlackBoxEs()
         for i in range(10):
             es.step(float(i))
-        rec = es.records[-1]
-        assert rec.iteration == 9
-        assert np.isnan(rec.curv_est)
-        assert rec.branch == ""
+        columns = es.columns
+        assert columns.iteration[-1] == 9
+        assert np.isnan(columns.curv_est[-1])
+        assert columns.branch[-1] == ""

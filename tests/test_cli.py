@@ -22,7 +22,7 @@ def test_run_writes_trace(tmp_path, capsys):
     path = tmp_path / "trace_greybox_A_s3.csv"
     assert path.exists()
     trace = read_trace_csv(path)
-    assert len(trace.rows) == 40
+    assert len(trace.columns.iteration) == 40
     assert trace.metadata["seed"] == 3
 
 
@@ -39,8 +39,8 @@ def test_sweep_command(tmp_path):
     rc = main(["sweep", "--subject", "B", "--seed", "0", "--out", str(tmp_path)])
     assert rc == 0
     trace = read_trace_csv(tmp_path / "sweep_B_s0.csv")
-    assert len(trace.rows) == 201
-    assert trace.rows[0].theta_applied == 0.8
+    assert len(trace.columns.iteration) == 201
+    assert trace.columns.theta_applied[0] == 0.8
 
 
 def test_batch_command(tmp_path, capsys):
@@ -250,6 +250,61 @@ def test_bad_subject_file_names_file_and_key(tmp_path, capsys, edit, message):
     assert not (tmp_path / "out").exists()
 
 
+# case id -> (an INI text configparser rejects, error after 'error: <path>')
+MALFORMED_INI = {
+    "no_section_header": ("lambda = 1\n",
+                          ": line 1: 'lambda = 1' is not under a [section] header"),
+    "repeated_key": ("[experiment]\niterations = 30\niterations = 40\n",
+                     ": line 3: [experiment] iterations: repeated key"),
+    "repeated_section": ("[experiment]\n[personalizer]\n[experiment]\n",
+                         ": line 3: [experiment]: repeated section"),
+    "no_delimiter": ("[experiment]\niterations 30\n",
+                     ": line 2: cannot parse 'iterations 30"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--config", "--subject"])
+@pytest.mark.parametrize("text, message", MALFORMED_INI.values(), ids=MALFORMED_INI)
+def test_malformed_ini_names_file_and_line(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["run", flag, str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_ini_value_is_an_ordinary_character(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[personalizer]\nk = %(x)s\n", encoding="utf-8")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"error: {cfg}: [personalizer] k: could not convert string to "
+            "float: '%(x)s'") in capsys.readouterr().err
+    path = subject_ini(tmp_path, replace_line("id", "id = %(x)s 100%\n"))
+    rc = main(["run", "--subject", str(path), "--algorithm", "fixed",
+               "--iterations", "3", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert read_trace_csv(tmp_path / "out" / "trace_fixed_%(x)s 100%_s0.csv") \
+        .metadata["subject_id"] == "%(x)s 100%"
+
+
+def test_oversized_trace_cell_names_file_and_line(tmp_path, capsys):
+    # csv's reader refuses a field over its 131,072-character limit
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep_A_s0.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    lines[5 + 7] = lines[5 + 7].rstrip("\r\n") + "x" * 131_073 + "\r\n"  # row 7
+    path = tmp_path / "big.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["identify", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"error: {path}: line 13: field larger than field limit (131072)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # [subject] key -> its line with a non-finite entry
 NONFINITE_SUBJECT = {"lambda": "lambda = -158.15 nan -293.34\n",
                      "phi": "phi = 0 1; inf 0.35\n",
@@ -334,14 +389,14 @@ def test_blackbox_run_follows_personalizer_section(tmp_path):
     assert not np.array_equal(trace.column("theta_applied"),
                               default.column("theta_applied"))
     # k is the grey-box optimizer gain; the black-box integrator keeps its own
-    assert EpisodeTrace(run("k", "k = 0.2").rows, default.metadata) == default
+    assert EpisodeTrace(run("k", "k = 0.2").columns, default.metadata) == default
 
     es = BlackBoxEs(PersonalizerConfig(dither_amplitude=0.05, omega_o=0.5))
     subj = subject_b(seed=2)
     theta = es.applied_theta()
-    for _ in range(len(trace.rows)):
+    for _ in range(len(trace.columns.iteration)):
         theta = es.step(subj.step(theta))
-    assert trace == EpisodeTrace(es.records, trace.metadata)
+    assert trace == EpisodeTrace(es.columns, trace.metadata)
 
 
 # case id -> ([personalizer] line, text the error must contain)

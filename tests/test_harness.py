@@ -27,6 +27,12 @@ from synergy_es.plant import ArmGeometry, ReachTask, ShoulderProfile
 from synergy_es.subject import MotorNoise, subject_a
 
 
+def trace_of(rows, metadata):
+    """The trace of rows, one StepRecord or tuple per iteration, transposed
+    into the columns EpisodeTrace takes."""
+    return EpisodeTrace(list(zip(*rows)) or [()] * len(TRACE_COLUMNS), metadata)
+
+
 class TestEpisode:
     def test_fixed_algorithm_settles_to_map_value(self):
         cfg = ExperimentConfig(subject="A", algorithm="fixed", noise_std=0.0,
@@ -71,7 +77,7 @@ class TestEpisode:
             ExperimentConfig(algorithm="greybox", iterations=4)
         # the black-box loop has no warmup
         trace = run_episode(ExperimentConfig(algorithm="blackbox", iterations=4))
-        assert len(trace.rows) == 4
+        assert len(trace.columns.iteration) == 4
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -81,7 +87,7 @@ class TestEpisode:
         cfg = ExperimentConfig(subject="B", algorithm="blackbox",
                                iterations=40)
         trace = run_episode(cfg)
-        assert [r.iteration for r in trace.rows] == list(range(40))
+        assert trace.columns.iteration == list(range(40))
 
 
 class TestSweep:
@@ -92,7 +98,7 @@ class TestSweep:
         assert_allclose(thetas[0], 0.8, atol=1e-12)
         assert_allclose(thetas[125], 1.8, atol=1e-12)
         assert_allclose(thetas[200], 2.4, atol=1e-12)
-        assert len(trace.rows) == 201
+        assert len(trace.columns.iteration) == 201
 
     def test_noise_free_sweep_peak_near_optimum(self):
         cfg = ExperimentConfig(subject="A", algorithm="sweep", noise_std=0.0)
@@ -177,15 +183,15 @@ class TestTraceCsv:
         rows = [StepRecord(0, nan, inf, -inf, -0.0, 5e-324, 1.5, ""),
                 StepRecord(1, 1.0, -0.0, 3.0, 0.0, nan, -1e-310, 'a,b "c"'),
                 StepRecord(2, 0.1, -inf, 1e300, 2.0, inf, 0.0, "gradient")]
-        trace = EpisodeTrace(rows, {"config_hash": "x", "seed": 7,
-                                    "subject_id": "odd", "algorithm": "fixed"})
+        trace = trace_of(rows, {"config_hash": "x", "seed": 7,
+                                "subject_id": "odd", "algorithm": "fixed"})
         write_trace_csv(trace, tmp_path / "columns.csv")
         _write_row_wise(trace, tmp_path / "rows.csv")
         text = (tmp_path / "columns.csv").read_bytes()
         assert text == (tmp_path / "rows.csv").read_bytes()
         assert b'\r\n1,1.0,-0.0,3.0,0.0,,-1e-310,"a,b ""c"""\r\n' in text
         loaded = read_trace_csv(tmp_path / "columns.csv")
-        expected = EpisodeTrace(
+        expected = trace_of(
             [StepRecord(0, nan, nan, nan, -0.0, 5e-324, 1.5, ""),
              StepRecord(1, 1.0, -0.0, 3.0, 0.0, nan, -1e-310, 'a,b "c"'),
              StepRecord(2, 0.1, nan, 1e300, 2.0, nan, 0.0, "gradient")],
@@ -235,8 +241,8 @@ class TestTraceCsv:
         the line after it starts with '#': metadata ends at the header."""
         rows = [StepRecord(0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, branch),
                 StepRecord(1, 1.5, 1.5, 2.5, 0.0, 0.0, 0.0, "newton")]
-        trace = EpisodeTrace(rows, {"config_hash": "x", "seed": 3,
-                                    "subject_id": "A", "algorithm": "greybox"})
+        trace = trace_of(rows, {"config_hash": "x", "seed": 3,
+                                "subject_id": "A", "algorithm": "greybox"})
         write_trace_csv(trace, tmp_path / "trace.csv")
         loaded = read_trace_csv(tmp_path / "trace.csv")
         assert loaded == trace
@@ -262,14 +268,14 @@ class TestTraceCsv:
         """Any floats (NaN, +-inf, -0.0, subnormals) and any branch text
         give csv.writer's bytes, and the file reads back as the trace with
         each non-finite float turned into NaN."""
-        trace = EpisodeTrace([StepRecord(i, *row) for i, row in enumerate(cells)],
-                             {"config_hash": "h", "seed": 1, "subject_id": "B",
-                              "algorithm": "blackbox"})
+        trace = trace_of([StepRecord(i, *row) for i, row in enumerate(cells)],
+                         {"config_hash": "h", "seed": 1, "subject_id": "B",
+                          "algorithm": "blackbox"})
         out = tmp_path_factory.mktemp("trace")
         write_trace_csv(trace, out / "columns.csv")
         _write_row_wise(trace, out / "rows.csv")
         assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
-        finite = EpisodeTrace(
+        finite = trace_of(
             [StepRecord(i, *[v if math.isfinite(v) else math.nan for v in row[:6]],
                         row[6]) for i, row in enumerate(cells)], trace.metadata)
         loaded = read_trace_csv(out / "columns.csv")
@@ -318,15 +324,15 @@ def _write_row_wise(trace, path):
             fh.write(f"# {key}: {trace.metadata[key]}\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for row in trace.rows:
-            writer.writerow([cell(getattr(row, key)) for key in TRACE_COLUMNS])
+        for row in zip(*trace.columns):  # the cells in TRACE_COLUMNS order
+            writer.writerow([cell(value) for value in row])
 
 
 def _odd_trace(nan=math.nan, zero=0.0, seed=2, length=3):
     rows = [StepRecord(i, 1.0 + i, nan, 2.0, zero, -1e-310, 0.5, "newton")
             for i in range(length)]
-    return EpisodeTrace(rows, {"config_hash": "h", "seed": seed,
-                               "subject_id": "A", "algorithm": "greybox"})
+    return trace_of(rows, {"config_hash": "h", "seed": seed,
+                           "subject_id": "A", "algorithm": "greybox"})
 
 
 class TestTraceEquality:
@@ -341,10 +347,10 @@ class TestTraceEquality:
     @pytest.mark.parametrize("row", [0, 2])
     def test_one_changed_cell_is_unequal(self, column, row):
         trace = _odd_trace()
-        changed = [[getattr(r, name) for name in TRACE_COLUMNS] for r in trace.rows]
+        changed = [list(row) for row in zip(*trace.columns)]
         index = TRACE_COLUMNS.index(column)
         changed[row][index] = "gradient" if column == "branch" else 0.25
-        other = EpisodeTrace([StepRecord(*r) for r in changed], trace.metadata)
+        other = trace_of([StepRecord(*r) for r in changed], trace.metadata)
         assert other != trace and trace != other
 
     def test_changed_metadata_or_length_is_unequal(self):
@@ -371,22 +377,22 @@ def _tracked_reachable(obj):
 
 
 class TestTraceColumns:
-    """A trace is held as one list per StepRecord field; its rows, and a
-    loop's records, are built from them on access."""
+    """A trace is held as one list per StepRecord field, as a loop's is;
+    its rows are built from them on access."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("subject", "AB")
     def test_rows_rebuild_the_trace(self, algorithm, subject):
         cfg = ExperimentConfig(subject=subject, algorithm=algorithm, iterations=60)
         trace = run_episode(cfg, 5)
-        assert EpisodeTrace(trace.rows, trace.metadata) == trace
+        assert trace_of(trace.rows, trace.metadata) == trace
         assert all(type(r) is StepRecord for r in trace.rows)
         subj = make_subject(subject, 5)
         if algorithm in ("greybox", "blackbox"):
             loop = (Personalizer if algorithm == "greybox" else BlackBoxEs)(
                 cfg.personalizer)
             loop.run(subj.step, cfg.iterations)
-            assert _exact(loop.records) == _exact(trace.rows)
+            assert _exact(loop.columns) == _exact(trace.columns)
         else:  # the open-loop rows: the schedule, J, zeros and no branch
             assert _exact(trace.rows) == _exact(
                 StepRecord(i, th, th, subj.step(th), 0.0, 0.0, 0.0, "")
@@ -416,26 +422,36 @@ class TestTraceColumns:
             assert not any(map(gc.is_tracked, (v for values in columns for v in values)))
         assert _tracked_reachable(long) == _tracked_reachable(short)
 
-    def test_from_columns_copies_and_rejects_ragged_columns(self):
+    def test_constructor_copies_and_rejects_ragged_columns(self):
         trace = _odd_trace()
         columns = [list(values) for values in trace.columns]
-        copied = EpisodeTrace.from_columns(columns, trace.metadata)
+        copied = EpisodeTrace(columns, trace.metadata)
         assert copied == trace
         columns[3][0] = 9.0
         assert copied == trace
         with pytest.raises(ValueError, match="trace has 7 columns, expected 8"):
-            EpisodeTrace.from_columns(columns[:7], trace.metadata)
+            EpisodeTrace(columns[:7], trace.metadata)
         with pytest.raises(ValueError, match="trace has 7 columns, expected 8"):
-            EpisodeTrace([r[:7] for r in trace.rows], trace.metadata)
+            trace_of([r[:7] for r in zip(*trace.columns)], trace.metadata)
         for name in TRACE_COLUMNS[1:]:
             ragged = [list(values) for values in trace.columns]
             ragged[TRACE_COLUMNS.index(name)].pop()
             with pytest.raises(ValueError, match=f"trace column {name} has 2 values, "
                                                  "iteration has 3"):
-                EpisodeTrace.from_columns(ragged, trace.metadata)
+                EpisodeTrace(ragged, trace.metadata)
         for iterations in ([0, 2, 1], [1, 2, 3]):
             with pytest.raises(ValueError, match="contiguous from 0"):
-                EpisodeTrace.from_columns([iterations, *columns[1:]], trace.metadata)
+                EpisodeTrace([iterations, *columns[1:]], trace.metadata)
+
+    @pytest.mark.parametrize("length, message", [
+        (3, "trace has 3 columns, expected 8"),
+        # 8 rows pass the count and length checks; row 0 is no 0..7
+        (8, "trace iterations must be contiguous from 0")])
+    def test_constructor_rejects_rows(self, length, message):
+        rows = [StepRecord(i, 1.0 + i, 0.5, 2.0, 0.0, -1e-310, 0.5, "newton")
+                for i in range(length)]
+        with pytest.raises(ValueError, match=message):
+            EpisodeTrace(rows, {})
 
 
 def _changed(value):
@@ -697,7 +713,7 @@ class TestSummarizeBits:
         traces = []
         for trace_runs in runs:
             hats = [h for h, length in trace_runs for _ in range(length)][:80]
-            traces.append(EpisodeTrace(
+            traces.append(trace_of(
                 [StepRecord(i, h, h, 0.0, 0.0, 0.0, 0.0, "") for i, h in enumerate(hats)],
                 {}))
         summary = summarize_batch(traces, theta_star)
@@ -734,8 +750,8 @@ class TestCompare:
         ([0.1, math.nextafter(0.1, 0)], 0.0, CONVERGENCE_TOL, 1),
         ([], 1.5, CONVERGENCE_TOL, 0)])
     def test_success_is_the_last_rows_theta_hat(self, finals, theta_star, tol, wins):
-        traces = [EpisodeTrace([StepRecord(0, 9.0, 9.0, 0.0, 0.0, 0.0, 0.0, ""),
-                                StepRecord(1, f, f, 0.0, 0.0, 0.0, 0.0, "")], {})
+        traces = [trace_of([StepRecord(0, 9.0, 9.0, 0.0, 0.0, 0.0, 0.0, ""),
+                            StepRecord(1, f, f, 0.0, 0.0, 0.0, 0.0, "")], {})
                   for f in finals]
         assert compare_traces(traces, [], theta_star, tol) == {
             "set_a_success": wins, "set_a_total": len(finals),

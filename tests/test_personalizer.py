@@ -275,10 +275,11 @@ class TestPersonalizerLoop:
         th = p.applied_theta()
         for _ in range(12):  # past the warmup, so the estimate has moved
             th = p.step(subj.step(th))
-        before = (p.iteration, len(p.records), p.theta_hat, p.applied_theta())
+        before = (p.iteration, len(p.columns.iteration), p.theta_hat,
+                  p.applied_theta())
         with pytest.raises(ValueError, match="non-finite"):
             p.step(float(bad))
-        assert (p.iteration, len(p.records), p.theta_hat,
+        assert (p.iteration, len(p.columns.iteration), p.theta_hat,
                 p.applied_theta()) == before
 
     def test_theta_always_within_bounds(self):
@@ -326,9 +327,10 @@ class TestPersonalizerLoop:
         th = p.applied_theta()
         for _ in range(150):
             th = p.step(subj.step(th))
-        for r in p.records:
-            assert lo <= r.theta_applied <= hi
-            assert lo + 2 * a <= r.theta_hat <= hi - 2 * a
+        for theta_applied, theta_hat in zip(p.columns.theta_applied,
+                                            p.columns.theta_hat):
+            assert lo <= theta_applied <= hi
+            assert lo + 2 * a <= theta_hat <= hi - 2 * a
 
     @given(name=st.sampled_from("AB"), theta_0=st.floats(0.9, 2.3),
            noisy=st.booleans(), offset=st.floats(-1000.0, 1000.0),
@@ -353,7 +355,7 @@ class TestPersonalizerLoop:
             th = p.applied_theta()
             for _ in range(150):
                 th = p.step(subj.step(th))
-            return np.array([r.theta_hat for r in p.records])
+            return np.array(p.columns.theta_hat)
 
         assert np.max(np.abs(hats(offset) - hats(0.0))) <= 1e-9
 
@@ -375,8 +377,10 @@ class TestPersonalizerLoop:
             th = p.applied_theta()
             for _ in range(150):
                 th = p.step(subj.step(th))
-            newtons = [r for r in p.records[9:] if r.branch == NEWTON]
-            assert all(r.curv_est < 0 for r in newtons)
+            newtons = [curv for curv, branch in zip(p.columns.curv_est[9:],
+                                                    p.columns.branch[9:])
+                       if branch == NEWTON]
+            assert all(curv < 0 for curv in newtons)
         # and directly on the switching law
         opt = optimizer()
         opt.update(0.001, -1.0)
@@ -450,7 +454,7 @@ class TestPersonalizerLoop:
             p.theta_hat = frozen  # freeze the estimate
             p.step(j)
             p.theta_hat = frozen
-            grads.append(p.records[-1].grad_est)
+            grads.append(p.columns.grad_est[-1])
         want, _ = pmap.derivatives(frozen)
         assert_allclose(grads[-1], want, rtol=0.02)
 
@@ -460,11 +464,29 @@ class TestPersonalizerLoop:
         th = p.applied_theta()
         for _ in range(30):
             th = p.step(subj.step(th))
-        assert [r.iteration for r in p.records] == list(range(30))
-        for r in p.records:
-            assert np.isfinite(r.theta_applied)
-            assert np.isfinite(r.grad_est)
-            assert r.branch in (NEWTON, GRADIENT)
+        assert p.columns.iteration == list(range(30))
+        for theta_applied, grad_est, branch in zip(
+                p.columns.theta_applied, p.columns.grad_est, p.columns.branch):
+            assert np.isfinite(theta_applied)
+            assert np.isfinite(grad_est)
+            assert branch in (NEWTON, GRADIENT)
+
+
+def empty_columns():
+    """A trace with no iteration: one empty list per StepRecord field."""
+    return StepRecord._make([] for _ in StepRecord._fields)
+
+
+def append_row(columns, row):
+    """One iteration's cells, each appended to its column."""
+    for column, cell in zip(columns, row):
+        column.append(cell)
+
+
+def exact_columns(columns):
+    """Each column's cells by repr, which is exact for floats, keeps the
+    sign of 0 and makes NaN equal NaN."""
+    return [list(map(repr, column)) for column in columns]
 
 
 class ComposedPersonalizer:
@@ -483,7 +505,7 @@ class ComposedPersonalizer:
             gain=config.gain, omega_o=config.omega_o, epsilon=config.epsilon,
             bounds=(config.bounds[0] + 2 * a, config.bounds[1] - 2 * a),
             theta_hat=config.theta_0, step_max=2 * a)
-        self.iteration, self.records = 0, []
+        self.iteration, self.columns = 0, empty_columns()
         self.applied_theta()
 
     @property
@@ -513,7 +535,7 @@ class ComposedPersonalizer:
             curv = c_chan / (a * a * self.gain2)
             if self.iteration >= self.config.warmup_iterations:
                 self.optimizer.update(g_chan, c_chan)
-        self.records.append(StepRecord(
+        append_row(self.columns, StepRecord(
             self.iteration, self.theta_applied, self.theta_hat, j, filtered,
             grad, curv, self.optimizer.last_branch))
         self.iteration += 1
@@ -529,7 +551,7 @@ class ComposedBlackBox:
         self.alpha = 1.0 / (1.0 + config.omega_o * HIGHPASS_CUTOFF_RATIO)
         self.theta_hat = clamp(config.theta_0, *config.bounds)
         self.hp_y, self.prev_j = 0.0, None
-        self.iteration, self.records = 0, []
+        self.iteration, self.columns = 0, empty_columns()
         self.applied_theta()
 
     def applied_theta(self):
@@ -548,7 +570,7 @@ class ComposedBlackBox:
         xi = math.sin(cfg.omega_o * self.iteration) * self.hp_y
         if cfg.dither_amplitude > 0:
             self.theta_hat = clamp(self.theta_hat + GAIN * xi, *cfg.bounds)
-        self.records.append(StepRecord(
+        append_row(self.columns, StepRecord(
             self.iteration, self.theta_applied, self.theta_hat, j, self.hp_y,
             math.nan, math.nan, ""))
         self.iteration += 1
@@ -563,8 +585,7 @@ def drive(loop, subject, n, frozen=None):
         loop.step(subject.step(loop.applied_theta()))
         if frozen is not None:
             loop.theta_hat = frozen
-    # repr is exact for floats, keeps the sign of 0 and makes NaN equal NaN
-    return [tuple(map(repr, r)) for r in loop.records]
+    return exact_columns(loop.columns)
 
 
 @st.composite
@@ -591,8 +612,8 @@ def subject_for(name, seed):
 
 class TestFlatStep:
     """Personalizer.step and BlackBoxEs.step are the stages inlined: the
-    same records, bit for bit, as the composed oracles above, on per-config
-    tables that grow with every step."""
+    same trace columns, bit for bit, as the composed oracles above, on
+    per-config tables that grow with every step."""
 
     @given(cfg=configs(), name=st.sampled_from("AB"), seed=st.integers(0, 2 ** 31 - 1),
            n=st.one_of(st.integers(1, 40), st.integers(LONG_RUN - 2, LONG_RUN + 2),
@@ -679,7 +700,7 @@ def stepped(loop, plant, n):
 
 
 def snapshot(loop):
-    """The loop's records and state: every attribute but the config and
+    """The loop's trace and state: every attribute but the config and
     what it shares, by repr, so bit for bit, NaN and -0.0 included."""
     own = {k: v for k, v in vars(loop).items()
            if k not in ("config", "filter", "observer", "_rows")}
@@ -707,7 +728,7 @@ RUN_LENGTHS = st.one_of(st.integers(0, 40), st.integers(LONG_RUN - 2, LONG_RUN +
 
 
 class TestRun:
-    """run(plant, n) is n steps: the same records, returned theta and
+    """run(plant, n) is n steps: the same trace, returned theta and
     attributes, bit for bit, for runs split anywhere, across the table's
     end, and when plant fails at an iteration."""
 
@@ -737,8 +758,7 @@ class TestRun:
         theta = [ran.run(subj.step, n) for n in lengths][-1]
         composed = ComposedPersonalizer(cfg)
         stepped(composed, subject_for(name, seed).step, sum(lengths))
-        assert [tuple(map(repr, r)) for r in ran.records] == \
-            [tuple(map(repr, r)) for r in composed.records]
+        assert exact_columns(ran.columns) == exact_columns(composed.columns)
         assert (repr(theta), ran.theta_hat, ran.last_branch) == (
             repr(composed.theta_applied), composed.theta_hat,
             composed.optimizer.last_branch)
@@ -754,7 +774,7 @@ class TestRun:
             ran.run(subj.step, 1)
             ran.theta_hat = frozen
         subj = static_subject(PreferenceMap(LAMBDA_A), steady_at=1.0)
-        assert [tuple(map(repr, r)) for r in ran.records] == drive(
+        assert exact_columns(ran.columns) == drive(
             Personalizer(cfg), subj, 300, frozen)
 
     @given(loop=st.sampled_from(LOOPS), cfg=configs(), seed=st.integers(0, 2 ** 31 - 1),

@@ -719,6 +719,16 @@ def test_subject_config_round_trip(tmp_path):
     assert js1 == js2
 
 
+@pytest.mark.parametrize("subject_id", ["100%", "%(x)s", "%%"])
+def test_percent_subject_id_round_trips(tmp_path, subject_id):
+    # INI values are not interpolated: '%' is an ordinary character, so
+    # '%%' reads back as the two characters written
+    path = tmp_path / "s.ini"
+    save_subject(path, SimulatedSubject(MAP_A, subject_a().dynamics,
+                                        subject_id=subject_id))
+    assert load_subject(path).subject_id == subject_id
+
+
 class TestFrozenModel:
     @pytest.mark.parametrize("model, name", [
         (MAP_A, "lam"), *((subject_a().dynamics, name) for name in ("phi", "gamma", "psi"))],
