@@ -18,8 +18,20 @@ def _parse_seeds(text):
     return tuple(int(s) for s in text.replace(",", " ").split())
 
 
+def _subject(text):
+    if text in ("A", "B") or os.path.isfile(text):
+        return text
+    raise ValueError(f"{text!r} is neither A, B nor a subject file")
+
+
+def _algorithm(text):
+    if text in ALGORITHMS:
+        return text
+    raise ValueError(f"unknown algorithm {text!r}")
+
+
 # [experiment] key -> parser of its value
-EXPERIMENT_KEYS = {"subject": str, "algorithm": str, "iterations": int,
+EXPERIMENT_KEYS = {"subject": _subject, "algorithm": _algorithm, "iterations": int,
                    "seeds": _parse_seeds, "noise_std": float,
                    "fixed_theta": float}
 

@@ -259,17 +259,17 @@ def read_trace_csv(path):
             key, _, val = line[1:].partition(":")
             metadata[key.strip()] = val.strip()
             lines[key.strip()] = n
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)  # an unclosed quote is an error
         try:
-            header = next(csv.reader(first), None)
+            header = next(csv.reader(first, strict=True), None)
             rows = [row for row in reader if row]
         except csv.Error as exc:  # line n is the header, then reader's lines
             raise ValueError(f"{path}: line {n + reader.line_num}: {exc}") from None
     if header != TRACE_COLUMNS:
         raise ValueError(f"{path}: trace header {header} is not {TRACE_COLUMNS}")
-    for row in rows:
+    for i, row in enumerate(rows):
         if len(row) != len(TRACE_COLUMNS):
-            raise ValueError(f"{path}: trace row {row} has {len(row)} cells, "
+            raise ValueError(f"{path}: trace row {i} has {len(row)} cells, "
                              f"expected {len(TRACE_COLUMNS)}")
     if not rows:
         raise ValueError(f"{path}: trace has no rows")
@@ -285,7 +285,10 @@ def read_trace_csv(path):
         except ValueError:
             raise ValueError(f"{path}: line {lines['seed']}: seed {text!r} "
                              "is not an integer") from None
-    return EpisodeTrace(cols, metadata)
+    try:
+        return EpisodeTrace(cols, metadata)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _raise_first_bad_cell(path, rows):

@@ -16,11 +16,12 @@ Implementation notes, fixed by numerical analysis of the printed design:
   The closed loop then has spectral radius 0.915 and the tracked states
   converge to the exact Fourier components of the filtered signal.
 
-* The designs (filter matrices, observer transition and injection, chain
-  phases and gains) are built with numpy once per config, when the
-  PersonalizerConfig is made; the Personalizer holds only state. The
-  per-iteration loop runs on Python floats unpacked from the designs,
-  since numpy's per-call overhead dominates work on 2- and 5-vectors.
+* The designs (filter, observer, chain phases and gains) are built once
+  per config, when the PersonalizerConfig is made; the Personalizer holds
+  only state. No trace bit goes through LAPACK, only the observer's eigvals
+  stability check. The per-iteration loop runs on Python floats unpacked
+  from the designs, since numpy's per-call overhead dominates work on 2-
+  and 5-vectors.
 
 * Personalizer.run(plant, n) is the loop: n iterations of one flat
   body in which the filter recursion, observer update, demodulation and
@@ -60,13 +61,14 @@ Implementation notes, fixed by numerical analysis of the printed design:
   applied synergy never clips against them (clipping starves excitation).
 """
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import check_fields, parse_section, parse_vector
+from .config import check_fields, parse_section, parse_vector, parsed
 
 OBSERVER_PHI = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -92,35 +94,30 @@ class BandPassFilter:
 
     Continuous prototype H (wc/Q) s / (s^2 + (wc/Q) s + wc^2) with
     wc = sqrt(2) w, prewarped and bilinear-discretized at unit iteration
-    step, so the peak gain is exactly H at wc. The first processed sample
-    initializes the state at its DC solution, which removes the switch-on
-    transient (the large constant offset would otherwise ring through the
-    passband for tens of iterations).
+    step (stable, as the image of a stable analog filter), so the peak gain is
+    exactly H at wc. The first processed sample initializes the state at its
+    DC solution, which removes the switch-on transient (the large constant
+    offset would otherwise ring through the passband for tens of iterations).
     """
 
     def __init__(self, omega_o, H, Q):
-        wa = 2.0 * np.tan(np.sqrt(2) * omega_o / 2.0)  # prewarped analog center
-        a = np.array([[-wa / Q, -wa * wa], [1.0, 0.0]])
-        b = np.array([1.0, 0.0])
-        c = np.array([H * wa / Q, 0.0])
-        # bilinear (Tustin) transform at unit step, with d = 0
-        m = np.eye(2) - a / 2.0
-        self.ad = np.linalg.solve(m, np.eye(2) + a / 2.0)
-        self.bd = np.linalg.solve(m, b)
-        self.cd = np.linalg.solve(m.T, c)
-        self.dd = float(c @ self.bd) / 2.0
-        # the loops' floats: DC state per unit input, then the recursion
-        self.coefficients = (
-            *np.linalg.solve(np.eye(2) - self.ad, self.bd).tolist(),
-            *self.ad.ravel().tolist(), *self.bd.tolist(), *self.cd.tolist(), self.dd)
-
-    def spectral_radius(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.ad))))
+        wa = 2.0 * math.tan(math.sqrt(2.0) * omega_o / 2.0)  # prewarped analog center
+        # the bilinear image of a = [[-q, -w2], [1, 0]], b = [1, 0], c = [H q, 0]
+        # written out, with m = I - a/2 and det m = 1 + q/2 + w2/4: the DC state
+        # per unit input -a^-1 b = (0, 1/w2), then ad = m^-1 (I + a/2), bd = m^-1 b,
+        # cd = c m^-1 and dd = c bd / 2, the loops' floats
+        q, w2 = wa / Q, wa * wa
+        hq, det = H * q, 1.0 + q / 2.0 + w2 / 4.0
+        self._prototype = hq, q, w2
+        self.coefficients = (0.0, 1.0 / w2, (1.0 - q / 2.0 - w2 / 4.0) / det, -w2 / det,
+                             1.0 / det, (1.0 + q / 2.0 - w2 / 4.0) / det, 1.0 / det,
+                             0.5 / det, hq / det, -hq * w2 / 2.0 / det, hq / (2.0 * det))
 
     def frequency_response(self, omega):
-        z = np.exp(1j * float(omega))
-        return complex(self.cd @ np.linalg.solve(z * np.eye(2) - self.ad, self.bd)
-                       + self.dd)
+        """The prototype's at s = 2j tan(omega/2), the image of z = exp(j omega)."""
+        hq, q, w2 = self._prototype
+        s = 2j * math.tan(omega / 2.0)
+        return hq * s / (s * s + q * s + w2)
 
     def step(self, state, j_value):
         """(band-passed output, next state); state is None before the first sample."""
@@ -264,8 +261,8 @@ class PersonalizerConfig:
             raise ValueError("observer closed loop is unstable (spectral radius "
                              f"{observer.closed_loop_radius:.4f})")
         # design-known demodulation chain: band-pass response x one-step latency
-        g1 = band.frequency_response(self.omega_o) * np.exp(-1j * self.omega_o)
-        g2 = band.frequency_response(2 * self.omega_o) * np.exp(-2j * self.omega_o)
+        g1 = band.frequency_response(self.omega_o) * cmath.exp(-1j * self.omega_o)
+        g2 = band.frequency_response(2 * self.omega_o) * cmath.exp(-2j * self.omega_o)
         a = self.dither_amplitude
         if a > 0 and a * a * abs(g2) == 0:  # Personalizer.step divides by it
             raise ValueError(f"dither amplitude {a} is too small: the curvature "
@@ -273,8 +270,7 @@ class PersonalizerConfig:
         # the design, once per config: filter, observer and the chain's
         # (phase, gain) at w and 2w; set past the frozen __setattr__
         object.__setattr__(self, "design", (
-            band, observer, (float(np.angle(g1)), float(abs(g1))),
-            (float(np.angle(g2)), float(abs(g2)))))
+            band, observer, (cmath.phase(g1), abs(g1)), (cmath.phase(g2), abs(g2))))
         # per loop class, the rows its run reads by iteration index;
         # EsLoop._table grows them as runs need
         object.__setattr__(self, "tables", {})
@@ -290,14 +286,16 @@ class PersonalizerConfig:
 
         Each value is parsed as the type of its field's default: int,
         float, or a tuple of floats (comma- or space-separated). A bad
-        key or value raises a ValueError that starts with where.
+        key or value, or a config it rejects, raises a ValueError that
+        starts with where.
         """
         by_key = {INI_KEYS.get(f.name, f.name): f for f in fields(cls)}
         parsers = {key: (lambda text: tuple(parse_vector(text).tolist()))
                    if isinstance(f.default, tuple) else type(f.default)
                    for key, f in by_key.items()}
         values = parse_section(mapping, where, parsers)
-        return cls(**{by_key[key].name: v for key, v in values.items()})
+        return parsed(lambda kwargs: cls(**kwargs),
+                      {by_key[key].name: v for key, v in values.items()}, where)
 
 
 DEFAULT_CONFIG = PersonalizerConfig()  # frozen, so every default run shares it

@@ -403,10 +403,21 @@ def save_subject(path, subject):
     }})
 
 
+def _subject_id(text):
+    """text, which names trace files (<prefix>_<id>_s<seed>.csv, at most 255
+    bytes) and a trace metadata line."""
+    if not set(text).isdisjoint("\r\n\0/"):
+        raise ValueError(f"{text!r} holds a line break, NUL or '/'")
+    if len(text.encode()) > 200:
+        raise ValueError(f"{len(text.encode())} bytes long, over the 200 that "
+                         "leave room in a trace file name")
+    return text
+
+
 # [subject] key -> parser of its value; lambda, phi, gamma and psi are required
 SUBJECT_KEYS = {"lambda": parse_vector, "phi": parse_matrix, "gamma": parse_vector,
                 "psi": parse_vector, "noise_mean": float, "noise_std": float,
-                "seed": int, "initial_state": parse_vector, "id": str}
+                "seed": int, "initial_state": parse_vector, "id": _subject_id}
 
 
 def load_subject(path):

@@ -22,9 +22,10 @@ Groups:
   subject_a(0), the repr of each of its columns;
 - reach: default_task() and every outcome of the 81-point theta grid;
 - golden, golden-Nehalem, golden-Prescott: the seed-0 episode of every
-  algorithm on A and B written as CSV (under the default BLAS kernel and,
-  in a subprocess, under OPENBLAS_CORETYPE Nehalem and Prescott), and both
-  plots of a black-box batch on B over seeds 0-9 under the default kernel;
+  algorithm on A and B written as CSV, under the default BLAS kernel and,
+  in a subprocess, under OPENBLAS_CORETYPE Nehalem and Prescott, so kernels
+  that agree print one digest;
+- golden-plots: both plots of a black-box batch on B over seeds 0-9;
 - demo-<name>: each demo's stdout and the files it writes.
 """
 
@@ -174,9 +175,9 @@ def golden_groups(tmp, src):
     out = tmp / "golden_plots"
     run_batch(ExperimentConfig(subject="B", algorithm="blackbox",
                                seeds=tuple(range(10)), output_dir=str(out)))
-    groups = {"golden": golden_files(tmp / "golden") +
-              [(name, (out / name).read_bytes())
-               for name in ("theta_blackbox.svg", "performance_blackbox.svg")]}
+    groups = {"golden": digest(golden_files(tmp / "golden")),
+              "golden-plots": [(name, (out / name).read_bytes()) for name
+                               in ("theta_blackbox.svg", "performance_blackbox.svg")]}
     code = ("import runpy, sys; from pathlib import Path; "
             f"g = runpy.run_path({__file__!r}); "
             "print(g['digest'](g['golden_files'](Path(sys.argv[1]))))")

@@ -1,10 +1,15 @@
 """Tests for the command-line surface."""
 
+import contextlib
 import csv
+import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synergy_es.baseline import BlackBoxEs
 from synergy_es.cli import main
@@ -179,7 +184,9 @@ def test_bad_seed_line_names_file_and_line(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("key, value", [("iterations", "abc"),
                                         ("noise_std", "lots"),
-                                        ("seeds", "1,x")])
+                                        ("seeds", "1,x"),
+                                        ("subject", "no_such_file.ini"),
+                                        ("algorithm", "grey")])
 def test_bad_experiment_value_names_file_and_key(tmp_path, capsys, key, value):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[experiment]\n{key} = {value}\n")
@@ -237,6 +244,13 @@ BAD_SUBJECT = {
                              ": [subject]: initial_state must have 2 values, not "),
     "negative_seed": (replace_line("seed", "seed = -1\n"),
                       ": [subject]: seed = -1 must be >= 0"),
+    # the id names trace files and a trace metadata line
+    "id_nul": (replace_line("id", "id = A\0B\n"),
+               ": [subject] id: 'A\\x00B' holds a line break, NUL or '/'"),
+    "id_slash": (replace_line("id", "id = A/B\n"),
+                 ": [subject] id: 'A/B' holds a line break, NUL or '/'"),
+    "id_long": (replace_line("id", f"id = {'x' * 201}\n"),
+                ": [subject] id: 201 bytes long, over the 200 that leave room"),
 }
 
 
@@ -305,6 +319,44 @@ def test_oversized_trace_cell_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def edit_row_3(edit):
+    """An edit of a trace's lines that passes data row 3 through edit."""
+    def lines_edit(lines):
+        lines[5 + 3] = edit(lines[5 + 3])  # 4 metadata lines, header
+        return lines
+    return lines_edit
+
+
+# case id -> (edit of a 201-row sweep trace's lines, error after '<path>: ')
+MALFORMED_TRACE = {
+    # strict csv: a quote that is never closed ends the file inside a cell,
+    # where a lenient reader would read the rest of the file into that cell
+    "quote_in_branch_cell": (edit_row_3(lambda line: line.rstrip("\r\n") + '"\r\n'),
+                             "line 206: unexpected end of data"),
+    "quote_at_row_start": (edit_row_3(lambda line: '"' + line),
+                           "line 206: unexpected end of data"),
+    # the EpisodeTrace constructor's errors, and a row named by its index
+    "dropped_row": (lambda lines: lines[:5 + 3] + lines[5 + 4:],
+                    "trace iterations must be contiguous from 0"),
+    "extra_cell": (edit_row_3(lambda line: line.rstrip("\r\n") + ",x\r\n"),
+                   "trace row 3 has 9 cells, expected 8"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_TRACE.values(), ids=MALFORMED_TRACE)
+def test_malformed_trace_names_file(tmp_path, capsys, edit, message):
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep_A_s0.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["identify", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # [subject] key -> its line with a non-finite entry
 NONFINITE_SUBJECT = {"lambda": "lambda = -158.15 nan -293.34\n",
                      "phi": "phi = 0 1; inf 0.35\n",
@@ -330,9 +382,9 @@ def test_line_break_in_subject_id_writes_no_trace(tmp_path, capsys):
     rc = main(["run", "--subject", str(path), "--algorithm", "fixed",
                "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "error: trace metadata subject_id 'left\\nright' holds a line " \
-        "break" in capsys.readouterr().err
-    assert not list((tmp_path / "out").iterdir())
+    assert f"error: {path}: [subject] id: 'left\\nright' holds a line break" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -433,6 +485,7 @@ def test_invalid_personalizer_config_exits_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "error:" in err
     assert message in err
+    assert f"error: {cfg}: [personalizer]" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -499,3 +552,80 @@ def test_zero_iterations_rejected(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# what a fuzzed file may have inserted: csv's and configparser's special
+# characters and a cell over csv's 131,072-character field limit
+FUZZ_TOKENS = ("%", '"', "\r", "\0", "x" * 131_073)
+LINE = st.integers(0, 1_000)  # taken modulo the file's line count
+MUTATION = st.one_of(st.tuples(st.just("drop"), LINE),
+                     st.tuples(st.just("repeat"), LINE),
+                     st.tuples(st.just("swap"), LINE, LINE),
+                     st.tuples(st.just("insert"), LINE, st.integers(0, 100),
+                               st.sampled_from(FUZZ_TOKENS)))
+
+
+def mutate(text, mutations):
+    """text with its lines dropped, repeated, swapped or cut into."""
+    lines = text.splitlines(keepends=True)
+    for kind, i, *rest in mutations:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = rest[0] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            at, token = rest
+            at %= len(lines[i]) + 1
+            lines[i] = lines[i][:at] + token + lines[i][at:]
+    return "".join(lines)
+
+
+# kind of input file -> the commands that read one at path and write to out
+FUZZ_COMMANDS = {
+    "trace": lambda path, out: [["identify", path, "--out", out],
+                                ["compare", "--a", path, "--b", path,
+                                 "--theta-star", "1.7"]],
+    "subject": lambda path, out: [["run", "--subject", path, "--algorithm", "fixed",
+                                   "--iterations", "3", "--out", out]],
+    "experiment": lambda path, out: [["run", "--config", path, "--out", out]],
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """kind of input file -> a valid file of that kind."""
+    tmp = tmp_path_factory.mktemp("valid")
+    assert main(["sweep", "--out", str(tmp)]) == 0
+    save_subject(tmp / "s.ini", subject_a())
+    (tmp / "exp.ini").write_text(
+        "[experiment]\nsubject = B\nalgorithm = greybox\niterations = 30\n"
+        "seeds = 5\nnoise_std = 1.0\n\n[personalizer]\nk = 0.05\ntheta_0 = 1.0\n"
+        "Q = 5.0\n", encoding="utf-8")
+    return {"trace": tmp / "sweep_A_s0.csv", "subject": tmp / "s.ini",
+            "experiment": tmp / "exp.ini"}
+
+
+@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)),
+       mutations=st.lists(MUTATION, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+def test_mutated_input_file_exits_0_or_2_naming_it(valid_inputs, kind, mutations):
+    """Every command returns 0 or 2 and raises nothing; a 2 names the file."""
+    text = valid_inputs[kind].read_bytes().decode("utf-8")  # line ends as written
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(mutate(text, mutations))
+        for argv in FUZZ_COMMANDS[kind](path, os.path.join(tmp, "out")):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 2), (argv, err.getvalue())
+            if rc == 2:
+                assert path in err.getvalue(), (argv, err.getvalue())

@@ -209,8 +209,7 @@ class TestTraceCsv:
         path.write_text("".join(lines) + "3,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             read_trace_csv(path)
-        assert str(exc.value) == (f"{path}: trace row ['3', '1.0'] has 2 cells, "
-                                  "expected 8")
+        assert str(exc.value) == f"{path}: trace row 3 has 2 cells, expected 8"
         path.write_text("".join(lines[:5]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             read_trace_csv(path)
@@ -257,8 +256,7 @@ class TestTraceCsv:
                         encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             read_trace_csv(path)
-        assert str(exc.value) == (f"{path}: trace row ['# seed: 9'] has 1 "
-                                  "cells, expected 8")
+        assert str(exc.value) == f"{path}: trace row 1 has 1 cells, expected 8"
 
     @given(cells=st.lists(st.tuples(*[st.floats()] * 6,
                                     st.text(',"\r\n# ab', max_size=6)),

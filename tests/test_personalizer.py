@@ -1,5 +1,6 @@
 """Tests for the grey-box extremum-seeking loop."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,22 @@ def optimizer(**kwargs):
     return SwitchedOptimizer(**{**tuning, **kwargs})
 
 
+def state_space(f):
+    """BandPassFilter f's (ad, bd, cd, dd), read from its coefficients."""
+    _, _, a00, a01, a10, a11, b0, b1, c0, c1, dd = f.coefficients
+    return np.array([[a00, a01], [a10, a11]]), np.array([b0, b1]), np.array([c0, c1]), dd
+
+
+def spectral_radius(f):
+    return float(np.max(np.abs(np.linalg.eigvals(state_space(f)[0]))))
+
+
+def exact_inverse(m):
+    """The inverse of m, a 2x2 array of Fractions, in Fractions."""
+    (p, q), (r, s) = m
+    return np.array([[s, -q], [-r, p]]) / (p * s - q * r)
+
+
 class TestBandPass:
     def test_design_gain_at_center(self):
         f = BandPassFilter(W, 0.5, 5.0)
@@ -55,7 +73,7 @@ class TestBandPass:
 
     def test_stability(self):
         f = BandPassFilter(W, 0.5, 5.0)
-        assert f.spectral_radius() < 1.0
+        assert spectral_radius(f) < 1.0
 
     def test_aliasing_rejected(self):
         # the check lives in the config, which every filter is built from
@@ -74,15 +92,15 @@ class TestBandPass:
             out, state = f.step(state, 1.0 if i == 0 else 0.0)
             outs.append(out)
         # oracle: same filter re-materialized, run on the same input
-        g = BandPassFilter(W, 0.5, 5.0)
+        ad, bd, cd, dd = state_space(BandPassFilter(W, 0.5, 5.0))
         x = np.zeros(2)
         ref = []
         for i in range(40):
             u = 1.0 if i == 0 else 0.0
             if i == 0:
-                x = np.linalg.solve(np.eye(2) - g.ad, g.bd * u)
-            ref.append(float(g.cd @ x + g.dd * u))
-            x = g.ad @ x + g.bd * u
+                x = np.linalg.solve(np.eye(2) - ad, bd * u)
+            ref.append(float(cd @ x + dd * u))
+            x = ad @ x + bd * u
         assert_allclose(outs, ref, atol=1e-12)
 
     def test_sinusoid_gain_at_center(self):
@@ -99,7 +117,42 @@ class TestBandPass:
            H=st.floats(0.01, 10.0), Q=st.floats(0.1, 100.0))
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     def test_stable_for_any_valid_design_property(self, omega_o, H, Q):
-        assert BandPassFilter(omega_o, H, Q).spectral_radius() < 1.0
+        assert spectral_radius(BandPassFilter(omega_o, H, Q)) < 1.0
+
+    @given(omega_o=st.floats(0.01, np.pi / 2 - 0.01),
+           H=st.floats(0.01, 10.0), Q=st.floats(0.1, 100.0))
+    @example(omega_o=W, H=0.5, Q=5.0)
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    def test_design_matches_exact_reference_property(self, omega_o, H, Q):
+        # the bilinear transform of the prototype in exact rationals, from the
+        # same float wa, Q and H
+        f = BandPassFilter(omega_o, H, Q)
+        wa = 2.0 * math.tan(math.sqrt(2.0) * omega_o / 2.0)
+        assert f.coefficients[:2] == (0.0, 1.0 / (wa * wa))  # the DC state
+        one, zero = Fraction(1), Fraction(0)
+        q, w2 = Fraction(wa) / Fraction(Q), Fraction(wa) ** 2
+        eye = np.array([[one, zero], [zero, one]])
+        a = np.array([[-q, -w2], [one, zero]])
+        b, c = np.array([one, zero]), np.array([Fraction(H) * q, zero])
+        m_inv = exact_inverse(eye - a / 2)
+        ad, bd, cd = m_inv @ (eye + a / 2), m_inv @ b, c @ m_inv
+        dc = exact_inverse(eye - ad) @ bd
+        assert tuple(dc) == (0, 1 / w2)
+        exact = (*dc, *ad.ravel(), *bd, *cd, c @ bd / 2)
+        # each coefficient is at most seven roundings from its exact value,
+        # so within 8 ulps of it; the terms of ad's diagonal can cancel, and
+        # their magnitudes sum to det / det = 1, so those two are held within
+        # 8 ulps of 1
+        for k, (got, want) in enumerate(zip(f.coefficients, exact)):
+            scale = 1.0 if k in (2, 5) else abs(float(want))
+            assert abs(Fraction(got) - want) <= 8 * Fraction(math.ulp(scale)), k
+        # the response is the discrete filter's, cd (zI - ad)^-1 bd + dd
+        _, _, a00, a01, a10, a11, b0, b1, c0, c1, dd = f.coefficients
+        for omega in np.linspace(0.01, np.pi - 0.01, 64).tolist():
+            z = cmath.exp(1j * omega)
+            x0, x1 = (z - a11) * b0 + a01 * b1, a10 * b0 + (z - a00) * b1
+            want = (c0 * x0 + c1 * x1) / ((z - a00) * (z - a11) - a01 * a10) + dd
+            assert_allclose(f.frequency_response(omega), want, rtol=1e-12, atol=0)
 
 
 class TestObserver:

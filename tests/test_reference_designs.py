@@ -26,10 +26,11 @@ def test_bandpass_matches_cont2discrete(omega_o, H, Q):
     analog = (np.array([[-wa / Q, -wa * wa], [1.0, 0.0]]), np.array([[1.0], [0.0]]),
               np.array([[H * wa / Q, 0.0]]), np.array([[0.0]]))
     ad, bd, cd, dd, _ = signal.cont2discrete(analog, 1.0, method="bilinear")
-    assert_allclose(f.ad, ad, rtol=1e-13)
-    assert_allclose(f.bd, bd.ravel(), rtol=1e-13)
-    assert_allclose(f.cd, cd.ravel(), rtol=1e-13)
-    assert_allclose(f.dd, dd[0, 0], rtol=1e-13)
+    _, _, a00, a01, a10, a11, b0, b1, c0, c1, f_dd = f.coefficients
+    assert_allclose([[a00, a01], [a10, a11]], ad, rtol=1e-13)
+    assert_allclose([b0, b1], bd.ravel(), rtol=1e-13)
+    assert_allclose([c0, c1], cd.ravel(), rtol=1e-13)
+    assert_allclose(f_dd, dd[0, 0], rtol=1e-13)
 
 
 def van_loan_flow_integral(omega_o):
