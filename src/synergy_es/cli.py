@@ -37,7 +37,9 @@ EXPERIMENT_KEYS = {"subject": _subject, "algorithm": _algorithm, "iterations": i
 
 
 def _experiment_config(args):
-    """Config file sections, then command-line flags."""
+    """Config file sections, then command-line flags. A value the config
+    rejects names the file, and the flags given (sweep's algorithm is not
+    one)."""
     kwargs = {}
     if args.config:
         cp = read_config(args.config)
@@ -53,7 +55,16 @@ def _experiment_config(args):
              else parsed(_parse_seeds, args.seed, "--seed"),
              "iterations": args.iterations, "output_dir": args.out}
     kwargs.update((k, v) for k, v in flags.items() if v is not None)
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        if not args.config:
+            raise
+        given = [f"--{k}" for k in ("subject", "algorithm", "seed", "iterations")
+                 if getattr(args, k) is not None
+                 and (k != "algorithm" or args.command != "sweep")]
+        with_flags = f" (with {', '.join(given)})" if given else ""
+        raise ValueError(f"{args.config}: [experiment]{with_flags}: {exc}") from None
 
 
 def _episode_config(args):

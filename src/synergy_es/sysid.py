@@ -2,11 +2,12 @@
 
 The LTI fitter searches real pole sets inside (0, 1) on a refinable grid
 (over-damped by construction) with an inner linear least-squares solve for
-the numerator, then normalizes to unity steady-state gain. The grid
-candidates are scored in closed form from one least-squares solve per
-order. Residuals are always evaluated from sample index 1 onward (zero
-history before sample 0) so that order-2 and order-3 fits are scored on
-the same samples.
+the numerator, then normalizes to unity steady-state gain. Each grid
+candidate's score is a quadratic form in the Gram matrix of one
+least-squares residual basis per order, with no BLAS call; the
+unconstrained-ARX diagnostic is that form's minimum. Residuals are always
+evaluated from sample index 1 onward (zero history before sample 0) so
+that order-2 and order-3 fits are scored on the same samples.
 """
 
 import warnings
@@ -58,11 +59,11 @@ def fit_preference_map(thetas, mean_performances):
 
 
 def _poles_to_denominator(poles):
-    # one monic z-polynomial per row of roots; coefficients [1, a1, ..., an]
-    coeffs = np.zeros((poles.shape[0], poles.shape[1] + 1))
-    coeffs[:, 0] = 1.0
-    for j, p in enumerate(poles.T, start=1):  # multiply by (z - p)
-        coeffs[:, 1:j + 1] -= coeffs[:, :j] * p[:, None]
+    # one monic z-polynomial per column of roots; row k is coefficient a_k
+    coeffs = np.zeros((poles.shape[0] + 1, poles.shape[1]))
+    coeffs[0] = 1.0
+    for j, p in enumerate(poles, start=1):  # multiply by (z - p)
+        coeffs[1:j + 1] -= coeffs[:j] * p
     return coeffs
 
 
@@ -90,6 +91,30 @@ def _lag_residual_basis(u, y, n):
     regress = _lag_columns(u, range(1, n + 1))
     coef, *_ = np.linalg.lstsq(regress, ylag, rcond=None)
     return ylag - regress @ coef
+
+
+def _gram(basis):
+    """basis.T @ basis, no BLAS: pairwise sums of contiguous product rows."""
+    cols = basis.T.copy()
+    return np.add.reduce(cols[:, None] * cols, axis=-1)
+
+
+def _scores(gram, dens):
+    """d.T @ gram @ d per column d of dens, in a fixed order, no BLAS."""
+    g, total = gram.tolist(), 0.0
+    for i, di in enumerate(dens):
+        row = g[i][i] * di
+        for j in range(i + 1, len(dens)):
+            row += (2.0 * g[i][j]) * dens[j]
+        total += di * row
+    return total
+
+
+def _free_arx_mse(gram, rows):
+    """Unconstrained ARX MSE: the form's minimum over [1, a], as the basis
+    has the input lags projected out (Frisch-Waugh-Lovell); clamped at 0."""
+    a = np.linalg.lstsq(gram[1:, 1:], -gram[1:, 0], rcond=None)[0]
+    return max(0.0, float(_scores(gram, np.append(1.0, a)[:, None])[0])) / rows
 
 
 def _arx_residuals(u, y, den):
@@ -157,24 +182,24 @@ def fit_adaptation_lti(u_series, j_series, order=2):
     p_min, p_max = 1e-4, 1.0 - 1e-4
 
     def search(order_n, extra=()):
-        basis = _lag_residual_basis(u, y, order_n)
+        gram = _gram(_lag_residual_basis(u, y, order_n))
         best = None
         lo, hi, npts = p_min, p_max, 13
-        tuples = _pole_grid_indices(npts, order_n)
+        tuples = _pole_grid_indices(npts, order_n).T
         for _ in range(4):  # refinable grid
-            cands = np.vstack([np.linspace(lo, hi, npts)[tuples], *extra])
+            cands = np.column_stack([np.linspace(lo, hi, npts)[tuples], *extra])
             dens = _poles_to_denominator(cands)
-            mses = np.mean((basis @ dens.T) ** 2, axis=0)
-            k = int(np.argmin(mses))  # first minimum, as a sequential scan
-            if best is None or mses[k] < best[0]:
-                best = (mses[k], cands[k], dens[k])
+            scores = _scores(gram, dens)
+            k = int(np.argmin(scores))  # first minimum, as a sequential scan
+            if best is None or scores[k] < best[0]:
+                best = (scores[k], cands[:, k], dens[:, k])
             span = (hi - lo) / (npts - 1)
             lo = max(p_min, min(best[1]) - span)
             hi = min(p_max, max(best[1]) + span)
-        return best
+        return (*best, gram)
 
     # order 3 also scores the best order-2 pair behind a pole at zero
-    den = search(order, () if order == 2 else [(0.0, *search(2)[1])])[2]
+    _, _, den, gram = search(order, () if order == 2 else [(0.0, *search(2)[1])])
     b, mse = _arx_residuals(u, y, den)
 
     # one model per fit: Gamma scaled to unity gain, left as is at gain 0
@@ -183,22 +208,13 @@ def fit_adaptation_lti(u_series, j_series, order=2):
     dyn = AdaptationDynamics(phi, gamma / gain if gain != 0.0 else gamma, psi)
 
     # diagnostic only: compare with the unconstrained ARX fit
-    _, mse_free = _unconstrained_arx(u, y, order)
+    mse_free = _free_arx_mse(gram, len(u) - _RESIDUAL_START)
     floor = 1e-6 * max(1.0, float(np.var(y)))
     if mse > 4.0 * mse_free + floor:
         warnings.warn(
             "pole constraint is strongly active (constrained mse "
             f"{mse:.4g} vs unconstrained {mse_free:.4g})", ConstrainedFitWarning)
     return dyn, mse
-
-
-def _unconstrained_arx(u, y, n):
-    target = y[_RESIDUAL_START:]
-    regress = np.column_stack([-_lag_columns(y, range(1, n + 1)),
-                               _lag_columns(u, range(1, n + 1))])
-    theta, *_ = np.linalg.lstsq(regress, target, rcond=None)
-    resid = target - regress @ theta
-    return theta, float(np.mean(resid ** 2))
 
 
 def whiteness_test(residuals):

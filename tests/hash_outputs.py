@@ -11,6 +11,8 @@ directory that is removed at the end. pytest does not collect this file.
 Groups:
 - identify-report, identify-ini, identify-residuals: a sweep of A and of B
   at seeds 0-59, identified at orders 2 and 3;
+- identify-noise0: the same three outputs of a sweep of A and of B with
+  noise_std 0, identified at orders 2 and 3;
 - batch-<algorithm>-<subject>: run_batch's trace CSVs, summary CSV and both
   SVGs over seeds 0-9, for grey-box A, black-box B, sweep A and fixed B;
 - compare-report, compare-cli: compare_traces on those batches' traces, in
@@ -57,26 +59,38 @@ def files(directory):
     return [(p.name, p.read_bytes()) for p in sorted(Path(directory).iterdir())]
 
 
-def identify_groups(tmp):
-    from synergy_es.harness import ExperimentConfig, run_episode
+def identified(trace, order, stem):
+    """(report, INI, residuals) bytes of the trace's fit at order, the files
+    written next to stem."""
     from synergy_es.sysid import (identify_from_records, write_fitted_subject,
                                   write_identification_report)
-    groups = {"identify-report": [], "identify-ini": [], "identify-residuals": []}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pref, dyn, mse, resid, report = identify_from_records(
+            trace.column("theta_applied"), trace.column("J"), order)
+    rpath, spath = stem.with_suffix(".txt"), stem.with_suffix(".ini")
+    write_identification_report(rpath, pref, dyn, mse, report)
+    write_fitted_subject(spath, pref, dyn, report)
+    return rpath.read_bytes(), spath.read_bytes(), resid.tobytes()
+
+
+def identify_groups(tmp):
+    from synergy_es.harness import ExperimentConfig, run_episode
+    kinds = ("identify-report", "identify-ini", "identify-residuals")
+    groups = {kind: [] for kind in (*kinds, "identify-noise0")}
     for subject in "AB":
         for seed in range(60):
             trace = run_episode(ExperimentConfig(subject=subject, algorithm="sweep"), seed)
             for order in (2, 3):
                 name = f"{subject}_s{seed}_o{order}"
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    pref, dyn, mse, resid, report = identify_from_records(
-                        trace.column("theta_applied"), trace.column("J"), order)
-                rpath, spath = tmp / f"{name}.txt", tmp / f"{name}.ini"
-                write_identification_report(rpath, pref, dyn, mse, report)
-                write_fitted_subject(spath, pref, dyn, report)
-                groups["identify-report"].append((name, rpath.read_bytes()))
-                groups["identify-ini"].append((name, spath.read_bytes()))
-                groups["identify-residuals"].append((name, resid.tobytes()))
+                for kind, data in zip(kinds, identified(trace, order, tmp / name)):
+                    groups[kind].append((name, data))
+        trace = run_episode(ExperimentConfig(subject=subject, algorithm="sweep",
+                                             noise_std=0.0), 0)
+        for order in (2, 3):
+            name = f"{subject}_noise0_o{order}"
+            for kind, data in zip(kinds, identified(trace, order, tmp / name)):
+                groups["identify-noise0"].append((f"{name} {kind}", data))
     return groups
 
 

@@ -208,6 +208,33 @@ def test_bad_personalizer_value_names_file_and_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("iterations = 0", ["run"], ": [experiment]: iterations = 0 must be positive"),
+    ("noise_std = -1", ["batch"], ": [experiment]: noise_std = -1.0 must be >= 0"),
+    ("algorithm = greybox\niterations = 5", ["run"],
+     ": [experiment]: iteration count must cover the warmup period"),
+    ("algorithm = fixed\nnoise_std = -1", ["sweep"],
+     ": [experiment]: noise_std = -1.0 must be >= 0"),
+    ("iterations = 50", ["run", "--iterations", "5", "--seed", "1"],
+     ": [experiment] (with --seed, --iterations): iteration count must cover "
+     "the warmup period"),
+    ("", ["run", "--algorithm", "fixed", "--iterations", "0"],
+     ": [experiment] (with --algorithm, --iterations): iterations = 0 must be "
+     "positive")])
+def test_rejected_experiment_value_names_file(tmp_path, capsys, text, argv, message):
+    cfg = tmp_path / "e.ini"
+    cfg.write_text(f"[experiment]\n{text}\n")
+    rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_rejected_flag_value_without_config_keeps_its_message(tmp_path, capsys):
+    assert main(["run", "--iterations", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: iterations = 0 must be positive\n"
+
+
 def subject_ini(tmp_path, edit):
     """A subject-A file with its text passed through edit."""
     path = tmp_path / "s.ini"

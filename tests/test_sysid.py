@@ -1,5 +1,9 @@
 """Tests for the identification toolkit."""
 
+import os
+import subprocess
+import sys
+import warnings
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -8,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import synergy_es
 from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, subject_a)
-from synergy_es.sysid import (_arx_residuals, _lag_residual_basis, _pole_grid_indices,
-                              _poles_to_denominator, fit_adaptation_lti,
+from synergy_es.sysid import (_RESIDUAL_START, ConstrainedFitWarning, _arx_residuals,
+                              _free_arx_mse, _gram, _lag_columns,
+                              _lag_residual_basis, _pole_grid_indices,
+                              _poles_to_denominator, _scores, fit_adaptation_lti,
                               fit_preference_map, identify_from_records,
                               whiteness_test, write_fitted_subject,
                               write_identification_report)
@@ -213,11 +220,11 @@ class TestClosedFormScoring:
             u[-2] = 2.5
         y = 10.0 + 3.0 * rng.standard_normal(60)
         poles = rng.uniform(0.0, 1.0, (40, order))
-        dens = _poles_to_denominator(poles)
+        dens = _poles_to_denominator(poles.T).T
         for den, p in zip(dens, poles):
             assert_allclose(den, np.poly(p), rtol=0, atol=1e-15)
         basis = _lag_residual_basis(u, y, order)
-        closed = np.mean((basis @ dens.T) ** 2, axis=0)
+        closed = _scores(_gram(basis), dens.T) / len(basis)
         per_candidate = [_arx_residuals(u, y, den)[1] for den in dens]
         assert_allclose(closed, per_candidate, rtol=1e-12, atol=0)
 
@@ -268,6 +275,92 @@ class TestClosedFormScoring:
             assert ((poles.real > -1e-5) & (poles.real < 1.0)).all()
             assert_allclose(dyn.steady_state_gain(), 1.0, atol=1e-9)
         assert fits[3][1] <= fits[2][1] + 1e-12
+
+
+def unconstrained_arx(u, y, n):
+    """MSE of the unconstrained ARX fit by one lstsq over all 2n regressors,
+    as the fit's diagnostic computed it before it came from the Gram matrix."""
+    target = y[_RESIDUAL_START:]
+    regress = np.column_stack([-_lag_columns(y, range(1, n + 1)),
+                               _lag_columns(u, range(1, n + 1))])
+    theta, *_ = np.linalg.lstsq(regress, target, rcond=None)
+    resid = target - regress @ theta
+    return float(np.mean(resid ** 2))
+
+
+def sweep_records(seeds, noise_std=None):
+    """(u, y) of A and B sweeps at seeds, as identify_from_records fits the
+    LTI part: u is the fitted map of theta."""
+    for subject in "AB":
+        for seed in seeds:
+            trace = run_episode(ExperimentConfig(subject=subject, algorithm="sweep",
+                                                 noise_std=noise_std), seed)
+            thetas, perfs = trace.column("theta_applied"), trace.column("J")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pref = identify_from_records(thetas, perfs)[0]
+            yield pref.value(thetas), perfs
+
+
+class TestFreeArxDiagnostic:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_matches_lstsq_oracle_and_warns_alike(self, order):
+        # poles 0.6 +- 0.6j lie outside the constraint, so that fit warns
+        gen = AdaptationDynamics(np.array([[1.2, -0.72], [1.0, 0.0]]),
+                                 np.array([1.0, 0.0]), np.array([1.0, 0.5]))
+        u = np.random.default_rng(4).standard_normal(80)
+        records = [*criterion7_data(), (u, simulate(gen, u)), *sweep_records(range(10)),
+                   *sweep_records((0,), noise_std=0.0)]
+        warned_fits = 0
+        for u, y in records:
+            expected = unconstrained_arx(u, y, order)
+            floor = 1e-6 * max(1.0, float(np.var(y)))
+            # an exact fit's MSE is rounding: 2.6e-32 by lstsq, about 1e-18
+            # from the Gram matrix; the warning sees it only next to floor
+            got = _free_arx_mse(_gram(_lag_residual_basis(u, y, order)), len(y) - 1)
+            assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * floor)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _, mse = fit_adaptation_lti(u, y, order)
+            warned = any(w.category is ConstrainedFitWarning for w in caught)
+            assert warned == (mse > 4.0 * expected + floor)
+            warned_fits += warned
+        assert 0 < warned_fits < len(records)
+
+
+# the selected Phi of A and B sweeps at seeds 0-4, orders 2 and 3, as bits
+SWEEP_FITS = """
+import warnings
+from synergy_es.harness import ExperimentConfig, run_episode
+from synergy_es.sysid import identify_from_records
+warnings.simplefilter("ignore")
+lines = []
+for subject in "AB":
+    for seed in range(5):
+        trace = run_episode(ExperimentConfig(subject=subject, algorithm="sweep"), seed)
+        for order in (2, 3):
+            dyn = identify_from_records(trace.column("theta_applied"),
+                                        trace.column("J"), order)[1]
+            lines.append(dyn.phi.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Nehalem", "Prescott"])
+def test_sweep_fits_select_alike_on_kernels_without_fma(coretype):
+    """OPENBLAS_CORETYPE makes OpenBLAS pick an older CPU's kernels. The
+    residual basis comes from lstsq, so its last bits may differ there. The
+    candidates are scored without BLAS, and on these sweeps no two scores
+    are within rounding of each other, so each fit selects the same poles
+    and Phi keeps its bits. (The numerator, MSE and residuals still go
+    through lstsq and may differ.)"""
+    src = os.path.dirname(os.path.dirname(synergy_es.__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SWEEP_FITS + "print(*lines, sep='\\n')"],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    scope = {}
+    exec(SWEEP_FITS, scope)
+    assert done.stdout.splitlines() == scope["lines"]
 
 
 class TestWhiteness:
