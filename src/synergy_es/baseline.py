@@ -53,9 +53,8 @@ class BlackBoxEs(EsLoop):
         alpha, a, (lo, hi) = self._alpha, self.config.dither_amplitude, self.config.bounds
         hp_y, prev_j = self._hp_y, self._prev_j
         theta_hat, theta = self.theta_hat, self._theta_applied
-        put_i, put_theta, put_hat, put_j, put_filtered, put_grad, put_curv, \
-            put_branch = [column.append for column in self.columns]
-        nan = math.nan
+        _, put_theta, put_hat, put_j, put_filtered, *_ = [
+            column.append for column in self.columns]
         try:
             for i in range(start, start + iterations):
                 j = measured(plant(theta))
@@ -71,16 +70,10 @@ class BlackBoxEs(EsLoop):
                         theta_hat = lo
                     if hi < theta_hat:
                         theta_hat = hi
-                # trace schema matches the personalizer; grad/curv columns
-                # stay empty
-                put_i(i)
                 put_theta(theta)
                 put_hat(theta_hat)
                 put_j(j)
                 put_filtered(hp_y)
-                put_grad(nan)
-                put_curv(nan)
-                put_branch("")
                 theta = theta_hat + a * sines[i + 1]
                 if lo > theta:
                     theta = lo
@@ -90,4 +83,10 @@ class BlackBoxEs(EsLoop):
         finally:
             self._hp_y, self._prev_j, self.theta_hat = hp_y, prev_j, theta_hat
             self.iteration, self._theta_applied = done, theta
+            # once per run, the columns no iteration computes (grad/curv: n/a)
+            n, columns = done - start, self.columns
+            columns.iteration.extend(range(start, done))
+            columns.grad_est.extend([math.nan] * n)
+            columns.curv_est.extend([math.nan] * n)
+            columns.branch.extend([""] * n)
         return theta

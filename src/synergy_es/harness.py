@@ -3,6 +3,8 @@
 A trace is held as columns, as the ES loops build it (the personalizer
 docstring says why). Traces are UTF-8 CSV with a header row; run metadata
 travels in leading '# key: value' lines so a trace file round-trips losslessly.
+Cells are formatted and parsed a column at a time; a float column tests
+each cell for n/a only when it mixes n/a and finite values.
 """
 
 import csv
@@ -106,6 +108,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds = {self.seeds!r} must be integers") from None
         if not seeds:
             raise ValueError("need at least one seed")
+        if len(set(seeds)) < len(seeds):  # a seed's trace would overwrite its twin's
+            repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+            raise ValueError(f"seed {repeated} is repeated in seeds = {seeds}")
         object.__setattr__(self, "seeds", seeds)
 
     def config_hash(self):
@@ -173,15 +178,10 @@ def convergence_iteration(theta_hats, theta_star):
     """First iteration i from which |theta_hat - theta*| < CONVERGENCE_TOL
     holds for CONVERGENCE_HOLD consecutive iterations; None when never
     reached."""
-    theta_star, held = float(theta_star), 0  # held: ok iterations up to i
-    for i, theta_hat in enumerate(map(float, theta_hats)):
-        if abs(theta_hat - theta_star) < CONVERGENCE_TOL:
-            held += 1
-            if held == CONVERGENCE_HOLD:
-                return i - CONVERGENCE_HOLD + 1
-        else:
-            held = 0
-    return None
+    ok = np.abs(np.asarray(theta_hats, float) - float(theta_star)) < CONVERGENCE_TOL
+    # one byte, 0 or 1, per iteration: find the first run of CONVERGENCE_HOLD ones
+    start = ok.tobytes().find(b"\x01" * CONVERGENCE_HOLD)
+    return start if start >= 0 else None
 
 
 def _median(values):
@@ -203,11 +203,22 @@ def _ints(values):
 
 
 def _format_floats(values):
-    # a float is written as its repr; a non-finite one (n/a) as an empty cell
-    return [repr(v) if math.isfinite(v) else "" for v in map(float, values)]
+    # a float is written as its repr; a non-finite one (n/a) as an empty
+    # cell. A column all finite or all n/a takes no per-cell test.
+    values = list(map(float, values))
+    if all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    if not any(map(math.isfinite, values)):
+        return [""] * len(values)
+    return [repr(v) if math.isfinite(v) else "" for v in values]
 
 
 def _parse_floats(texts):
+    # an empty cell is n/a (NaN); as above, per cell only in a mixed column
+    if all(texts):
+        return list(map(float, texts))
+    if not any(texts):
+        return [math.nan] * len(texts)
     return [float(t) if t else math.nan for t in texts]
 
 

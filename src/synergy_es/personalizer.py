@@ -43,7 +43,8 @@ Implementation notes, fixed by numerical analysis of the printed design:
   the table's growth, before a run, to exactly the rows the run reads.
 
 * A loop's trace is one list per StepRecord field, to which each
-  iteration appends its eight cells; no row is built. The collector never
+  iteration appends the cells it computes; a run adds the index-only ones
+  (the iteration) once, at its end. No row is built: the collector never
   untracks a tuple subclass such as StepRecord, so a row per iteration
   would stay on its lists for the trace's whole life and set off
   collections every few episodes; floats, ints and strs are never tracked.
@@ -413,7 +414,7 @@ class Personalizer(EsLoop):
         fresh = self._state is None  # the first sample starts the filter at DC
         x0, x1, z0, z1, z2, z3, z4 = (0.0,) * 7 if fresh else self._state
         theta_hat, branch, theta = self.theta_hat, self.last_branch, self._theta_applied
-        put_i, put_theta, put_hat, put_j, put_filtered, put_grad, put_curv, \
+        _, put_theta, put_hat, put_j, put_filtered, put_grad, put_curv, \
             put_branch = [column.append for column in self.columns]
         try:
             for i in range(start, start + iterations):
@@ -463,7 +464,6 @@ class Personalizer(EsLoop):
                             theta_hat = hat_lo
                         if hat_hi < theta_hat:
                             theta_hat = hat_hi
-                put_i(i)
                 put_theta(theta)
                 put_hat(theta_hat)
                 put_j(j)
@@ -478,6 +478,7 @@ class Personalizer(EsLoop):
                     theta = hi
                 done = i + 1
         finally:
+            self.columns.iteration.extend(range(start, done))  # once per run
             self.iteration, self.theta_hat, self.last_branch = done, theta_hat, branch
             self._theta_applied = theta
             if not fresh:

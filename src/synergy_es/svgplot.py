@@ -1,5 +1,7 @@
 """Minimal dependency-free SVG line plots for batch summaries."""
 
+from itertools import compress
+
 import numpy as np
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -15,7 +17,9 @@ def _ticks(lo, hi):
 
 
 def line_plot(path, series, title="", xlabel="", ylabel=""):
-    """Write a 720 x 440 SVG with one polyline per (label, xs, ys) in series."""
+    """Write a 720 x 440 SVG with one polyline per (label, xs, ys) in series,
+    leaving out points whose y is NaN; series passing one xs object share
+    its x coordinates, formatted once."""
     width, height = 720, 440
     ml, mr, mt, mb = 60, 20, 36, 46
     pw, ph = width - ml - mr, height - mt - mb
@@ -65,11 +69,17 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     parts.append(f'<text x="16" y="{height/2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {height/2:.0f})">{ylabel}</text>')
-    for idx, ((label, _, _), (xs, ys)) in enumerate(zip(series, arrays)):
+    xlabels = {}  # id of a caller's xs -> its points' x labels, formatted once
+    for idx, ((label, given_xs, _), (xs, ys)) in enumerate(zip(series, arrays)):
         color = _COLORS[idx % len(_COLORS)]
-        keep = ys == ys  # drop NaN
-        pts = " ".join(map("{:.1f},{:.1f}".format, px(xs[keep]).tolist(),
-                           py(ys[keep]).tolist()))
+        if len(xs) != len(ys):
+            raise ValueError(f"series {label!r}: {len(xs)} xs but {len(ys)} ys")
+        if id(given_xs) not in xlabels:
+            xlabels[id(given_xs)] = list(map("{:.1f}".format, px(xs).tolist()))
+        xl, keep = xlabels[id(given_xs)], ys == ys  # keep: drop NaN
+        if not keep.all():
+            xl, ys = compress(xl, keep.tolist()), ys[keep]
+        pts = " ".join(map("{},{:.1f}".format, xl, py(ys).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.2"/>')
         if label:

@@ -28,6 +28,10 @@ Groups:
   in a subprocess, under OPENBLAS_CORETYPE Nehalem and Prescott, so kernels
   that agree print one digest;
 - golden-plots: both plots of a black-box batch on B over seeds 0-9;
+- paths-mixed: output paths no batch reaches: a black-box trace on B whose
+  J column mixes NaN and finite cells, written as CSV, and its columns read
+  back; and a plot with NaN in some series' ys, where two series share one
+  xs object and two have their own;
 - demo-<name>: each demo's stdout and the files it writes.
 """
 
@@ -204,6 +208,30 @@ def golden_groups(tmp, src):
     return groups
 
 
+def mixed_paths_groups(tmp):
+    import numpy as np
+    from synergy_es.harness import (EpisodeTrace, ExperimentConfig, read_trace_csv,
+                                    run_episode, write_trace_csv)
+    from synergy_es.svgplot import line_plot
+    traces = [run_episode(ExperimentConfig(subject="B", algorithm="blackbox"), seed)
+              for seed in range(3)]
+    js = [tr.column("J") for tr in traces]
+    for k, j in enumerate(js):
+        j[1::k + 2] = np.nan  # every 2nd, 3rd, 4th point
+    mixed = EpisodeTrace(traces[0].columns._replace(J=js[0].tolist()), traces[0].metadata)
+    path, plot = tmp / "mixed.csv", tmp / "mixed.svg"
+    write_trace_csv(mixed, path)
+    back = read_trace_csv(path)
+    shared = traces[0].column("theta_applied")
+    line_plot(plot, [("seed 0", shared, js[0]), ("seed 1", shared, js[1]),
+                     ("seed 2", traces[2].column("theta_applied"), js[2]),
+                     ("index", np.arange(150.0), traces[1].column("J"))],
+              title="mixed", xlabel="theta", ylabel="J")
+    return {"paths-mixed": [(path.name, path.read_bytes()),
+                            ("read back", repr((back.metadata, back.columns)).encode()),
+                            (plot.name, plot.read_bytes())]}
+
+
 def demo_groups(tmp, root):
     groups = {}
     for demo in sorted((root / "demos").glob("demo_*.py")):
@@ -225,7 +253,8 @@ def main(argv):
         tmp = Path(name)
         groups = {**identify_groups(tmp), **batch_groups(tmp), **trace_groups(tmp),
                   **step_groups(), **reach_groups(),
-                  **golden_groups(tmp, src), **demo_groups(tmp, root)}
+                  **golden_groups(tmp, src), **mixed_paths_groups(tmp),
+                  **demo_groups(tmp, root)}
     for group, items in groups.items():
         print(f"{group:<32} {items if isinstance(items, str) else digest(items)}")
 

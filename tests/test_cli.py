@@ -235,6 +235,21 @@ def test_rejected_flag_value_without_config_keeps_its_message(tmp_path, capsys):
     assert capsys.readouterr().err == "error: iterations = 0 must be positive\n"
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+def test_repeated_seed_exits_2_before_any_output(tmp_path, capsys, from_file):
+    # each seed's trace file is named by its seed: a repeat would overwrite one
+    argv, prefix = ["--subject", "B", "--algorithm", "blackbox", "--seed", "3 3 4"], ""
+    if from_file:
+        cfg = tmp_path / "e.ini"
+        cfg.write_text("[experiment]\nsubject = B\nalgorithm = blackbox\n"
+                       "seeds = 3 3 4\n")
+        argv, prefix = ["--config", str(cfg)], f"{cfg}: [experiment]: "
+    assert main(["batch", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {prefix}seed 3 is repeated in seeds = (3, 3, 4)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def subject_ini(tmp_path, edit):
     """A subject-A file with its text passed through edit."""
     path = tmp_path / "s.ini"

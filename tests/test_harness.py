@@ -18,9 +18,10 @@ from synergy_es.config import read_config, write_config
 from synergy_es.baseline import BlackBoxEs
 from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, CONVERGENCE_TOL,
                                 TRACE_COLUMNS, EpisodeTrace, ExperimentConfig,
-                                compare_traces, convergence_iteration,
-                                make_subject, read_trace_csv, run_batch,
-                                run_episode, summarize_batch, write_trace_csv)
+                                _format_floats, _parse_floats, compare_traces,
+                                convergence_iteration, make_subject,
+                                read_trace_csv, run_batch, run_episode,
+                                summarize_batch, write_trace_csv)
 from synergy_es.personalizer import (DEFAULT_CONFIG, DEFAULT_L, Personalizer,
                                      PersonalizerConfig, StepRecord)
 from synergy_es.plant import ArmGeometry, ReachTask, ShoulderProfile
@@ -122,6 +123,17 @@ class TestSweep:
         mean = acc / nseeds
         band = 2 * 16.81 / np.sqrt(nseeds)
         assert np.mean(np.abs(mean - ref) <= band) > 0.93
+
+
+# float columns by kind: all finite, all NaN, no finite value, mixed
+FLOAT_COLUMNS = {
+    "finite": [1.5, -0.0, 1e-300, 0.1, 5e-324, -1e300, 0.0],
+    "nan": [math.nan] * 5,
+    "nonfinite": [math.nan, math.inf, -math.inf, math.inf],
+    "mixed": [1.5, math.nan, -0.0, math.inf, 1e-300, -math.inf, 0.1],
+    "mixed-nan-last": [-0.0, 2.0, math.nan],
+    "empty": [],
+}
 
 
 class TestTraceCsv:
@@ -280,6 +292,37 @@ class TestTraceCsv:
         assert loaded == finite
         for name in TRACE_COLUMNS[1:-1]:  # float columns, sign of zero included
             assert loaded.column(name).tobytes() == finite.column(name).tobytes()
+
+    @pytest.mark.parametrize("values", FLOAT_COLUMNS.values(), ids=FLOAT_COLUMNS)
+    def test_float_columns_equal_the_per_cell_rule(self, values):
+        """Each column is formatted and parsed as cell by cell: repr of a
+        finite float, an empty cell otherwise, and an empty cell read as
+        NaN; -0.0 and 1e-300 keep their bits."""
+        texts = _format_floats(values)
+        assert texts == [repr(v) if math.isfinite(v) else "" for v in values]
+        want = [float(t) if t else math.nan for t in texts]
+        assert list(map(repr, _parse_floats(tuple(texts)))) == list(map(repr, want))
+
+    @pytest.mark.parametrize("texts", [("1.0", "abc"), ("", "abc"), ("x",)])
+    def test_float_column_with_a_bad_cell_raises(self, texts):
+        with pytest.raises(ValueError):
+            _parse_floats(texts)
+
+    def test_mixed_float_column_round_trip(self, tmp_path):
+        """A trace whose J column mixes finite and NaN cells, which no loop
+        writes, gives the row-wise bytes and reads back as written."""
+        trace = run_episode(ExperimentConfig(subject="B", algorithm="blackbox",
+                                             iterations=30))
+        columns = trace.columns._replace(
+            J=[math.nan if i % 4 == 1 else j for i, j in enumerate(trace.columns.J)])
+        mixed = EpisodeTrace(columns, trace.metadata)
+        write_trace_csv(mixed, tmp_path / "columns.csv")
+        _write_row_wise(mixed, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+        loaded = read_trace_csv(tmp_path / "columns.csv")
+        assert loaded == mixed
+        assert loaded.column("J").tobytes() == mixed.column("J").tobytes()
 
     def test_config_hash_changes_with_fields(self):
         c1 = ExperimentConfig(subject="A")
@@ -514,6 +557,8 @@ BAD_VALUES = [
     (ExperimentConfig, {"seeds": (1.5,)}, "seeds = (1.5,) must be integers"),
     (ExperimentConfig, {"seeds": ("a",)}, "seeds = ('a',) must be integers"),
     (ExperimentConfig, {"seeds": 3}, "seeds = 3 must be integers"),
+    (ExperimentConfig, {"seeds": (3, np.int64(3), 4)},
+     "seed 3 is repeated in seeds = (3, 3, 4)"),
 ]
 
 
@@ -651,6 +696,13 @@ class TestBatch:
         wob[:40] = 1.0
         wob[50] = 2.5  # breaks every window that covers it
         assert convergence_iteration(wob, 2.0) == 51
+        gap = np.full(60, 2.0)
+        gap[10] = math.nan  # never within the tolerance
+        assert convergence_iteration(gap, 2.0) == 11
+        short = np.full(100, 2.0)
+        short[CONVERGENCE_HOLD - 1] = 2.5  # ends a run one short of the hold
+        assert convergence_iteration(short, 2.0) == CONVERGENCE_HOLD
+        assert convergence_iteration([], 2.0) is None
 
     # runs of hits and misses, so that windows held for CONVERGENCE_HOLD
     # iterations and runs just short of it both occur; 0-200 iterations
