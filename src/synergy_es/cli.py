@@ -5,11 +5,10 @@ import os
 import sys
 
 from .config import parse_section, parsed, read_config
-from .harness import (ALGORITHMS, CONVERGENCE_TOL, ExperimentConfig,
-                      compare_traces, read_trace_csv, run_batch, run_episode,
-                      trace_path, write_trace_csv)
+from .harness import (ALGORITHMS, CONVERGENCE_TOL, ExperimentConfig, check_algorithm,
+                      check_subject, compare_traces, read_trace_csv, run_batch,
+                      run_episode, trace_path, write_trace_csv)
 from .personalizer import PersonalizerConfig
-from .subject import load_subject
 from .sysid import (identify_from_records, write_fitted_subject,
                     write_identification_report)
 
@@ -18,21 +17,9 @@ def _parse_seeds(text):
     return tuple(int(s) for s in text.replace(",", " ").split())
 
 
-def _subject(text):
-    if text in ("A", "B") or os.path.isfile(text):
-        return text
-    raise ValueError(f"{text!r} is neither A, B nor a subject file")
-
-
-def _algorithm(text):
-    if text in ALGORITHMS:
-        return text
-    raise ValueError(f"unknown algorithm {text!r}")
-
-
 # [experiment] key -> parser of its value
-EXPERIMENT_KEYS = {"subject": _subject, "algorithm": _algorithm, "iterations": int,
-                   "seeds": _parse_seeds, "noise_std": float,
+EXPERIMENT_KEYS = {"subject": check_subject, "algorithm": check_algorithm,
+                   "iterations": int, "seeds": _parse_seeds, "noise_std": float,
                    "fixed_theta": float}
 
 
@@ -96,12 +83,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_batch(args):
-    cfg = _experiment_config(args)
-    if cfg.subject not in ("A", "B") and os.path.isfile(cfg.subject):
-        # run_batch records a seed's failure and writes its summary; a
-        # subject file that does not parse exits 2 before any output
-        load_subject(cfg.subject)
-    summary, traces = run_batch(cfg)
+    summary, traces = run_batch(_experiment_config(args))
     print(f"episodes: {summary.get('episodes', 0)}")
     print(f"converged: {summary.get('converged', 0)}")
     print(f"median convergence iteration: "

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baseline
 from .baseline import BlackBoxEs
-from .config import check_fields
+from .config import check_fields, parsed
 from .personalizer import (DEFAULT_CONFIG, Personalizer, PersonalizerConfig,
                            StepRecord)
 from .subject import MotorNoise, load_subject, subject_a, subject_b
@@ -36,6 +36,20 @@ SWEEP_ITERATIONS = 201  # theta reaches 2.4 at i = 200
 
 CONVERGENCE_TOL = 0.1
 CONVERGENCE_HOLD = 25
+
+
+def check_subject(subject):
+    """subject, when it is A, B or the path of a file; else a ValueError."""
+    if subject in ("A", "B") or isinstance(subject, str) and os.path.isfile(subject):
+        return subject
+    raise ValueError(f"{subject!r} is neither A, B nor a subject file")
+
+
+def check_algorithm(algorithm):
+    """algorithm, when it is one of ALGORITHMS; else a ValueError."""
+    if algorithm in ALGORITHMS:
+        return algorithm
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 class EpisodeTrace:
@@ -94,8 +108,8 @@ class ExperimentConfig:
     personalizer: PersonalizerConfig = DEFAULT_CONFIG  # frozen: shared
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_subject(self.subject)
+        check_algorithm(self.algorithm)
         check_fields(self, finite=("fixed_theta",), positive=("iterations",),
                      ints=("iterations",),
                      nonnegative=() if self.noise_std is None else ("noise_std",))
@@ -340,12 +354,17 @@ def summarize_batch(traces, theta_star):
 def run_batch(config, theta_star=None):
     """Per-seed episodes + aggregation + summary CSV + SVG plots.
 
-    The first failing seed aborts the batch; summary["failures"] records its
-    seed, exception type name, message and formatted traceback.
+    The subject, and theta* from its map when theta_star is None, are
+    resolved before anything is written: a subject file that does not load,
+    or a map with no maximum, raises a ValueError naming the file. The first
+    seed that fails while running aborts the batch; summary["failures"]
+    records its seed, exception type name, message and formatted traceback.
     """
+    subject = make_subject(config.subject, config.seeds[0], config.noise_std)
+    if theta_star is None:
+        theta_star = parsed(lambda subj: subj.optimum(), subject, config.subject)
     os.makedirs(config.output_dir, exist_ok=True)
-    traces = []
-    failures = []
+    traces, failures = [], []
     for seed in config.seeds:
         try:
             tr = run_episode(config, seed)
@@ -357,9 +376,6 @@ def run_batch(config, theta_star=None):
         traces.append(tr)
         write_trace_csv(tr, trace_path(config.output_dir,
                                        f"trace_{config.algorithm}", tr))
-    if theta_star is None and traces:
-        probe = make_subject(config.subject, config.seeds[0], config.noise_std)
-        theta_star = probe.optimum()
     summary = summarize_batch(traces, theta_star) if traces else {}
     summary["theta_star"] = theta_star
     summary["aborted"] = bool(failures)

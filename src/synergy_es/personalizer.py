@@ -71,6 +71,7 @@ import numpy as np
 
 from .config import check_fields, parse_section, parse_vector, parsed
 
+# the continuous observer model GradCurvObserver's closed forms discretize; tests read it
 OBSERVER_PHI = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 1.0, 0.0, 0.0],
@@ -272,8 +273,8 @@ class PersonalizerConfig:
         # (phase, gain) at w and 2w; set past the frozen __setattr__
         object.__setattr__(self, "design", (
             band, observer, (cmath.phase(g1), abs(g1)), (cmath.phase(g2), abs(g2))))
-        # per loop class, the rows its run reads by iteration index;
-        # EsLoop._table grows them as runs need
+        # per loop class, one row per iteration index, up to the longest run
+        # made on this config, kept for the config's life (EsLoop._table)
         object.__setattr__(self, "tables", {})
 
     def as_dict(self):

@@ -17,6 +17,10 @@ Groups:
   SVGs over seeds 0-9, for grey-box A, black-box B, sweep A and fixed B;
 - compare-report, compare-cli: compare_traces on those batches' traces, in
   process and read back from CSV, and the compare command's stdout;
+- batch-file-subject: run_batch, with theta* taken from the subject as the
+  batch command takes it, on the fitted INI of A's seed-0 sweep at order 2:
+  grey-box and black-box over seeds 0-9, their trace CSVs, summary CSV and
+  both SVGs, and the stdout of the batch command on that file;
 - long-<algorithm>, noise0-<algorithm>: grey-box and black-box episodes on
   A and B written as CSV: 600 iterations at seeds 0-4, and 150 iterations
   with noise_std 0;
@@ -129,6 +133,28 @@ def batch_groups(tmp):
     groups["compare-report"] = reports
     groups["compare-cli"] = [("stdout", stdout.getvalue().encode())]
     return groups
+
+
+def file_subject_groups(tmp):
+    from synergy_es.cli import main
+    from synergy_es.harness import ExperimentConfig, run_batch, run_episode
+    work = tmp / "file_subject"
+    work.mkdir()
+    trace = run_episode(ExperimentConfig(subject="A", algorithm="sweep"), 0)
+    identified(trace, 2, work / "identified_subject")
+    items, stdout = [], io.StringIO()
+    # a relative subject path: the config hash in each trace holds it
+    with contextlib.chdir(work):
+        for algorithm in ("greybox", "blackbox"):
+            run_batch(ExperimentConfig(subject="identified_subject.ini",
+                                       algorithm=algorithm, seeds=tuple(range(10)),
+                                       output_dir=algorithm))
+            items += [(f"{algorithm}/{name}", data) for name, data in files(algorithm)]
+            with contextlib.redirect_stdout(stdout):
+                assert main(["batch", "--subject", "identified_subject.ini",
+                             "--algorithm", algorithm, "--seed", "0 1 2 3 4 5 6 7 8 9",
+                             "--out", f"cli_{algorithm}"]) == 0
+    return {"batch-file-subject": items + [("stdout", stdout.getvalue().encode())]}
 
 
 def trace_groups(tmp):
@@ -251,7 +277,8 @@ def main(argv):
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        groups = {**identify_groups(tmp), **batch_groups(tmp), **trace_groups(tmp),
+        groups = {**identify_groups(tmp), **batch_groups(tmp),
+                  **file_subject_groups(tmp), **trace_groups(tmp),
                   **step_groups(), **reach_groups(),
                   **golden_groups(tmp, src), **mixed_paths_groups(tmp),
                   **demo_groups(tmp, root)}

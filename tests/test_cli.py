@@ -84,10 +84,14 @@ def test_identify_reads_sweep_trace(tmp_path):
 
 
 def test_batch_failure_prints_type(tmp_path, capsys):
-    rc = main(["batch", "--subject", str(tmp_path / "missing.ini"),
-               "--algorithm", "fixed", "--seed", "4", "--out", str(tmp_path)])
+    # noise this large overflows J to inf: the loop's finite-J check fails
+    cfg = tmp_path / "noisy.ini"
+    cfg.write_text("[experiment]\nnoise_std = 1e308\n")
+    rc = main(["batch", "--config", str(cfg), "--subject", "A",
+               "--algorithm", "greybox", "--seed", "4", "--out", str(tmp_path)])
     assert rc == 1
-    assert "seed 4: FileNotFoundError: " in capsys.readouterr().err
+    assert ("seed 4: ValueError: non-finite performance measurement (sensor fault)"
+            in capsys.readouterr().err)
 
 
 def test_compare_command(tmp_path, capsys):
@@ -426,6 +430,34 @@ def test_line_break_in_subject_id_writes_no_trace(tmp_path, capsys):
     assert rc == 2
     assert f"error: {path}: [subject] id: 'left\\nright' holds a line break" \
         in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "batch"])
+def test_missing_subject_file_exits_2_before_output(tmp_path, capsys, command):
+    """A --subject flag is checked as an [experiment] subject is: the same
+    message from every command, and nothing written."""
+    path = tmp_path / "missing.ini"
+    reason = f"{str(path)!r} is neither A, B nor a subject file"
+    rc = main([command, "--subject", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nsubject = {path}\n")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: [experiment] subject: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_batch_on_map_with_no_maximum_writes_nothing(tmp_path, capsys):
+    # identify writes such a fit with a warning; a batch needs its theta*
+    path = subject_ini(tmp_path, replace_line("lambda", "lambda = 1.0 0.0 0.0\n"))
+    rc = main(["batch", "--subject", str(path), "--seed", "0 1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {path}: map is not strictly concave "
+                                       "(lam[0] >= 0); no unique maximum\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -84,6 +84,16 @@ class TestEpisode:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="magic")
 
+    def test_missing_subject_file_rejected(self, tmp_path):
+        path = str(tmp_path / "missing.ini")
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(subject=path)
+        assert str(exc.value) == f"{path!r} is neither A, B nor a subject file"
+        # a path is a str: an int would name an open file descriptor
+        for subject in (None, 2):
+            with pytest.raises(ValueError, match="is neither A, B nor a subject"):
+                ExperimentConfig(subject=subject)
+
     def test_trace_iterations_contiguous(self):
         cfg = ExperimentConfig(subject="B", algorithm="blackbox",
                                iterations=40)
@@ -660,16 +670,41 @@ class TestBatch:
         assert (tmp_path / "performance_greybox.svg").exists()
 
     def test_failure_records_type_and_traceback(self, tmp_path):
-        cfg = ExperimentConfig(subject=str(tmp_path / "missing.ini"),
-                               algorithm="fixed", output_dir=str(tmp_path))
+        # noise this large overflows J to inf: the loop's finite-J check fails
+        cfg = ExperimentConfig(subject="A", algorithm="blackbox", noise_std=1e308,
+                               output_dir=str(tmp_path))
         summary, traces = run_batch(cfg, theta_star=1.5)
         assert summary["aborted"] and traces == []
         (fail,) = summary["failures"]
         assert fail["seed"] == 0
-        assert fail["type"] == "FileNotFoundError"
-        assert "missing.ini" in fail["message"]
+        assert fail["type"] == "ValueError"
+        assert fail["message"] == "non-finite performance measurement (sensor fault)"
         assert fail["traceback"].startswith("Traceback")
-        assert "FileNotFoundError" in fail["traceback"]
+        assert "ValueError" in fail["traceback"]
+
+    def test_malformed_subject_file_raises_before_output(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[subject]\nlambda = -1 2 0\n")  # no dynamics
+        cfg = ExperimentConfig(subject=str(path), output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError) as exc:
+            run_batch(cfg, theta_star=1.0)
+        assert str(exc.value) == f"{path}: [subject] phi: missing"
+        assert not (tmp_path / "out").exists()
+
+    def test_map_with_no_maximum_needs_theta_star(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[subject]\nlambda = 1 0 0\nphi = 0.5\ngamma = 0.5\n"
+                        "psi = 1\n")
+        cfg = ExperimentConfig(subject=str(path), algorithm="fixed", iterations=3,
+                               seeds=(0, 1), output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError) as exc:
+            run_batch(cfg)
+        assert str(exc.value) == (f"{path}: map is not strictly concave "
+                                  "(lam[0] >= 0); no unique maximum")
+        assert not (tmp_path / "out").exists()
+        # given theta*, the batch runs on the map as it is
+        summary, traces = run_batch(cfg, theta_star=1.0)
+        assert not summary["aborted"] and len(traces) == 2
 
     def test_summary_recomputable_from_traces(self, tmp_path):
         cfg = ExperimentConfig(subject="A", algorithm="greybox",
@@ -703,6 +738,10 @@ class TestBatch:
         short[CONVERGENCE_HOLD - 1] = 2.5  # ends a run one short of the hold
         assert convergence_iteration(short, 2.0) == CONVERGENCE_HOLD
         assert convergence_iteration([], 2.0) is None
+        # |0.1 - 0.0| is CONVERGENCE_TOL exactly in floats: not within it
+        assert convergence_iteration([0.1] * CONVERGENCE_HOLD, 0.0) is None
+        inside = math.nextafter(0.1, 0.0)  # one ulp inside
+        assert convergence_iteration([inside] * CONVERGENCE_HOLD, 0.0) == 0
 
     # runs of hits and misses, so that windows held for CONVERGENCE_HOLD
     # iterations and runs just short of it both occur; 0-200 iterations

@@ -1,6 +1,7 @@
 """Tests for the identification toolkit."""
 
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -369,6 +370,12 @@ class TestWhiteness:
         rep = whiteness_test(rng.standard_normal(50))
         assert_allclose(rep.threshold, 0.277, atol=1e-3)
         assert rep.lags_tested == 10
+        # lags 1..min(10, N // 4): 5 at N = 20, one more per 4 samples
+        lags = {**dict.fromkeys(range(20, 24), 5), **dict.fromkeys(range(24, 28), 6),
+                **dict.fromkeys(range(28, 32), 7), **dict.fromkeys(range(32, 36), 8),
+                **dict.fromkeys(range(36, 40), 9), **dict.fromkeys(range(40, 61), 10)}
+        for n, want in lags.items():
+            assert whiteness_test(rng.standard_normal(n)).lags_tested == want, n
 
     def test_threshold_scales_inverse_sqrt(self):
         rng = np.random.default_rng(1)
@@ -415,6 +422,8 @@ class TestWhiteness:
         rep = whiteness_test(e)
         assert abs(rep.residual_mean - 2.0) < 0.5
         assert abs(rep.residual_std - 3.0) < 0.5
+        # the sample std, with n - 1 in the denominator
+        assert_allclose(rep.residual_std, statistics.stdev(e.tolist()), rtol=1e-12)
 
 
 def test_identify_pipeline_and_outputs(tmp_path):
