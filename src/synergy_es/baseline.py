@@ -8,8 +8,10 @@ from it. The integrator gain is fixed at the comparison value 0.005 (not
 the grey-box k) and the washout cutoff at omega_o / 5. Like the
 personalizer, the loop is run(plant, n), one flat body on Python floats
 held in locals, with sin(w i) from a per-config table; an episode is one
-run. Construction, applied_theta(), step(J) (a one-iteration run), the
-table's growth and the trace, held as columns, are personalizer.EsLoop's.
+run. J is tested as the personalizer's is, by an inline isfinite that
+calls personalizer.measured only to raise. Construction, applied_theta(),
+step(J) (a one-iteration run), the table's growth and the trace, held as
+columns, are personalizer.EsLoop's.
 """
 
 import math
@@ -51,13 +53,16 @@ class BlackBoxEs(EsLoop):
         sines = self._table(iterations)  # sin(w (i + 1)) for each iteration i
         start = done = self.iteration
         alpha, a, (lo, hi) = self._alpha, self.config.dither_amplitude, self.config.bounds
+        isfinite = math.isfinite
         hp_y, prev_j = self._hp_y, self._prev_j
         theta_hat, theta = self.theta_hat, self._theta_applied
         _, put_theta, put_hat, put_j, put_filtered, *_ = [
             column.append for column in self.columns]
         try:
             for i in range(start, start + iterations):
-                j = measured(plant(theta))
+                j = float(plant(theta))
+                if not isfinite(j):
+                    measured(j)  # raises: a sensor fault
                 if prev_j is None:
                     hp_y = 0.0  # start at the washout steady state
                 else:

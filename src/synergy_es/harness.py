@@ -170,7 +170,11 @@ def run_episode(config, seed=None):
     synergy schedule and record no filter output, estimates or branch.
     """
     seed = config.seeds[0] if seed is None else seed
-    subject = make_subject(config.subject, seed, config.noise_std)
+    return _episode(config, seed, make_subject(config.subject, seed, config.noise_std))
+
+
+def _episode(config, seed, subject):
+    """run_episode's episode on subject, whose noise is seeded with seed."""
     algo = config.algorithm
     if algo in ("greybox", "blackbox"):
         loop = (Personalizer if algo == "greybox" else BlackBoxEs)(config.personalizer)
@@ -354,11 +358,13 @@ def summarize_batch(traces, theta_star):
 def run_batch(config, theta_star=None):
     """Per-seed episodes + aggregation + summary CSV + SVG plots.
 
-    The subject, and theta* from its map when theta_star is None, are
-    resolved before anything is written: a subject file that does not load,
-    or a map with no maximum, raises a ValueError naming the file. The first
-    seed that fails while running aborts the batch; summary["failures"]
-    records its seed, exception type name, message and formatted traceback.
+    The subject is built once and reset(seed) before each seed's episode,
+    so a subject file is read once per batch. It, and theta* from its map
+    when theta_star is None, are resolved before anything is written: a
+    subject file that does not load, or a map with no maximum, raises a
+    ValueError naming the file. The first seed that fails while running
+    aborts the batch; summary["failures"] records its seed, exception type
+    name, message and formatted traceback.
     """
     subject = make_subject(config.subject, config.seeds[0], config.noise_std)
     if theta_star is None:
@@ -367,7 +373,8 @@ def run_batch(config, theta_star=None):
     traces, failures = [], []
     for seed in config.seeds:
         try:
-            tr = run_episode(config, seed)
+            subject.reset(seed)
+            tr = _episode(config, seed, subject)
         except Exception as exc:  # partial results flagged, batch aborted
             failures.append({"seed": seed, "type": type(exc).__name__,
                              "message": str(exc),

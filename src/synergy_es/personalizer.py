@@ -27,7 +27,9 @@ Implementation notes, fixed by numerical analysis of the printed design:
   body in which the filter recursion, observer update, demodulation and
   switched update run inline, on the constants and state held in
   locals, since a Python call or attribute round trip costs about as
-  much as a stage's arithmetic. An episode is one run. The dither and
+  much as a stage's arithmetic. An episode is one run. J is
+  float(plant(theta)), tested by an inline isfinite; measured() is called
+  only to raise, so the fault's one message lives there. The dither and
   the four phased references depend only on the config and the
   iteration index, so they come from a per-config table
   (PersonalizerConfig.tables) whose row i is built with the expressions
@@ -317,7 +319,8 @@ class StepRecord(NamedTuple):
 
 
 def measured(performance):
-    """performance as a float; a non-finite one is a sensor fault."""
+    """performance as a float; a non-finite one is a sensor fault. The
+    loops test isfinite inline and call this only to raise."""
     j = float(performance)
     if not math.isfinite(j):
         raise ValueError("non-finite performance measurement (sensor fault)")
@@ -412,6 +415,7 @@ class Personalizer(EsLoop):
         rc1, rs1, rc2, rs2, i0, i1, i2, i3, i4 = self.observer.coefficients
         a, grad_scale, curv_scale, warmup, neg_eps, kw, step_max, hat_lo, hat_hi, \
             lo, hi = self._constants
+        isfinite = math.isfinite
         fresh = self._state is None  # the first sample starts the filter at DC
         x0, x1, z0, z1, z2, z3, z4 = (0.0,) * 7 if fresh else self._state
         theta_hat, branch, theta = self.theta_hat, self.last_branch, self._theta_applied
@@ -419,7 +423,9 @@ class Personalizer(EsLoop):
             put_branch = [column.append for column in self.columns]
         try:
             for i in range(start, start + iterations):
-                j = measured(plant(theta))
+                j = float(plant(theta))
+                if not isfinite(j):
+                    measured(j)  # raises: a sensor fault
                 dither, sin1, cos1, sin2, cos2 = rows[i + 1]
                 if fresh:
                     x0, x1, fresh = dc0 * j, dc1 * j, False

@@ -10,6 +10,12 @@ output noise:
 
 Note the relative degree: J_i reflects the synergy applied one iteration
 earlier.
+
+A SimulatedSubject computes all three lines in one call per iteration:
+its step is a closure built by the compiled kernel of its dynamics' chain
+structure (_kernel_source), with the state in closure cells, so the
+state is read-only from outside. AdaptationDynamics.step(state, u), the
+same chains on a state passed in, serves sysid's free runs.
 """
 
 from dataclasses import dataclass, replace
@@ -98,18 +104,25 @@ def _term_kind(a, first):
 
 
 def _kernel_source(n, kinds):
-    """Source of kernel(<coefficients>, g0, ..., exact), which returns
-    step(state, u) for one chain structure: the order n and, per chain
-    (the n rows of Phi, then Psi), a _term_kind per term in chain order.
+    """Source of kernel(<coefficients>, g0, ..., exact) for one chain
+    structure: the order n and, per chain (the n rows of Phi, then Psi), a
+    _term_kind per term in chain order. kernel returns (step, subject):
+    step(state, u) is the dynamics' step, and subject(m2, m1, m0, noise,
+    x0, ...), with the map's lambda and a state, returns a SimulatedSubject's
+    (step(theta), state()): the map, the chains on the state held in
+    closure cells and the noise sample in one call, and that state.
 
-    The body is the chains unrolled, with the coefficients as arguments:
+    Both steps run the chains unrolled, with the coefficients as arguments:
     a '0' term is dropped, a '1' term adds x, an 'x' term adds a*x without
     Dekker's term, and a state value is split once, where a 'd' term needs
     it. A zero's sign can differ from the full chain's only in a partial
     sum, which the final + 0.0 clears. A state value outside
-    [_TINY, _HUGE] takes exact(state, u). The tests keep the plain chain,
-    Dekker's product on every term, as the bit-for-bit reference
-    (_fma_chains in tests/test_subject.py).
+    [_TINY, _HUGE] takes exact(state, u). The subject's step adds
+    noise.mean + noise.std * z, z popped from the noise's own block, as
+    MotorNoise.sample does. The tests keep the plain chain, Dekker's
+    product on every term, and the map -> step -> sample composition as
+    the bit-for-bit references (_fma_chains and _reference_subject_step in
+    tests/test_subject.py).
     """
     params, body, split, out = [], [], set(), []
     for i, (order, chain) in enumerate(zip([_chain_order(n)] * n + [range(n)], kinds)):
@@ -134,25 +147,43 @@ def _kernel_source(n, kinds):
                          f"r{i} = fsum((p, e, {s})) if e else p + {s}"]
                 s = f"r{i}"
         out.append("0.0" if s is None else f"{s} + 0.0")
-    comma = "," * (n == 1)  # a 1-tuple
+    body[:0] = [line for j in sorted(split) for line in (
+        f"t = {_SPLIT!r} * x{j}", f"h{j} = t - (t - x{j})", f"l{j} = x{j} - h{j}")]
+    xs, comma = ", ".join(f"x{j}" for j in range(n)), "," * (n == 1)  # a 1-tuple
+    rows = ", ".join(f"{r} + g{i} * u" for i, r in enumerate(out[:n]))
+    in_range = f" and\n{' ' * 16}".join(
+        f"({_TINY!r} <= abs(x{j}) <= {_HUGE!r} or not x{j})" for j in range(n))
     lines = [
         f"def kernel({', '.join(params + [f'g{i}' for i in range(n)])}, exact):",
         "    def step(state, u):",
         "        u = float(u)",
         "        try:",
-        f"            {', '.join(f'x{j}' for j in range(n))}{comma} = state",
+        f"            {xs}{comma} = state",
         "        except ValueError:",
         '            raise ValueError(f"state has {len(state)} values, "',
         f'                             "the dynamics order is {n}") from None',
-        "        if not (" + " and\n                ".join(
-            f"({_TINY!r} <= abs(x{j}) <= {_HUGE!r} or not x{j})" for j in range(n)) + "):",
+        f"        if not ({in_range}):",
         "            return exact(state, u)",
-        *(f"        {line}" for j in sorted(split) for line in (
-            f"t = {_SPLIT!r} * x{j}", f"h{j} = t - (t - x{j})", f"l{j} = x{j} - h{j}")),
         *(f"        {line}" for line in body),
-        f"        return ({', '.join(f'{r} + g{i} * u' for i, r in enumerate(out[:n]))}"
-        f"{comma}), {out[n]}",
-        "    return step",
+        f"        return ({rows}{comma}), {out[n]}",
+        f"    def subject(m2, m1, m0, noise, {xs}):",
+        "        def step(theta):",
+        f"            nonlocal {xs}",
+        "            th = float(theta)",
+        "            u = m2 * th * th + m1 * th + m0",
+        f"            if ({in_range}):",
+        *(f"                {line}" for line in body),
+        f"                {xs}, y = {rows}, {out[n]}",
+        "            else:",
+        f"                ({xs}{comma}), y = exact(({xs}{comma}), u)",
+        "            block = noise._block",
+        "            if block:",
+        "                return y + (noise.mean + noise.std * block.pop())",
+        "            return y + noise.sample()",
+        "        def state():",
+        f"            return {xs}{comma}",
+        "        return step, state",
+        "    return step, subject",
     ]
     return "\n".join(lines) + "\n"
 
@@ -188,6 +219,16 @@ def _exact_step(chains, gamma, state, u):
     return tuple([r + 0.0 + g * u for r, g in zip(rows, gamma)]), y + 0.0
 
 
+def _exact_subject(exact, m2, m1, m0, noise, *state):
+    """A kernel's subject factory for dynamics that step by exact."""
+    def step(theta):
+        nonlocal state
+        th = float(theta)
+        state, y = exact(state, m2 * th * th + m1 * th + m0)
+        return y + noise.sample()
+    return step, lambda: state
+
+
 @lru_cache(maxsize=128)
 def _kernel(n, kinds):
     """kernel of _kernel_source(n, kinds), compiled once per structure."""
@@ -221,9 +262,11 @@ class AdaptationDynamics:
     phi @ state + gamma * u and psi @ state on OpenBLAS's Haswell kernels,
     but computed on Python floats, so they are the same whatever BLAS
     numpy runs on. step is the kernel of the dynamics' chain structure
-    (_kernel_source), bound to their coefficients; dynamics with a
-    coefficient outside [_TINY, _HUGE] step by _exact_step. A state of
-    the wrong dimension raises ValueError.
+    (_kernel_source), bound to their coefficients, and _subject the
+    kernel's factory of a SimulatedSubject's step; dynamics with a
+    coefficient outside [_TINY, _HUGE] step by _exact_step, and their
+    subjects by _exact_subject. A state of the wrong dimension raises
+    ValueError.
     """
 
     phi: np.ndarray
@@ -238,16 +281,17 @@ class AdaptationDynamics:
         chains = [*([(row[j], j) for j in _chain_order(n)] for row in phi),
                   [(psi[j], j) for j in range(n)]]
         step = partial(_exact_step, chains, gamma)
+        subject = partial(_exact_subject, step)
         if _in_range([a for chain in chains for a, _ in chain]):
             kinds = tuple("".join(_term_kind(a, not k) for k, (a, _) in enumerate(chain))
                           for chain in chains)
             coefficients = [v for chain, chain_kinds in zip(chains, kinds)
                             for (a, _), kind in zip(chain, chain_kinds) if kind in "xd"
                             for v in ((a,) if kind == "x" else _split(a))]
-            step = _kernel(n, kinds)(*coefficients, *gamma, step)
-        vars(self)["step"] = step  # set past the frozen __setattr__
+            step, subject = _kernel(n, kinds)(*coefficients, *gamma, step)
+        vars(self).update(step=step, _subject=subject)  # past the frozen __setattr__
 
-    def __reduce__(self):  # step is a closure; rebuild it from the arrays
+    def __reduce__(self):  # step and _subject are closures; rebuild them
         return AdaptationDynamics, (self.phi, self.gamma, self.psi)
 
     @property
@@ -267,16 +311,6 @@ class AdaptationDynamics:
     def steady_state_gain(self):
         """Psi (I - Phi)^-1 Gamma; errors on a marginally stable plant."""
         return steady_state_gain(self.phi, self.gamma, self.psi)
-
-    def normalized(self):
-        """Scale Gamma so the steady-state gain is exactly 1: the public
-        unit-gain rule, which raises at gain 0. sysid.fit_adaptation_lti
-        scales Gamma itself, so that a zero-gain record still returns a
-        model and a fit builds one object."""
-        g = self.steady_state_gain()
-        if g == 0.0:
-            raise ValueError("zero steady-state gain cannot be normalized")
-        return AdaptationDynamics(self.phi, self.gamma / g, self.psi)
 
 
 @dataclass
@@ -313,7 +347,11 @@ class SimulatedSubject:
     map, dynamics and initial_state are fixed when the subject is built;
     assigning one raises AttributeError (a different model is a new
     subject). noise, a MotorNoise that checks itself, may be replaced.
-    reset() returns to initial_state.
+    state is read-only: step() moves it and reset() returns it to
+    initial_state. step(theta) is one call into the closure that
+    dynamics._subject builds (see the module docstring); assigning noise,
+    reset() and unpickling rebuild it. It pops its samples from the
+    noise's own block, so the sample stream is the noise's whoever draws.
     """
 
     def __init__(self, map, dynamics, noise=None, initial_state=None,
@@ -324,25 +362,46 @@ class SimulatedSubject:
         self._map, self._dynamics = map, dynamics
         self._initial_state = ((0.0,) * n if initial_state is None
                                else check_value(initial_state, "initial_state", n))
-        self.noise = MotorNoise() if noise is None else noise
+        self._noise = MotorNoise() if noise is None else noise
         self.subject_id = subject_id
-        self.state = self._initial_state
+        self._bind(self._initial_state)
 
     map = property(attrgetter("_map"))
     dynamics = property(attrgetter("_dynamics"))
     initial_state = property(attrgetter("_initial_state"))
 
+    def _bind(self, state):
+        """Build the step closure at state, on the current noise."""
+        self._step, self._state = self._dynamics._subject(*self._map.lam, self._noise,
+                                                          *state)
+
+    @property
+    def state(self):
+        return self._state()
+
+    @property
+    def noise(self):
+        return self._noise
+
+    @noise.setter
+    def noise(self, noise):
+        self._noise = noise
+        self._bind(self.state)
+
     def step(self, theta):
         """Apply a synergy for one task iteration; returns measured J."""
-        th = float(theta)
-        l2, l1, l0 = self._map.lam
-        u = l2 * th * th + l1 * th + l0  # map.value(th), on floats
-        self.state, y = self._dynamics.step(self.state, u)
-        return y + self.noise.sample()
+        return self._step(theta)
 
     def reset(self, seed=None):
-        self.state = self.initial_state
-        self.noise.reset(seed)
+        self._bind(self._initial_state)
+        self._noise.reset(seed)
+
+    def __reduce__(self):  # _step is a closure; rebuilt at the current state
+        return (SimulatedSubject, (self._map, self._dynamics, self._noise,
+                                   self._initial_state, self.subject_id), self.state)
+
+    def __setstate__(self, state):
+        self._bind(state)
 
     def optimum(self):
         return self.map.optimum()

@@ -26,6 +26,11 @@ Groups:
   with noise_std 0;
 - step-<algorithm>: each loop driven by step(J) for 150 iterations on
   subject_a(0), the repr of each of its columns;
+- subject-steps: the repr of J over 300 synergies 0.8..2.4 from subject A,
+  subject B, the static subject on A's map, the fitted INI of A's seed-0
+  sweep at order 2 and a subject with coefficients outside [2^-450,
+  2^450], then again after reset(seed), after its noise is replaced and
+  after a pickle round trip;
 - reach: default_task() and every outcome of the 81-point theta grid;
 - golden, golden-Nehalem, golden-Prescott: the seed-0 episode of every
   algorithm on A and B written as CSV, under the default BLAS kernel and,
@@ -187,6 +192,36 @@ def step_groups():
     return groups
 
 
+def subject_steps_groups(tmp):
+    import pickle
+    from synergy_es.harness import ExperimentConfig, run_episode
+    from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics, MotorNoise,
+                                    PreferenceMap, SimulatedSubject, load_subject,
+                                    static_subject, subject_a, subject_b)
+    fitted = tmp / "subject_steps_fitted"
+    identified(run_episode(ExperimentConfig(subject="A", algorithm="sweep"), 0), 2, fitted)
+    edge = AdaptationDynamics([[2.0 ** -500, 0.5], [0.25, 0.3]], [1.0, 0.5],
+                              [1.0, 2.0 ** 460])
+    subjects = {"A": subject_a(3), "B": subject_b(4),
+                "static": static_subject(PreferenceMap(LAMBDA_A)),
+                "fitted": load_subject(fitted.with_suffix(".ini")),
+                "out-of-range": SimulatedSubject(PreferenceMap(LAMBDA_B), edge,
+                                                 MotorNoise(0.5, 3.0, 5), (1e6, -3.0))}
+    thetas = [0.8 + 1.6 * k / 299 for k in range(300)]
+    items = []
+    for name, subject in subjects.items():
+        for stage in ("built", "reset", "noise", "pickled"):
+            if stage == "reset":
+                subject.reset(11)
+            elif stage == "noise":
+                subject.noise = MotorNoise(1.0, 4.0, 12)
+            elif stage == "pickled":
+                subject = pickle.loads(pickle.dumps(subject))
+            items.append((f"{name} {stage}",
+                          repr([subject.step(theta) for theta in thetas]).encode()))
+    return {"subject-steps": items}
+
+
 def reach_groups():
     from synergy_es.plant import (default_geometry, default_profile,
                                   default_task, objective, simulate_reach)
@@ -279,7 +314,7 @@ def main(argv):
         tmp = Path(name)
         groups = {**identify_groups(tmp), **batch_groups(tmp),
                   **file_subject_groups(tmp), **trace_groups(tmp),
-                  **step_groups(), **reach_groups(),
+                  **step_groups(), **subject_steps_groups(tmp), **reach_groups(),
                   **golden_groups(tmp, src), **mixed_paths_groups(tmp),
                   **demo_groups(tmp, root)}
     for group, items in groups.items():

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from test_subject import normalized
 
 from synergy_es.harness import (ExperimentConfig, compare_traces,
                                 make_subject, read_trace_csv, run_episode,
@@ -122,7 +123,7 @@ def test_c5_unity_gain_check():
     """Criterion 5: printed subject-A matrices and normalization."""
     dyn = subject_a(noise_std=0.0).dynamics
     g = dyn.steady_state_gain()
-    gn = dyn.normalized().steady_state_gain()
+    gn = normalized(dyn).steady_state_gain()
     ok = abs(g - 1.0006) <= 1e-3 and abs(gn - 1.0) <= 1e-12
     detail = f"gain={g:.6f} normalized={gn:.15f}"
     _report("criterion 5 unity-gain check", ok, detail)
@@ -180,9 +181,9 @@ def test_c7_sysid_round_trip():
     map_ok = np.max(np.abs(lam - LAMBDA_B)) < 1e-9
 
     # over-damped generator, noise-free step data
-    gen = AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
-                             np.array([1.0, 0.0]),
-                             np.array([0.18, 0.12])).normalized()
+    gen = normalized(AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
+                                        np.array([1.0, 0.0]),
+                                        np.array([0.18, 0.12])))
     u = np.ones(80)
     x = np.zeros(2)
     y = np.empty(80)

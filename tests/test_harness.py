@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from synergy_es import harness
 from synergy_es.cli import main
 from synergy_es.config import read_config, write_config
 from synergy_es.baseline import BlackBoxEs
@@ -25,7 +26,7 @@ from synergy_es.harness import (ALGORITHMS, CONVERGENCE_HOLD, CONVERGENCE_TOL,
 from synergy_es.personalizer import (DEFAULT_CONFIG, DEFAULT_L, Personalizer,
                                      PersonalizerConfig, StepRecord)
 from synergy_es.plant import ArmGeometry, ReachTask, ShoulderProfile
-from synergy_es.subject import MotorNoise, subject_a
+from synergy_es.subject import MotorNoise, save_subject, subject_a, subject_b
 
 
 def trace_of(rows, metadata):
@@ -668,6 +669,21 @@ class TestBatch:
         assert (tmp_path / "summary_greybox.csv").exists()
         assert (tmp_path / "theta_greybox.svg").exists()
         assert (tmp_path / "performance_greybox.svg").exists()
+
+    @pytest.mark.parametrize("algorithm", ["greybox", "sweep"])
+    def test_subject_file_read_once_per_batch(self, tmp_path, monkeypatch, algorithm):
+        # the batch builds its subject once and reseeds it per seed; its
+        # traces are the ones each seed's episode gives alone
+        path = tmp_path / "subject.ini"
+        save_subject(path, subject_b(seed=9))
+        cfg = ExperimentConfig(subject=str(path), algorithm=algorithm,
+                               seeds=(4, 0, 7), output_dir=str(tmp_path / "out"))
+        loads, load = [], harness.load_subject
+        monkeypatch.setattr(harness, "load_subject",
+                            lambda p: loads.append(p) or load(p))
+        _, traces = run_batch(cfg)
+        assert loads == [str(path)]
+        assert traces == [run_episode(cfg, seed) for seed in cfg.seeds]
 
     def test_failure_records_type_and_traceback(self, tmp_path):
         # noise this large overflows J to inf: the loop's finite-J check fails

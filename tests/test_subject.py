@@ -127,6 +127,17 @@ def _random_dynamics(draw, max_order=3, coefficient=_CELL):
     return AdaptationDynamics(np.reshape(phi, (order, order)), gamma, psi)
 
 
+def normalized(dyn):
+    """dyn with Gamma scaled so that the steady-state gain is exactly 1:
+    the tests' unit-gain oracle, which raises at gain 0. The package has no
+    such rule: sysid.fit_adaptation_lti scales Gamma itself, so that a
+    zero-gain record still returns a model."""
+    g = dyn.steady_state_gain()
+    if g == 0.0:
+        raise ValueError("zero steady-state gain cannot be normalized")
+    return AdaptationDynamics(dyn.phi, dyn.gamma / g, dyn.psi)
+
+
 def _package_dynamics():
     """A, B, the static subject and the order-2 and order-3 companion forms
     fitted to a noisy sweep of A and of B."""
@@ -190,6 +201,42 @@ def _reference_step(dyn, state, u):
     return [r + 0.0 + g * u for r, g in zip(rows, dyn.gamma.tolist())], y + 0.0
 
 
+def _reference_subject_step(pref_map, dyn, noise, state, theta):
+    """SimulatedSubject.step as the three calls it fuses: pref_map.value,
+    then dyn.step, then noise.sample. Returns (next state, J)."""
+    state, y = dyn.step(state, pref_map.value(theta))
+    return state, y + noise.sample()
+
+
+@st.composite
+def _stable_dynamics(draw):
+    """Dynamics of order 1-3 that a subject accepts, whatever the cells:
+    Phi is a triangular matrix with its rows and columns permuted, its
+    diagonal inside (-1, 1), so its eigenvalues are that diagonal. Its
+    other cells, and Psi's, are any _COEFFICIENT: 0 and 1 of either sign,
+    powers of 2 inside and outside [_TINY, _HUGE], and cells that take
+    Dekker's product."""
+    order = draw(st.integers(1, 3))
+    diagonal = st.sampled_from([0.0, -0.0, 0.5, -0.25, 0.35, 2.0 ** -500])
+    phi = np.array([[draw(diagonal if i == j else _COEFFICIENT if i < j else st.just(0.0))
+                     for j in range(order)] for i in range(order)])
+    perm = draw(st.permutations(range(order)))
+    psi = draw(st.lists(_COEFFICIENT, min_size=order, max_size=order))
+    gamma = draw(st.lists(_CELL, min_size=order, max_size=order))
+    return AdaptationDynamics(phi[np.ix_(perm, perm)], gamma, psi)
+
+
+_SEED = st.integers(0, 2 ** 32)
+_NOISE = st.tuples(st.floats(-10, 10), st.floats(0, 100), _SEED)
+# a synergy as a float, an int or an np.float64
+_THETA = st.floats(0.8, 2.4) | st.integers(0, 3) | st.floats(0.8, 2.4).map(np.float64)
+# what happens to the subject before a run of steps
+_EVENT = st.one_of(st.just(("pickle",)), st.just(("sample",)),
+                   st.tuples(st.just("noise.reset"), _SEED),
+                   st.tuples(st.just("reset"), _SEED),
+                   st.tuples(st.just("noise ="), _NOISE))
+
+
 # the kernel source of each chain structure the package builds (see
 # _package_dynamics), pinned so that a change to the template shows here
 _PINNED_KERNELS = {
@@ -206,7 +253,23 @@ def kernel(g0, exact):
         if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0)):
             return exact(state, u)
         return (0.0 + g0 * u,), x0 + 0.0
-    return step
+    def subject(m2, m1, m0, noise, x0):
+        def step(theta):
+            nonlocal x0
+            th = float(theta)
+            u = m2 * th * th + m1 * th + m0
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0)):
+                x0, y = 0.0 + g0 * u, x0 + 0.0
+            else:
+                (x0,), y = exact((x0,), u)
+            block = noise._block
+            if block:
+                return y + (noise.mean + noise.std * block.pop())
+            return y + noise.sample()
+        def state():
+            return x0,
+        return step, state
+    return step, subject
 ''',
     # subjects A and B
     (2, ('10', 'xd', '10')): '''\
@@ -229,7 +292,31 @@ def kernel(a1_1, a1_0, a1_0h, a1_0l, g0, g1, exact):
         e = ((a1_0h * h0 - p) + a1_0h * l0 + a1_0l * h0) + a1_0l * l0
         r1 = fsum((p, e, r1)) if e else p + r1
         return (x1 + 0.0 + g0 * u, r1 + 0.0 + g1 * u), x0 + 0.0
-    return step
+    def subject(m2, m1, m0, noise, x0, x1):
+        def step(theta):
+            nonlocal x0, x1
+            th = float(theta)
+            u = m2 * th * th + m1 * th + m0
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                r1 = a1_1 * x1
+                p = a1_0 * x0
+                e = ((a1_0h * h0 - p) + a1_0h * l0 + a1_0l * h0) + a1_0l * l0
+                r1 = fsum((p, e, r1)) if e else p + r1
+                x0, x1, y = x1 + 0.0 + g0 * u, r1 + 0.0 + g1 * u, x0 + 0.0
+            else:
+                (x0, x1), y = exact((x0, x1), u)
+            block = noise._block
+            if block:
+                return y + (noise.mean + noise.std * block.pop())
+            return y + noise.sample()
+        def state():
+            return x0, x1
+        return step, state
+    return step, subject
 ''',
     # the order-2 companion form fit_adaptation_lti returns
     (2, ('xd', '01', 'xd')): '''\
@@ -259,7 +346,38 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a2_0, a2_1, a2_1h, a2_1l, g0, g1, exact):
         e = ((a2_1h * h1 - p) + a2_1h * l1 + a2_1l * h1) + a2_1l * l1
         r2 = fsum((p, e, r2)) if e else p + r2
         return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u), r2 + 0.0
-    return step
+    def subject(m2, m1, m0, noise, x0, x1):
+        def step(theta):
+            nonlocal x0, x1
+            th = float(theta)
+            u = m2 * th * th + m1 * th + m0
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = 134217729.0 * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                r0 = a0_1 * x1
+                p = a0_0 * x0
+                e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+                r0 = fsum((p, e, r0)) if e else p + r0
+                r2 = a2_0 * x0
+                p = a2_1 * x1
+                e = ((a2_1h * h1 - p) + a2_1h * l1 + a2_1l * h1) + a2_1l * l1
+                r2 = fsum((p, e, r2)) if e else p + r2
+                x0, x1, y = r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, r2 + 0.0
+            else:
+                (x0, x1), y = exact((x0, x1), u)
+            block = noise._block
+            if block:
+                return y + (noise.mean + noise.std * block.pop())
+            return y + noise.sample()
+        def state():
+            return x0, x1
+        return step, state
+    return step, subject
 ''',
     # the order-3 companion form
     (3, ('xdd', '010', '100', 'xdd')): '''\
@@ -299,7 +417,48 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a0_2, a0_2h, a0_2l, a3_0, a3_1, a3_1h, a3_1
         e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
         r3 = fsum((p, e, r3)) if e else p + r3
         return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u), r3 + 0.0
-    return step
+    def subject(m2, m1, m0, noise, x0, x1, x2):
+        def step(theta):
+            nonlocal x0, x1, x2
+            th = float(theta)
+            u = m2 * th * th + m1 * th + m0
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1) and
+                (3.4395525670743494e-136 <= abs(x2) <= 2.9073548971824276e+135 or not x2)):
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = 134217729.0 * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                t = 134217729.0 * x2
+                h2 = t - (t - x2)
+                l2 = x2 - h2
+                r0 = a0_1 * x1
+                p = a0_0 * x0
+                e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+                r0 = fsum((p, e, r0)) if e else p + r0
+                p = a0_2 * x2
+                e = ((a0_2h * h2 - p) + a0_2h * l2 + a0_2l * h2) + a0_2l * l2
+                r0 = fsum((p, e, r0)) if e else p + r0
+                r3 = a3_0 * x0
+                p = a3_1 * x1
+                e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
+                r3 = fsum((p, e, r3)) if e else p + r3
+                p = a3_2 * x2
+                e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
+                r3 = fsum((p, e, r3)) if e else p + r3
+                x0, x1, x2, y = r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u, r3 + 0.0
+            else:
+                (x0, x1, x2), y = exact((x0, x1, x2), u)
+            block = noise._block
+            if block:
+                return y + (noise.mean + noise.std * block.pop())
+            return y + noise.sample()
+        def state():
+            return x0, x1, x2
+        return step, state
+    return step, subject
 ''',
     # the order-3 form with a pole at 0: Phi[0][2] is 0
     (3, ('xd0', '010', '100', 'xdd')): '''\
@@ -336,7 +495,45 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2
         e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
         r3 = fsum((p, e, r3)) if e else p + r3
         return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u), r3 + 0.0
-    return step
+    def subject(m2, m1, m0, noise, x0, x1, x2):
+        def step(theta):
+            nonlocal x0, x1, x2
+            th = float(theta)
+            u = m2 * th * th + m1 * th + m0
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1) and
+                (3.4395525670743494e-136 <= abs(x2) <= 2.9073548971824276e+135 or not x2)):
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = 134217729.0 * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                t = 134217729.0 * x2
+                h2 = t - (t - x2)
+                l2 = x2 - h2
+                r0 = a0_1 * x1
+                p = a0_0 * x0
+                e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+                r0 = fsum((p, e, r0)) if e else p + r0
+                r3 = a3_0 * x0
+                p = a3_1 * x1
+                e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
+                r3 = fsum((p, e, r3)) if e else p + r3
+                p = a3_2 * x2
+                e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
+                r3 = fsum((p, e, r3)) if e else p + r3
+                x0, x1, x2, y = r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u, r3 + 0.0
+            else:
+                (x0, x1, x2), y = exact((x0, x1, x2), u)
+            block = noise._block
+            if block:
+                return y + (noise.mean + noise.std * block.pop())
+            return y + noise.sample()
+        def state():
+            return x0, x1, x2
+        return step, state
+    return step, subject
 ''',
 }
 
@@ -474,19 +671,19 @@ class TestAdaptationDynamics:
 
     def test_normalize_gain(self):
         dyn = AdaptationDynamics(np.zeros((2, 2)), [2.0, 0.0], [1.0, 0.0])
-        assert_allclose(dyn.normalized().steady_state_gain(), 1.0, atol=1e-12)
-        subj = subject_a(noise_std=0.0).dynamics.normalized()
+        assert_allclose(normalized(dyn).steady_state_gain(), 1.0, atol=1e-12)
+        subj = normalized(subject_a(noise_std=0.0).dynamics)
         assert_allclose(subj.steady_state_gain(), 1.0, atol=1e-12)
 
     def test_normalize_idempotent(self):
-        dyn = subject_b(noise_std=0.0).dynamics.normalized()
-        again = dyn.normalized()
+        dyn = normalized(subject_b(noise_std=0.0).dynamics)
+        again = normalized(dyn)
         assert_allclose(again.gamma, dyn.gamma, atol=1e-12)
 
     def test_zero_gain_rejected(self):
         dyn = AdaptationDynamics(np.zeros((2, 2)), [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            dyn.normalized()
+            normalized(dyn)
 
     def test_normalization_property_random_stable(self):
         rng = np.random.default_rng(3)
@@ -504,7 +701,7 @@ class TestAdaptationDynamics:
                 continue
             if abs(g) < 1e-6:
                 continue
-            assert_allclose(dyn.normalized().steady_state_gain(), 1.0,
+            assert_allclose(normalized(dyn).steady_state_gain(), 1.0,
                             atol=1e-12)
             done += 1
 
@@ -519,7 +716,7 @@ class TestAdaptationDynamics:
                                      rng.uniform(-1, 1, 2))
             if abs(dyn.steady_state_gain()) < 1e-3:
                 continue
-            dyn = dyn.normalized()
+            dyn = normalized(dyn)
             x = np.zeros(2)
             errs = []
             for i in range(60):
@@ -696,6 +893,62 @@ class TestSimulatedSubject:
         subj.step(1.1)
         copy = pickle.loads(pickle.dumps(subj))
         assert [copy.step(1.4) for _ in range(20)] == [subj.step(1.4) for _ in range(20)]
+
+    def test_state_is_read_only(self):
+        subj = subject_a(seed=3)
+        subj.step(1.2)
+        state = subj.state
+        with pytest.raises(AttributeError):
+            subj.state = (0.0, 0.0)
+        assert subj.state == state and subj.state != (0.0, 0.0)
+
+    @given(dyn=_stable_dynamics(), lam=st.lists(_CELL, min_size=3, max_size=3),
+           cells=st.lists(_STATE, min_size=3, max_size=3), noise=_NOISE,
+           runs=st.lists(st.tuples(_EVENT, st.lists(_THETA, max_size=80)), max_size=5))
+    # A, past three noise blocks, through every event
+    @example(dyn=subject_a().dynamics, lam=list(LAMBDA_A), cells=[0.0] * 3,
+             noise=(0.0, NOISE_STD_A, 3),
+             runs=[(("pickle",), [1.2] * 70), (("noise =", (1.0, 2.0, 5)), [1.5] * 70),
+                   (("sample",), [2] * 10), (("noise.reset", 9), [np.float64(1.7)] * 70),
+                   (("reset", 4), [0.9] * 3)])
+    # a state that Veltkamp's split overflows, which only the exact step takes
+    @example(dyn=subject_a().dynamics, lam=list(LAMBDA_A), cells=[1e305, -3.0, 0.0],
+             noise=(0.0, 1.0, 2), runs=[(("sample",), [1.5] * 3)])
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_step_is_the_three_call_composition_property(self, dyn, lam, cells,
+                                                        noise, runs):
+        """step() gives, bit for bit, _reference_subject_step's J and state
+        for dynamics of order 1-3 with every kind of term, coefficients and
+        states inside and outside [_TINY, _HUGE], and float, int and
+        np.float64 synergies. Between runs of steps, the subject is pickled,
+        its noise sampled, reseeded or replaced, or it is reset: the
+        stream is the one the noise object in hand gives."""
+        pref_map = PreferenceMap(lam)
+        subj = SimulatedSubject(pref_map, dyn, MotorNoise(*noise), cells[:dyn.order])
+        ref_noise, initial = MotorNoise(*noise), subj.initial_state
+        state = initial
+        got, want = [], []
+        for (event, *args), thetas in runs:
+            if event == "pickle":
+                subj = pickle.loads(pickle.dumps(subj))
+            elif event == "sample":
+                got.append(subj.noise.sample())
+                want.append(ref_noise.sample())
+            elif event == "noise.reset":
+                subj.noise.reset(*args)
+                ref_noise.reset(*args)
+            elif event == "reset":
+                subj.reset(*args)
+                ref_noise.reset(*args)
+                state = initial
+            else:
+                subj.noise, ref_noise = MotorNoise(*args[0]), MotorNoise(*args[0])
+            for theta in thetas:
+                got.append(subj.step(theta))
+                state, j = _reference_subject_step(pref_map, dyn, ref_noise, state, theta)
+                want.append(j)
+            assert repr(subj.state) == repr(tuple(state))
+        assert list(map(repr, got)) == list(map(repr, want))
 
     def test_unstable_dynamics_rejected(self):
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_subject import normalized
 
 import synergy_es
 from synergy_es.harness import ExperimentConfig, run_episode
@@ -85,9 +86,9 @@ class TestPreferenceFit:
 class TestLtiFit:
     def test_overdamped_generator_recovered(self):
         # over-damped generator: real poles 0.6 and 0.25, unity gain
-        gen = AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
-                                 np.array([1.0, 0.0]),
-                                 np.array([0.18, 0.12])).normalized()
+        gen = normalized(AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
+                                            np.array([1.0, 0.0]),
+                                            np.array([0.18, 0.12])))
         u = np.ones(80)
         y = simulate(gen, u)
         fit, mse = fit_adaptation_lti(u, y, order=2)
@@ -192,9 +193,9 @@ def reference_search(u, y, order):
 
 def criterion7_data():
     """The (u, y) records of acceptance criterion 7's LTI checks."""
-    gen = AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
-                             np.array([1.0, 0.0]),
-                             np.array([0.18, 0.12])).normalized()
+    gen = normalized(AdaptationDynamics(np.array([[0.85, -0.15], [1.0, 0.0]]),
+                                        np.array([1.0, 0.0]),
+                                        np.array([0.18, 0.12])))
     u = np.ones(80)
     data = [(u, simulate(gen, u))]
     rng = np.random.default_rng(2)
