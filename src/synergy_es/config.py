@@ -6,6 +6,7 @@ matrices use ';' between rows ("0 1; 0.068 0.35").
 """
 
 import configparser
+import io
 import math
 import operator
 from dataclasses import fields
@@ -129,15 +130,27 @@ def check_value(value, label, n=None, integer=False):
     return tuple(float(v) + 0.0 for v in value) if n else float(value) + 0.0
 
 
+def open_text(path, newline=None):
+    """The UTF-8 file at path, read whole, as a text stream whose line ends
+    are those open(path, newline=newline) gives. A byte that is not UTF-8
+    raises a ValueError '<path>: byte <offset>: not UTF-8 (<reason>)'."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+
+
 def read_config(path):
     """Read an INI config file, returning a configparser with case kept and
-    no interpolation ('%' is an ordinary character). A file the parser
-    rejects raises a ValueError '<path>: line <n>: <reason>'."""
+    no interpolation ('%' is an ordinary character). A file that is not
+    UTF-8 raises open_text's ValueError, and one the parser rejects a
+    ValueError '<path>: line <n>: <reason>'."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
+        cp.read_file(open_text(path))
     except configparser.MissingSectionHeaderError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.line.strip()!r} "
                          "is not under a [section] header") from None

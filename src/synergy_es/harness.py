@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baseline
 from .baseline import BlackBoxEs
-from .config import check_fields, parsed
+from .config import check_fields, open_text, parsed
 from .personalizer import (DEFAULT_CONFIG, Personalizer, PersonalizerConfig,
                            StepRecord)
 from .subject import MotorNoise, load_subject, subject_a, subject_b
@@ -122,6 +122,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds = {self.seeds!r} must be integers") from None
         if not seeds:
             raise ValueError("need at least one seed")
+        for seed in seeds:  # MotorNoise's check, made before any output
+            if seed < 0:
+                raise ValueError(f"seed = {seed} must be >= 0")
         if len(set(seeds)) < len(seeds):  # a seed's trace would overwrite its twin's
             repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
             raise ValueError(f"seed {repeated} is repeated in seeds = {seeds}")
@@ -280,7 +283,7 @@ def read_trace_csv(path):
     metadata, lines = {}, {}  # metadata key -> value, line number
     first = []  # the header line, which ends the metadata
     # newline="" keeps a \r or \r\n inside a quoted cell for csv
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         for n, line in enumerate(fh, 1):
             if not line.startswith("#"):
                 first.append(line)

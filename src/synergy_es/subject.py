@@ -14,8 +14,9 @@ earlier.
 A SimulatedSubject computes all three lines in one call per iteration:
 its step is a closure built by the compiled kernel of its dynamics' chain
 structure (_kernel_source), with the state in closure cells, so the
-state is read-only from outside. AdaptationDynamics.step(state, u), the
-same chains on a state passed in, serves sysid's free runs.
+state is read-only from outside. The same kernel's response(inputs)
+advances the state by the same block, from rest and without map or
+noise: AdaptationDynamics.response, sysid's free run.
 """
 
 from dataclasses import dataclass, replace
@@ -69,7 +70,7 @@ class PreferenceMap:
 # product a*x = p + e (T. J. Dekker, Numer. Math. 18, 1971; a and x cut by
 # Veltkamp's split into 26-bit halves) summed with s by math.fsum. That is
 # exact while every nonzero |a| and |x| lies in [_TINY, _HUGE]; outside it
-# each fma is rounded from its exact value in fractions.
+# the fma is rounded from its exact value in fractions (_fma).
 _SPLIT = 134217729.0  # 2**27 + 1
 _TINY, _HUGE = 2.0 ** -450, 2.0 ** 450
 
@@ -79,10 +80,6 @@ def _split(a):
     t = _SPLIT * a
     hi = t - (t - a)
     return a, hi, a - hi
-
-
-def _in_range(values):
-    return all(_TINY <= abs(v) <= _HUGE or not v for v in values)
 
 
 def _chain_order(n):
@@ -95,34 +92,35 @@ def _chain_order(n):
 def _term_kind(a, first):
     """How a kernel adds a*x to its chain: '0' drops it, '1' adds x, 'x'
     adds the product (the chain's first, or a power of 2, so a*x is
-    exact) and 'd' adds it by Dekker's product and fsum."""
+    exact), 'f' adds it by one exact fma, _fma (a outside [_TINY, _HUGE],
+    not the first), and 'd' adds it by Dekker's product and fsum."""
     if not a:
         return "0"
     if a == 1.0:
         return "1"
+    if not (first or _TINY <= abs(a) <= _HUGE):
+        return "f"
     return "x" if first or abs(frexp(a)[0]) == 0.5 else "d"
 
 
 def _kernel_source(n, kinds):
     """Source of kernel(<coefficients>, g0, ..., exact) for one chain
     structure: the order n and, per chain (the n rows of Phi, then Psi), a
-    _term_kind per term in chain order. kernel returns (step, subject):
-    step(state, u) is the dynamics' step, and subject(m2, m1, m0, noise,
-    x0, ...), with the map's lambda and a state, returns a SimulatedSubject's
-    (step(theta), state()): the map, the chains on the state held in
-    closure cells and the noise sample in one call, and that state.
+    _term_kind per term in chain order. kernel returns (response, subject):
+    response(inputs), the dynamics' noise-free outputs from rest as a list,
+    and subject(m2, m1, m0, noise, x0, ...), a SimulatedSubject's
+    (step(theta), state()) on the map's lambda and a state held in closure
+    cells: step runs the map, the chains and the noise sample in one call.
 
-    Both steps run the chains unrolled, with the coefficients as arguments:
-    a '0' term is dropped, a '1' term adds x, an 'x' term adds a*x without
-    Dekker's term, and a state value is split once, where a 'd' term needs
-    it. A zero's sign can differ from the full chain's only in a partial
-    sum, which the final + 0.0 clears. A state value outside
-    [_TINY, _HUGE] takes exact(state, u). The subject's step adds
+    Both advance the state by one block, emitted in each: the chains
+    unrolled, on the coefficients as arguments, a state value split once
+    where a 'd' term needs it. A zero's sign can differ from the full
+    chain's only in a partial sum, which the final + 0.0 clears; a state
+    value outside [_TINY, _HUGE] takes exact(state, u). step adds
     noise.mean + noise.std * z, z popped from the noise's own block, as
-    MotorNoise.sample does. The tests keep the plain chain, Dekker's
-    product on every term, and the map -> step -> sample composition as
-    the bit-for-bit references (_fma_chains and _reference_subject_step in
-    tests/test_subject.py).
+    MotorNoise.sample does. The bit-for-bit references are in
+    tests/test_subject.py: _fma_chains, _reference_step and
+    _reference_subject_step.
     """
     params, body, split, out = [], [], set(), []
     for i, (order, chain) in enumerate(zip([_chain_order(n)] * n + [range(n)], kinds)):
@@ -132,9 +130,11 @@ def _kernel_source(n, kinds):
             if kind == "0":
                 continue
             product = f"x{j}" if kind == "1" else f"{a} * x{j}"
-            params += {"x": [a], "d": [a, a + "h", a + "l"]}.get(kind, [])
+            params += {"x": [a], "f": [a], "d": [a, a + "h", a + "l"]}.get(kind, [])
             if s is None:
                 s = product
+            elif kind == "f":
+                s = f"_fma({a}, x{j}, {s})"
             elif kind != "d":
                 s = f"{product} + {s if s.isidentifier() else f'({s})'}"
             else:
@@ -153,29 +153,28 @@ def _kernel_source(n, kinds):
     rows = ", ".join(f"{r} + g{i} * u" for i, r in enumerate(out[:n]))
     in_range = f" and\n{' ' * 16}".join(
         f"({_TINY!r} <= abs(x{j}) <= {_HUGE!r} or not x{j})" for j in range(n))
-    lines = [
-        f"def kernel({', '.join(params + [f'g{i}' for i in range(n)])}, exact):",
-        "    def step(state, u):",
-        "        u = float(u)",
-        "        try:",
-        f"            {xs}{comma} = state",
-        "        except ValueError:",
-        '            raise ValueError(f"state has {len(state)} values, "',
-        f'                             "the dynamics order is {n}") from None',
-        f"        if not ({in_range}):",
-        "            return exact(state, u)",
-        *(f"        {line}" for line in body),
-        f"        return ({rows}{comma}), {out[n]}",
-        f"    def subject(m2, m1, m0, noise, {xs}):",
-        "        def step(theta):",
-        f"            nonlocal {xs}",
-        "            th = float(theta)",
-        "            u = m2 * th * th + m1 * th + m0",
+    advance = [  # x0, ... and y from x0, ... and u
         f"            if ({in_range}):",
         *(f"                {line}" for line in body),
         f"                {xs}, y = {rows}, {out[n]}",
         "            else:",
         f"                ({xs}{comma}), y = exact(({xs}{comma}), u)",
+    ]
+    lines = [
+        f"def kernel({', '.join(params + [f'g{i}' for i in range(n)])}, exact):",
+        "    def response(inputs):",
+        f"        {xs} = {', '.join(['0.0'] * n)}",
+        "        ys = []",
+        "        for u in inputs:",
+        *advance,
+        "            ys.append(y)",
+        "        return ys",
+        f"    def subject(m2, m1, m0, noise, {xs}):",
+        "        def step(theta):",
+        f"            nonlocal {xs}",
+        "            th = float(theta)",
+        "            u = m2 * th * th + m1 * th + m0",
+        *advance,
         "            block = noise._block",
         "            if block:",
         "                return y + (noise.mean + noise.std * block.pop())",
@@ -183,56 +182,47 @@ def _kernel_source(n, kinds):
         "        def state():",
         f"            return {xs}{comma}",
         "        return step, state",
-        "    return step, subject",
+        "    return response, subject",
     ]
     return "\n".join(lines) + "\n"
 
 
+def _fma(a, x, s):
+    """a*x + s rounded once from its exact value, or inf or nan where IEEE
+    gives it: one term of _exact_fma_chains, and an 'f' term's sum."""
+    if not isfinite(x):
+        return a * x + s
+    if not isfinite(s):  # a*x is finite, so the sum is s; a float a*x may overflow
+        return s
+    exact = Fraction(a) * Fraction(x) + Fraction(s)
+    try:
+        return float(exact)  # the sign of a 0 is lost to the kernels' + 0.0
+    except OverflowError:
+        return inf if exact > 0 else -inf
+
+
 def _exact_fma_chains(chains, xs):
     """Per chain of (a, j) terms, fma(a_k, x_k, ... fma(a_1, x_1, a_0 * x_0))
-    with x = xs[j], each fma rounded from its exact value, or inf or nan
-    where IEEE gives it: the step for values outside [_TINY, _HUGE]."""
+    with x = xs[j], each fma by _fma."""
     out = []
     for (s, j), *terms in chains:
         s *= xs[j]
         for a, j in terms:
-            x = xs[j]
-            if not isfinite(x):
-                s = a * x + s
-            elif isfinite(s):  # else a*x + s is s: a*x is finite
-                exact = Fraction(a) * Fraction(x) + Fraction(s)
-                try:
-                    s = float(exact)  # the sign of a 0 is lost to step's + 0.0
-                except OverflowError:
-                    s = inf if exact > 0 else -inf
+            s = _fma(a, xs[j], s)
         out.append(s)
     return out
 
 
 def _exact_step(chains, gamma, state, u):
-    """step() on _exact_fma_chains."""
-    u = float(u)
-    if len(state) != len(gamma):
-        raise ValueError(f"state has {len(state)} values, "
-                         f"the dynamics order is {len(gamma)}")
-    *rows, y = _exact_fma_chains(chains, list(state))
+    """A kernel's step from a state value outside [_TINY, _HUGE]."""
+    *rows, y = _exact_fma_chains(chains, state)
     return tuple([r + 0.0 + g * u for r, g in zip(rows, gamma)]), y + 0.0
-
-
-def _exact_subject(exact, m2, m1, m0, noise, *state):
-    """A kernel's subject factory for dynamics that step by exact."""
-    def step(theta):
-        nonlocal state
-        th = float(theta)
-        state, y = exact(state, m2 * th * th + m1 * th + m0)
-        return y + noise.sample()
-    return step, lambda: state
 
 
 @lru_cache(maxsize=128)
 def _kernel(n, kinds):
     """kernel of _kernel_source(n, kinds), compiled once per structure."""
-    namespace = {"fsum": fsum}
+    namespace = {"fsum": fsum, "_fma": _fma}
     exec(compile(_kernel_source(n, kinds), f"<step kernel {n} {kinds}>", "exec"),
          namespace)
     return namespace["kernel"]
@@ -254,19 +244,16 @@ class AdaptationDynamics:
     """Iteration-domain LTI (Phi, Gamma, Psi) modeling motor adaptation,
     stored as read-only float64 arrays (-0.0 kept); == is identity.
 
-    step(state, u) is one recursion step: it returns (next_state as a tuple
-    of floats, noise-free output Psi x). Each row of Phi x and Psi x is a
-    chain of fused multiply-adds in the order of _chain_order; then a Phi
-    row r gives r + 0.0 + g * u and Psi x gives y + 0.0 (the + 0.0 turns
+    Each row of Phi x and Psi x is a chain of fused multiply-adds in the
+    order of _chain_order; then a Phi row r gives the next state's
+    r + 0.0 + g * u and Psi x gives the output y + 0.0 (the + 0.0 turns
     -0.0 into 0.0). Up to order 3 these are the bits of
     phi @ state + gamma * u and psi @ state on OpenBLAS's Haswell kernels,
     but computed on Python floats, so they are the same whatever BLAS
-    numpy runs on. step is the kernel of the dynamics' chain structure
-    (_kernel_source), bound to their coefficients, and _subject the
-    kernel's factory of a SimulatedSubject's step; dynamics with a
-    coefficient outside [_TINY, _HUGE] step by _exact_step, and their
-    subjects by _exact_subject. A state of the wrong dimension raises
-    ValueError.
+    numpy runs on. The kernel of the dynamics' chain structure
+    (_kernel_source), bound to their coefficients, gives response(inputs),
+    the noise-free output from rest as a list, and _subject, the factory
+    of a SimulatedSubject's step.
     """
 
     phi: np.ndarray
@@ -280,18 +267,16 @@ class AdaptationDynamics:
         # (a, j) per term of each chain: one per row of Phi, then Psi's
         chains = [*([(row[j], j) for j in _chain_order(n)] for row in phi),
                   [(psi[j], j) for j in range(n)]]
-        step = partial(_exact_step, chains, gamma)
-        subject = partial(_exact_subject, step)
-        if _in_range([a for chain in chains for a, _ in chain]):
-            kinds = tuple("".join(_term_kind(a, not k) for k, (a, _) in enumerate(chain))
-                          for chain in chains)
-            coefficients = [v for chain, chain_kinds in zip(chains, kinds)
-                            for (a, _), kind in zip(chain, chain_kinds) if kind in "xd"
-                            for v in ((a,) if kind == "x" else _split(a))]
-            step, subject = _kernel(n, kinds)(*coefficients, *gamma, step)
-        vars(self).update(step=step, _subject=subject)  # past the frozen __setattr__
+        kinds = tuple("".join(_term_kind(a, not k) for k, (a, _) in enumerate(chain))
+                      for chain in chains)
+        coefficients = [v for chain, chain_kinds in zip(chains, kinds)
+                        for (a, _), kind in zip(chain, chain_kinds) if kind in "xfd"
+                        for v in (_split(a) if kind == "d" else (a,))]
+        response, subject = _kernel(n, kinds)(*coefficients, *gamma,
+                                              partial(_exact_step, chains, gamma))
+        vars(self).update(response=response, _subject=subject)  # past the frozen __setattr__
 
-    def __reduce__(self):  # step and _subject are closures; rebuild them
+    def __reduce__(self):  # response and _subject are closures; rebuild them
         return AdaptationDynamics, (self.phi, self.gamma, self.psi)
 
     @property

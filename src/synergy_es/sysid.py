@@ -263,11 +263,7 @@ def identify_from_records(thetas, performances, order=2):
     dyn, mse = fit_adaptation_lti(u, performances, order)
 
     # free-run residuals of the returned model, for the noise analysis
-    x, pred, step = (0.0,) * dyn.order, [], dyn.step
-    for ui in u.tolist():
-        x, y = step(x, ui)
-        pred.append(y)
-    resid = performances - np.array(pred)
+    resid = performances - np.array(dyn.response(u.tolist()))
     return pref, dyn, mse, resid, whiteness_test(resid)
 
 

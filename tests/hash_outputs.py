@@ -28,9 +28,11 @@ Groups:
   subject_a(0), the repr of each of its columns;
 - subject-steps: the repr of J over 300 synergies 0.8..2.4 from subject A,
   subject B, the static subject on A's map, the fitted INI of A's seed-0
-  sweep at order 2 and a subject with coefficients outside [2^-450,
-  2^450], then again after reset(seed), after its noise is replaced and
-  after a pickle round trip;
+  sweep at order 2, a subject with coefficients outside [2^-450, 2^450],
+  one whose output chain overflows to -inf before it adds a finite
+  product (Psi = (-1e300, 1e300), initial state (1e10, 1e10)) and one
+  whose Phi holds the subnormal 1e-310, then again after reset(seed),
+  after its noise is replaced and after a pickle round trip;
 - reach: default_task() and every outcome of the 81-point theta grid;
 - golden, golden-Nehalem, golden-Prescott: the seed-0 episode of every
   algorithm on A and B written as CSV, under the default BLAS kernel and,
@@ -202,11 +204,17 @@ def subject_steps_groups(tmp):
     identified(run_episode(ExperimentConfig(subject="A", algorithm="sweep"), 0), 2, fitted)
     edge = AdaptationDynamics([[2.0 ** -500, 0.5], [0.25, 0.3]], [1.0, 0.5],
                               [1.0, 2.0 ** 460])
+    overflow = AdaptationDynamics([[0.5, 0.0], [0.25, 0.3]], [1e9, 0.5], [-1e300, 1e300])
+    subnormal = AdaptationDynamics([[1e-310, 0.5], [0.25, 0.3]], [1.0, 0.5], [1.0, 0.7])
     subjects = {"A": subject_a(3), "B": subject_b(4),
                 "static": static_subject(PreferenceMap(LAMBDA_A)),
                 "fitted": load_subject(fitted.with_suffix(".ini")),
                 "out-of-range": SimulatedSubject(PreferenceMap(LAMBDA_B), edge,
-                                                 MotorNoise(0.5, 3.0, 5), (1e6, -3.0))}
+                                                 MotorNoise(0.5, 3.0, 5), (1e6, -3.0)),
+                "overflow": SimulatedSubject(PreferenceMap(LAMBDA_A), overflow,
+                                             MotorNoise(0.0, 1.0, 6), (1e10, 1e10)),
+                "subnormal": SimulatedSubject(PreferenceMap(LAMBDA_B), subnormal,
+                                              MotorNoise(0.0, 2.0, 7), (3.0, -1e-300))}
     thetas = [0.8 + 1.6 * k / 299 for k in range(300)]
     items = []
     for name, subject in subjects.items():

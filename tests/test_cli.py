@@ -254,6 +254,15 @@ def test_repeated_seed_exits_2_before_any_output(tmp_path, capsys, from_file):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys):
+    # seed 1's trace, the summary and the plots would be written before
+    # seed -2's noise rejected it
+    assert main(["batch", "--subject", "A", "--algorithm", "fixed", "--seed", "1,-2",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: seed = -2 must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def subject_ini(tmp_path, edit):
     """A subject-A file with its text passed through edit."""
     path = tmp_path / "s.ini"
@@ -629,8 +638,9 @@ def test_zero_iterations_rejected(tmp_path, capsys):
 
 
 # what a fuzzed file may have inserted: csv's and configparser's special
-# characters and a cell over csv's 131,072-character field limit
-FUZZ_TOKENS = ("%", '"', "\r", "\0", "x" * 131_073)
+# characters, a cell over csv's 131,072-character field limit and the byte
+# 0xff, which is not UTF-8 (its surrogate escape, written back as the byte)
+FUZZ_TOKENS = ("%", '"', "\r", "\0", "x" * 131_073, "\udcff")
 LINE = st.integers(0, 1_000)  # taken modulo the file's line count
 MUTATION = st.one_of(st.tuples(st.just("drop"), LINE),
                      st.tuples(st.just("repeat"), LINE),
@@ -693,8 +703,8 @@ def test_mutated_input_file_exits_0_or_2_naming_it(valid_inputs, kind, mutations
     text = valid_inputs[kind].read_bytes().decode("utf-8")  # line ends as written
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(mutate(text, mutations))
+        with open(path, "wb") as fh:
+            fh.write(mutate(text, mutations).encode("utf-8", "surrogateescape"))
         for argv in FUZZ_COMMANDS[kind](path, os.path.join(tmp, "out")):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
@@ -703,3 +713,16 @@ def test_mutated_input_file_exits_0_or_2_naming_it(valid_inputs, kind, mutations
             assert rc in (0, 2), (argv, err.getvalue())
             if rc == 2:
                 assert path in err.getvalue(), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_COMMANDS))
+def test_input_file_not_utf8_exits_2_naming_file_and_byte(valid_inputs, tmp_path, capsys,
+                                                         kind):
+    data = valid_inputs[kind].read_bytes()
+    at = len(data) - 10  # in a trace, past the first 8 KiB that open() decodes at once
+    path = tmp_path / "input"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    for argv in FUZZ_COMMANDS[kind](str(path), str(tmp_path / "out")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: byte {at}: not UTF-8 (invalid start byte)\n"

@@ -570,6 +570,7 @@ BAD_VALUES = [
     (ExperimentConfig, {"seeds": 3}, "seeds = 3 must be integers"),
     (ExperimentConfig, {"seeds": (3, np.int64(3), 4)},
      "seed 3 is repeated in seeds = (3, 3, 4)"),
+    (ExperimentConfig, {"seeds": (1, np.int64(-2))}, "seed = -2 must be >= 0"),
 ]
 
 

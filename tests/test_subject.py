@@ -3,7 +3,7 @@
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import fsum
+from math import fsum, inf
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from synergy_es.harness import ExperimentConfig, make_subject, run_episode
 from synergy_es.subject import (GAMMA_A, LAMBDA_A, LAMBDA_B, NOISE_BLOCK,
                                 NOISE_STD_A, PHI_A, PSI_A, AdaptationDynamics,
                                 MotorNoise, NonConcaveMapError, PreferenceMap,
-                                SimulatedSubject, _exact_fma_chains, _in_range,
-                                _kernel, _kernel_source, _split, load_subject,
+                                SimulatedSubject, _exact_fma_chains, _fma, _HUGE,
+                                _kernel, _kernel_source, _split, _TINY, load_subject,
                                 save_subject, static_subject, subject_a, subject_b)
 from synergy_es.sysid import fit_adaptation_lti, identify_from_records
 
@@ -116,6 +116,15 @@ _COEFFICIENT = st.one_of(
     _CELL)
 # a state value: any cell, or a zero or value outside [_TINY, _HUGE]
 _STATE = _CELL | st.sampled_from([0.0, -0.0, 2.0 ** -460, -1e-300, 2.0 ** 470, -1e200])
+# a coefficient, or one far outside [_TINY, _HUGE], subnormal included
+_WIDE = _COEFFICIENT | st.sampled_from([1e300, -1e300, 1e-310])
+# dynamics with coefficients 2**-500 and 2**460, each an 'f' term
+_EDGE = AdaptationDynamics([[2.0 ** -500, 0.5], [0.25, 0.3]], [1.0, 0.5], [1.0, 2.0 ** 460])
+# dynamics whose output chain overflows from the initial state _OVERFLOW[1]:
+# -1e300 * 1e10 is -inf, then the exact, finite 1e300 * 1e10 is added, so J
+# is -inf (the float product is inf, which would make it nan)
+_OVERFLOW = (AdaptationDynamics([[0.5, 0.0], [0.25, 0.3]], [1e9, 0.5], [-1e300, 1e300]),
+             (1e10, 1e10))
 
 
 @st.composite
@@ -192,9 +201,15 @@ def _fma_chains(chains, xs):
     return out
 
 
+def _in_range(values):
+    return all(_TINY <= abs(v) <= _HUGE or not v for v in values)
+
+
 def _reference_step(dyn, state, u):
-    """step() by _fma_chains, or by _exact_fma_chains where a coefficient
-    or a state value lies outside [_TINY, _HUGE], plus the gamma u terms."""
+    """One step of dyn from state (a list) on the input u: the chains by
+    _fma_chains, or by _exact_fma_chains where a coefficient or a state
+    value lies outside [_TINY, _HUGE], plus the gamma u terms. Returns
+    (next state, noise-free output)."""
     chains = _chains(dyn)
     fast = _in_range([a for chain in chains for a, _ in chain] + state)
     *rows, y = (_fma_chains if fast else _exact_fma_chains)(chains, state)
@@ -203,9 +218,18 @@ def _reference_step(dyn, state, u):
 
 def _reference_subject_step(pref_map, dyn, noise, state, theta):
     """SimulatedSubject.step as the three calls it fuses: pref_map.value,
-    then dyn.step, then noise.sample. Returns (next state, J)."""
-    state, y = dyn.step(state, pref_map.value(theta))
+    then _reference_step, then noise.sample. Returns (next state, J)."""
+    state, y = _reference_step(dyn, list(state), float(pref_map.value(theta)))
     return state, y + noise.sample()
+
+
+def _kernel_step(dyn, state, u):
+    """One step of dyn's kernel from state on the input u, through the
+    subject factory: the map u(theta) = u, no noise. Returns (next state,
+    noise-free output)."""
+    step, now = dyn._subject(0.0, 0.0, float(u), MotorNoise(), *state)
+    y = step(1.0)
+    return now(), y
 
 
 @st.composite
@@ -238,21 +262,22 @@ _EVENT = st.one_of(st.just(("pickle",)), st.just(("sample",)),
 
 
 # the kernel source of each chain structure the package builds (see
-# _package_dynamics), pinned so that a change to the template shows here
+# _package_dynamics), and of _EDGE's, pinned so that a change to the
+# template shows here
 _PINNED_KERNELS = {
     # the static subject
     (1, ('0', '1')): '''\
 def kernel(g0, exact):
-    def step(state, u):
-        u = float(u)
-        try:
-            x0, = state
-        except ValueError:
-            raise ValueError(f"state has {len(state)} values, "
-                             "the dynamics order is 1") from None
-        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0)):
-            return exact(state, u)
-        return (0.0 + g0 * u,), x0 + 0.0
+    def response(inputs):
+        x0 = 0.0
+        ys = []
+        for u in inputs:
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0)):
+                x0, y = 0.0 + g0 * u, x0 + 0.0
+            else:
+                (x0,), y = exact((x0,), u)
+            ys.append(y)
+        return ys
     def subject(m2, m1, m0, noise, x0):
         def step(theta):
             nonlocal x0
@@ -269,29 +294,29 @@ def kernel(g0, exact):
         def state():
             return x0,
         return step, state
-    return step, subject
+    return response, subject
 ''',
     # subjects A and B
     (2, ('10', 'xd', '10')): '''\
 def kernel(a1_1, a1_0, a1_0h, a1_0l, g0, g1, exact):
-    def step(state, u):
-        u = float(u)
-        try:
-            x0, x1 = state
-        except ValueError:
-            raise ValueError(f"state has {len(state)} values, "
-                             "the dynamics order is 2") from None
-        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+    def response(inputs):
+        x0, x1 = 0.0, 0.0
+        ys = []
+        for u in inputs:
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
                 (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
-            return exact(state, u)
-        t = 134217729.0 * x0
-        h0 = t - (t - x0)
-        l0 = x0 - h0
-        r1 = a1_1 * x1
-        p = a1_0 * x0
-        e = ((a1_0h * h0 - p) + a1_0h * l0 + a1_0l * h0) + a1_0l * l0
-        r1 = fsum((p, e, r1)) if e else p + r1
-        return (x1 + 0.0 + g0 * u, r1 + 0.0 + g1 * u), x0 + 0.0
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                r1 = a1_1 * x1
+                p = a1_0 * x0
+                e = ((a1_0h * h0 - p) + a1_0h * l0 + a1_0l * h0) + a1_0l * l0
+                r1 = fsum((p, e, r1)) if e else p + r1
+                x0, x1, y = x1 + 0.0 + g0 * u, r1 + 0.0 + g1 * u, x0 + 0.0
+            else:
+                (x0, x1), y = exact((x0, x1), u)
+            ys.append(y)
+        return ys
     def subject(m2, m1, m0, noise, x0, x1):
         def step(theta):
             nonlocal x0, x1
@@ -316,36 +341,36 @@ def kernel(a1_1, a1_0, a1_0h, a1_0l, g0, g1, exact):
         def state():
             return x0, x1
         return step, state
-    return step, subject
+    return response, subject
 ''',
     # the order-2 companion form fit_adaptation_lti returns
     (2, ('xd', '01', 'xd')): '''\
 def kernel(a0_1, a0_0, a0_0h, a0_0l, a2_0, a2_1, a2_1h, a2_1l, g0, g1, exact):
-    def step(state, u):
-        u = float(u)
-        try:
-            x0, x1 = state
-        except ValueError:
-            raise ValueError(f"state has {len(state)} values, "
-                             "the dynamics order is 2") from None
-        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+    def response(inputs):
+        x0, x1 = 0.0, 0.0
+        ys = []
+        for u in inputs:
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
                 (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
-            return exact(state, u)
-        t = 134217729.0 * x0
-        h0 = t - (t - x0)
-        l0 = x0 - h0
-        t = 134217729.0 * x1
-        h1 = t - (t - x1)
-        l1 = x1 - h1
-        r0 = a0_1 * x1
-        p = a0_0 * x0
-        e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
-        r0 = fsum((p, e, r0)) if e else p + r0
-        r2 = a2_0 * x0
-        p = a2_1 * x1
-        e = ((a2_1h * h1 - p) + a2_1h * l1 + a2_1l * h1) + a2_1l * l1
-        r2 = fsum((p, e, r2)) if e else p + r2
-        return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u), r2 + 0.0
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = 134217729.0 * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                r0 = a0_1 * x1
+                p = a0_0 * x0
+                e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+                r0 = fsum((p, e, r0)) if e else p + r0
+                r2 = a2_0 * x0
+                p = a2_1 * x1
+                e = ((a2_1h * h1 - p) + a2_1h * l1 + a2_1l * h1) + a2_1l * l1
+                r2 = fsum((p, e, r2)) if e else p + r2
+                x0, x1, y = r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, r2 + 0.0
+            else:
+                (x0, x1), y = exact((x0, x1), u)
+            ys.append(y)
+        return ys
     def subject(m2, m1, m0, noise, x0, x1):
         def step(theta):
             nonlocal x0, x1
@@ -377,46 +402,46 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a2_0, a2_1, a2_1h, a2_1l, g0, g1, exact):
         def state():
             return x0, x1
         return step, state
-    return step, subject
+    return response, subject
 ''',
     # the order-3 companion form
     (3, ('xdd', '010', '100', 'xdd')): '''\
 def kernel(a0_1, a0_0, a0_0h, a0_0l, a0_2, a0_2h, a0_2l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2l, g0, g1, g2, exact):
-    def step(state, u):
-        u = float(u)
-        try:
-            x0, x1, x2 = state
-        except ValueError:
-            raise ValueError(f"state has {len(state)} values, "
-                             "the dynamics order is 3") from None
-        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+    def response(inputs):
+        x0, x1, x2 = 0.0, 0.0, 0.0
+        ys = []
+        for u in inputs:
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
                 (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1) and
                 (3.4395525670743494e-136 <= abs(x2) <= 2.9073548971824276e+135 or not x2)):
-            return exact(state, u)
-        t = 134217729.0 * x0
-        h0 = t - (t - x0)
-        l0 = x0 - h0
-        t = 134217729.0 * x1
-        h1 = t - (t - x1)
-        l1 = x1 - h1
-        t = 134217729.0 * x2
-        h2 = t - (t - x2)
-        l2 = x2 - h2
-        r0 = a0_1 * x1
-        p = a0_0 * x0
-        e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
-        r0 = fsum((p, e, r0)) if e else p + r0
-        p = a0_2 * x2
-        e = ((a0_2h * h2 - p) + a0_2h * l2 + a0_2l * h2) + a0_2l * l2
-        r0 = fsum((p, e, r0)) if e else p + r0
-        r3 = a3_0 * x0
-        p = a3_1 * x1
-        e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
-        r3 = fsum((p, e, r3)) if e else p + r3
-        p = a3_2 * x2
-        e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
-        r3 = fsum((p, e, r3)) if e else p + r3
-        return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u), r3 + 0.0
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = 134217729.0 * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                t = 134217729.0 * x2
+                h2 = t - (t - x2)
+                l2 = x2 - h2
+                r0 = a0_1 * x1
+                p = a0_0 * x0
+                e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+                r0 = fsum((p, e, r0)) if e else p + r0
+                p = a0_2 * x2
+                e = ((a0_2h * h2 - p) + a0_2h * l2 + a0_2l * h2) + a0_2l * l2
+                r0 = fsum((p, e, r0)) if e else p + r0
+                r3 = a3_0 * x0
+                p = a3_1 * x1
+                e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
+                r3 = fsum((p, e, r3)) if e else p + r3
+                p = a3_2 * x2
+                e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
+                r3 = fsum((p, e, r3)) if e else p + r3
+                x0, x1, x2, y = r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u, r3 + 0.0
+            else:
+                (x0, x1, x2), y = exact((x0, x1, x2), u)
+            ys.append(y)
+        return ys
     def subject(m2, m1, m0, noise, x0, x1, x2):
         def step(theta):
             nonlocal x0, x1, x2
@@ -458,43 +483,43 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a0_2, a0_2h, a0_2l, a3_0, a3_1, a3_1h, a3_1
         def state():
             return x0, x1, x2
         return step, state
-    return step, subject
+    return response, subject
 ''',
     # the order-3 form with a pole at 0: Phi[0][2] is 0
     (3, ('xd0', '010', '100', 'xdd')): '''\
 def kernel(a0_1, a0_0, a0_0h, a0_0l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2l, g0, g1, g2, exact):
-    def step(state, u):
-        u = float(u)
-        try:
-            x0, x1, x2 = state
-        except ValueError:
-            raise ValueError(f"state has {len(state)} values, "
-                             "the dynamics order is 3") from None
-        if not ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+    def response(inputs):
+        x0, x1, x2 = 0.0, 0.0, 0.0
+        ys = []
+        for u in inputs:
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
                 (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1) and
                 (3.4395525670743494e-136 <= abs(x2) <= 2.9073548971824276e+135 or not x2)):
-            return exact(state, u)
-        t = 134217729.0 * x0
-        h0 = t - (t - x0)
-        l0 = x0 - h0
-        t = 134217729.0 * x1
-        h1 = t - (t - x1)
-        l1 = x1 - h1
-        t = 134217729.0 * x2
-        h2 = t - (t - x2)
-        l2 = x2 - h2
-        r0 = a0_1 * x1
-        p = a0_0 * x0
-        e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
-        r0 = fsum((p, e, r0)) if e else p + r0
-        r3 = a3_0 * x0
-        p = a3_1 * x1
-        e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
-        r3 = fsum((p, e, r3)) if e else p + r3
-        p = a3_2 * x2
-        e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
-        r3 = fsum((p, e, r3)) if e else p + r3
-        return (r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u), r3 + 0.0
+                t = 134217729.0 * x0
+                h0 = t - (t - x0)
+                l0 = x0 - h0
+                t = 134217729.0 * x1
+                h1 = t - (t - x1)
+                l1 = x1 - h1
+                t = 134217729.0 * x2
+                h2 = t - (t - x2)
+                l2 = x2 - h2
+                r0 = a0_1 * x1
+                p = a0_0 * x0
+                e = ((a0_0h * h0 - p) + a0_0h * l0 + a0_0l * h0) + a0_0l * l0
+                r0 = fsum((p, e, r0)) if e else p + r0
+                r3 = a3_0 * x0
+                p = a3_1 * x1
+                e = ((a3_1h * h1 - p) + a3_1h * l1 + a3_1l * h1) + a3_1l * l1
+                r3 = fsum((p, e, r3)) if e else p + r3
+                p = a3_2 * x2
+                e = ((a3_2h * h2 - p) + a3_2h * l2 + a3_2l * h2) + a3_2l * l2
+                r3 = fsum((p, e, r3)) if e else p + r3
+                x0, x1, x2, y = r0 + 0.0 + g0 * u, x0 + 0.0 + g1 * u, x1 + 0.0 + g2 * u, r3 + 0.0
+            else:
+                (x0, x1, x2), y = exact((x0, x1, x2), u)
+            ys.append(y)
+        return ys
     def subject(m2, m1, m0, noise, x0, x1, x2):
         def step(theta):
             nonlocal x0, x1, x2
@@ -533,7 +558,40 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2
         def state():
             return x0, x1, x2
         return step, state
-    return step, subject
+    return response, subject
+''',
+    # _EDGE, whose coefficients 2**-500 and 2**460 are 'f' terms
+    (2, ('xf', 'xx', '1f')): '''\
+def kernel(a0_1, a0_0, a1_1, a1_0, a2_1, g0, g1, exact):
+    def response(inputs):
+        x0, x1 = 0.0, 0.0
+        ys = []
+        for u in inputs:
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
+                x0, x1, y = _fma(a0_0, x0, a0_1 * x1) + 0.0 + g0 * u, a1_0 * x0 + (a1_1 * x1) + 0.0 + g1 * u, _fma(a2_1, x1, x0) + 0.0
+            else:
+                (x0, x1), y = exact((x0, x1), u)
+            ys.append(y)
+        return ys
+    def subject(m2, m1, m0, noise, x0, x1):
+        def step(theta):
+            nonlocal x0, x1
+            th = float(theta)
+            u = m2 * th * th + m1 * th + m0
+            if ((3.4395525670743494e-136 <= abs(x0) <= 2.9073548971824276e+135 or not x0) and
+                (3.4395525670743494e-136 <= abs(x1) <= 2.9073548971824276e+135 or not x1)):
+                x0, x1, y = _fma(a0_0, x0, a0_1 * x1) + 0.0 + g0 * u, a1_0 * x0 + (a1_1 * x1) + 0.0 + g1 * u, _fma(a2_1, x1, x0) + 0.0
+            else:
+                (x0, x1), y = exact((x0, x1), u)
+            block = noise._block
+            if block:
+                return y + (noise.mean + noise.std * block.pop())
+            return y + noise.sample()
+        def state():
+            return x0, x1
+        return step, state
+    return response, subject
 ''',
 }
 
@@ -541,23 +599,17 @@ def kernel(a0_1, a0_0, a0_0h, a0_0l, a3_0, a3_1, a3_1h, a3_1l, a3_2, a3_2h, a3_2
 class TestAdaptationDynamics:
     def test_one_step_from_rest(self):
         dyn = subject_a(noise_std=0.0).dynamics
-        state, y = dyn.step(np.zeros(2), 1.0)
+        state, y = _kernel_step(dyn, (0.0, 0.0), 1.0)
         assert y == 0.0
         assert_allclose(state, [0.839, 0.037], atol=1e-12)
+        assert dyn.response([1.0, 0.0]) == [0.0, state[0]]
 
     def test_zero_dynamics(self):
         dyn = subject_b(noise_std=0.0).dynamics
-        state, y = dyn.step(np.zeros(2), 0.0)
+        state, y = _kernel_step(dyn, (0.0, 0.0), 0.0)
         assert y == 0.0
         assert_allclose(state, 0.0, atol=0.0)
-
-    def test_dimension_mismatch(self):
-        for order in (1, 2, 3, 4):
-            dyn = AdaptationDynamics(np.eye(order) / 2, np.ones(order), np.ones(order))
-            for n in (order - 1, order + 1):
-                with pytest.raises(ValueError, match=f"^state has {n} values, "
-                                                     f"the dynamics order is {order}$"):
-                    dyn.step(np.zeros(n), 1.0)
+        assert dyn.response([0.0] * 3) == [0.0] * 3
 
     @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(4),
                          _random_dynamics(4, _COEFFICIENT)),
@@ -579,7 +631,7 @@ class TestAdaptationDynamics:
              cells=[0.1, -0.0, 3.0, 1e6], u=-0.3)
     @settings(max_examples=600, deadline=None, database=None, derandomize=True)
     def test_step_bits_equal_matrix_products_property(self, dyn, cells, u):
-        """step() gives, bit for bit, the chains of _fma_chains (Dekker's
+        """The kernel's step gives, bit for bit, the chains of _fma_chains (Dekker's
         product on every term) or, where a coefficient or state value lies
         outside [_TINY, _HUGE], of _exact_fma_chains, plus the gamma u
         terms, for random realizations of order 1-4, whose coefficients
@@ -590,15 +642,12 @@ class TestAdaptationDynamics:
         are also phi @ state + gamma * u and psi @ state. Signed zeros
         included: @ gives 0.0 where ndarray.dot alone gives -0.0 at order 1."""
         xs = cells[:dyn.order]
-        next_state, y = dyn.step(tuple(xs), u)
+        next_state, y = _kernel_step(dyn, xs, u)
         want_state, want_y = _reference_step(dyn, xs, float(u))
         assert [v.hex() for v in next_state] == [v.hex() for v in want_state]
         assert y.hex() == want_y.hex()
         state = np.array(xs)
         with np.errstate(over="ignore"):  # numpy warns where a product overflows
-            from_array = dyn.step(state, u)
-            assert [v.hex() for v in (*from_array[0], from_array[1])] == [
-                v.hex() for v in (*next_state, y)]
             if dyn.order <= 3:
                 want = dyn.phi @ state + dyn.gamma * float(u)
                 assert np.array(next_state).tobytes() == want.tobytes()
@@ -628,7 +677,7 @@ class TestAdaptationDynamics:
              cells=[1e6, -1e6, 1e6, -1e6], u=-1e6)
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     def test_step_is_the_fma_chain_property(self, dyn, cells, u):
-        """step() gives, bit for bit, each row of Phi x and Psi x as a chain
+        """The kernel's step gives, bit for bit, each row of Phi x and Psi x as a chain
         of fused multiply-adds rounded from the exact value (fractions),
         in the order OpenBLAS's FMA kernels use up to order 3 and in index
         order above it, then the "+ 0.0 + g * u" tail, for orders 1-4 and
@@ -636,19 +685,33 @@ class TestAdaptationDynamics:
         included."""
         n = dyn.order
         state = tuple(cells[:n])
-        next_state, y = dyn.step(state, u)
+        next_state, y = _kernel_step(dyn, state, u)
         row_order = _ROW_ORDER.get(n, range(n))
         want = [_fma_chain(row, state, row_order) + 0.0 + g * u
                 for row, g in zip(dyn.phi.tolist(), dyn.gamma.tolist())]
         assert [v.hex() for v in next_state] == [v.hex() for v in want]
         assert y.hex() == (_fma_chain(dyn.psi.tolist(), state, range(n)) + 0.0).hex()
 
+    @given(dyn=st.one_of(st.sampled_from(_package_dynamics()), _random_dynamics(4, _WIDE)),
+           us=st.lists(_CELL, max_size=12))
+    @example(dyn=_EDGE, us=[1e6, -3.0, 2.5])
+    @example(dyn=_OVERFLOW[0], us=[1e10, 0.0, 1.0])
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    def test_response_is_the_reference_step_from_rest_property(self, dyn, us):
+        """response(us) gives, bit for bit, the outputs of _reference_step
+        iterated from rest, for every form the package builds and random
+        realizations of order 1-4 whose coefficients include 0 and 1 of
+        either sign, powers of 2 and values far outside [_TINY, _HUGE], so
+        states reach inf and nan."""
+        state, want = [0.0] * dyn.order, []
+        for u in us:
+            state, y = _reference_step(dyn, state, u)
+            want.append(y)
+        assert [y.hex() for y in dyn.response(us)] == [y.hex() for y in want]
+
     def test_unity_gain_step_response(self):
         dyn = subject_a(noise_std=0.0).dynamics
-        x = np.zeros(2)
-        for _ in range(200):
-            x, y = dyn.step(x, 100.0)
-        assert abs(y - 100.0) <= 1.0
+        assert abs(dyn.response([100.0] * 200)[-1] - 100.0) <= 1.0
 
     def test_steady_state_gain_subject_a(self):
         # 2x2 inverse by hand: det(I - Phi_A) = 0.582
@@ -717,11 +780,7 @@ class TestAdaptationDynamics:
             if abs(dyn.steady_state_gain()) < 1e-3:
                 continue
             dyn = normalized(dyn)
-            x = np.zeros(2)
-            errs = []
-            for i in range(60):
-                x, y = dyn.step(x, 1.0)
-                errs.append(abs(y - 1.0))
+            errs = [abs(y - 1.0) for y in dyn.response([1.0] * 60)]
             # |y_i - u| <= C rho^i for some constant C
             tail = np.array(errs[20:])
             bound = np.array([(rho + 0.02) ** i for i in range(20, 60)])
@@ -731,7 +790,7 @@ class TestAdaptationDynamics:
 
 class TestStepKernel:
     def test_package_structures_are_pinned(self):
-        built = {dyn.step.__code__.co_filename for dyn in _package_dynamics()}
+        built = {dyn.response.__code__.co_filename for dyn in [*_package_dynamics(), _EDGE]}
         assert built == {f"<step kernel {n} {kinds}>" for n, kinds in _PINNED_KERNELS}
         for (n, kinds), source in _PINNED_KERNELS.items():
             assert _kernel_source(n, kinds) == source
@@ -747,13 +806,27 @@ class TestStepKernel:
                 for order in (2, 3):
                     dyn = identify_from_records(sweep.column("theta_applied"),
                                                 sweep.column("J"), order)[1]
-                    built.add(dyn.step.__code__.co_filename)
+                    built.add(dyn.response.__code__.co_filename)
         assert _kernel.cache_info().misses == len(built) == 3
 
     def test_out_of_range_coefficients_take_the_exact_step(self):
+        # 2**-500, not a chain's first term, is added by one exact fma
         dyn = AdaptationDynamics([[2.0 ** -500, 0.5], [1.0, 0.0]], [1.0, 0.0], [0.0, 1.0])
-        assert not hasattr(dyn.step, "__code__")  # no kernel: _exact_step
-        assert dyn.step((1e6, 3.0), 2.0) == ((1.5 + 2.0, 1e6), 3.0)
+        assert dyn.response.__code__.co_filename == "<step kernel 2 ('xf', '01', '01')>"
+        assert _kernel_step(dyn, (1e6, 3.0), 2.0) == ((1.5 + 2.0, 1e6), 3.0)
+        state, want = [0.0, 0.0], []
+        for u in (1e6, -3.0, 2.0):
+            state, y = _reference_step(dyn, state, u)
+            want.append(y)
+        assert dyn.response([1e6, -3.0, 2.0]) == want
+
+    def test_exact_fma_keeps_a_non_finite_sum(self):
+        # a finite x added to an infinite sum leaves it, even where the
+        # float product a*x overflows, so the sum does not become nan
+        assert _fma(1e300, 1e10, -inf) == -inf
+        assert _fma(-1e300, 1e10, inf) == inf
+        dyn, x0 = _OVERFLOW
+        assert SimulatedSubject(MAP_A, dyn, initial_state=x0).step(1.0) == -inf
 
 
 class TestSimulatedSubject:
@@ -914,6 +987,9 @@ class TestSimulatedSubject:
     # a state that Veltkamp's split overflows, which only the exact step takes
     @example(dyn=subject_a().dynamics, lam=list(LAMBDA_A), cells=[1e305, -3.0, 0.0],
              noise=(0.0, 1.0, 2), runs=[(("sample",), [1.5] * 3)])
+    # an output chain that overflows to -inf, then adds an 'f' term
+    @example(dyn=_OVERFLOW[0], lam=list(LAMBDA_A), cells=[*_OVERFLOW[1], 0.0],
+             noise=(0.0, 1.0, 2), runs=[(("sample",), [1.5] * 3)])
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     def test_step_is_the_three_call_composition_property(self, dyn, lam, cells,
                                                         noise, runs):
@@ -997,7 +1073,7 @@ class TestFrozenModel:
         with pytest.raises(ValueError, match="read-only"):
             getattr(dyn, name)[index] = 0.5
         given[name][index] = 0.5  # the caller's array is not the stored one
-        assert dyn.step((1.0, 2.0), 0.0) == ((2.0, 0.768), 1.0)
+        assert _kernel_step(dyn, (1.0, 2.0), 0.0) == ((2.0, 0.768), 1.0)
 
     def test_equal_maps_compare_and_hash_alike(self):
         a, b = PreferenceMap([-1, 0, 0]), PreferenceMap(np.array([-1.0, -0.0, 0.0]))
