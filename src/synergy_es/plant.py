@@ -9,6 +9,10 @@ scores end-point error and completion time with saturated terms:
 
 Distances are in centimeters and times in seconds; that is the only
 reading under which both terms normalize to a 0..100 range.
+
+A reach computes its hand path only where the shoulder moves, fills the
+still tail with the last hand point and tests squared steps against one
+threshold per arm sweep; the bits are those of the per-sample formulas.
 """
 
 import functools
@@ -120,18 +124,47 @@ def _arm_sweep(geom, time_limit_s, profile):
     """The theta-independent half of a reach, computed once per arm,
     time limit and profile.
 
-    Returns dt, the sample times, the shoulder angles, the shoulder
-    flexion from its start and the elbow-joint coordinates, all read-only
-    since every reach on this key shares them.
+    Returns the sample times, then the shoulder angles, the shoulder
+    flexion from its start and the elbow-joint coordinates over the
+    moving prefix, and the stop threshold on a squared step. All arrays
+    are read-only since every reach on this key shares them.
+
+    The moving prefix ends 2 samples after the first from which the
+    shoulder angle keeps its bits, or at the last sample. The bits are
+    compared as int64: a 0.0 after a -0.0 is a change, a repeated NaN is
+    not. From that first still sample on, every hand point is the same
+    elementwise function of the same bits, so every step is 0 and not
+    moving; the prefix keeps the first still step, so the stop rule reads
+    the same onset and rest.
+    The threshold is the smallest double s with sqrt(s) / dt >= 1 cm/s:
+    both roundings are correct and monotone, so s >= it gives the speed
+    test's answer for every s >= 0, inf and NaN.
     """
     dt = 1.0 / profile.sample_rate_hz
     times = np.arange(0.0, time_limit_s + dt / 2, dt)
     shoulder = profile.angle(times)
+    bits = shoulder.view(np.int64)
+    changed = np.flatnonzero(bits != bits[-1])
+    still = int(changed[-1]) + 1 if changed.size else 0
+    shoulder = shoulder[:still + 2]
     flex = shoulder - shoulder[0]
     ex, ey = _elbow_point(geom.upper_arm_cm, geom.shoulder_xy, shoulder)
     for arr in (times, shoulder, flex, ex, ey):
         arr.flags.writeable = False
-    return dt, times, shoulder, flex, ex, ey
+    return times, shoulder, flex, ex, ey, _stop_step_sq(dt)
+
+
+def _stop_step_sq(dt):
+    """The smallest double s with sqrt(s) / dt >= STOP_SPEED_CM_S."""
+    def moving(s):
+        return math.sqrt(s) / dt >= STOP_SPEED_CM_S
+    step = STOP_SPEED_CM_S * dt
+    s = step * step  # inf, not OverflowError, past the float range
+    while not moving(s):
+        s = math.nextafter(s, math.inf)
+    while s > 0 and moving(math.nextafter(s, 0.0)):
+        s = math.nextafter(s, 0.0)
+    return s
 
 
 def simulate_reach(geom, task, theta, profile):
@@ -144,18 +177,21 @@ def simulate_reach(geom, task, theta, profile):
     does not depend on theta comes from the arm sweep cached on the
     plant objects, whose float fields make equal objects compute equal bits.
     The part that does is a fixed sequence of array operations written
-    into a fresh hand path, in the order of the per-sample formulas, and
-    the end error is sqrt(dx*dx + dy*dy) on Python floats, so its bits do
-    not depend on the BLAS kernel.
+    into a fresh hand path, in the order of the per-sample formulas, over
+    the sweep's moving prefix; the still tail is filled with the prefix's
+    last hand point, and each squared step is compared with the sweep's
+    threshold. The end error is sqrt(dx*dx + dy*dy) on Python floats, so
+    its bits do not depend on the BLAS kernel.
     """
     if not math.isfinite(theta):
         raise ValueError("synergy value must be finite")
-    dt, times, shoulder, flex, ex, ey = _arm_sweep(geom, task.time_limit_s,
-                                                   profile)
+    times, shoulder, flex, ex, ey, stop_sq = _arm_sweep(geom, task.time_limit_s,
+                                                        profile)
     forearm = geom.forearm_hand_cm
+    prefix = shoulder.size
     path = np.empty((times.size, 3))
     path[:, 0] = times
-    hx, hy = path[:, 1], path[:, 2]
+    hx, hy = path[:prefix, 1], path[:prefix, 2]
     # the forearm angle shoulder + elbow, as _hand_position computes it
     fa = float(theta) * flex
     np.subtract(_ELBOW_START_RAD, fa, out=fa)
@@ -164,9 +200,10 @@ def simulate_reach(geom, task, theta, profile):
     np.add(ex, hx, out=hx)
     np.multiply(forearm, np.cos(fa, out=fa), out=hy)
     np.subtract(ey, hy, out=hy)
-    # norm(diff(path[:, 1:]), axis=1) for real input is sqrt(dx*dx + dy*dy)
+    path[prefix:, 1] = hx[-1]
+    path[prefix:, 2] = hy[-1]
     dx, dy = hx[1:] - hx[:-1], hy[1:] - hy[:-1]
-    moving = np.sqrt(dx * dx + dy * dy) / dt >= STOP_SPEED_CM_S
+    moving = dx * dx + dy * dy >= stop_sq
     # the first sample at rest after the first one in motion; none (the
     # time limit) when the hand never moves or is still moving at the end
     stop_idx = times.size - 1
@@ -178,8 +215,8 @@ def simulate_reach(geom, task, theta, profile):
             stop_idx = rest
             t_f = float(times[rest])
     end_x, end_y = task.end_target
-    dx_end = float(hx[stop_idx]) - end_x
-    dy_end = float(hy[stop_idx]) - end_y
+    dx_end = float(path[stop_idx, 1]) - end_x
+    dy_end = float(path[stop_idx, 2]) - end_y
     end_error = math.sqrt(dx_end * dx_end + dy_end * dy_end)
     completed = end_error <= task.success_radius_cm
     return ReachOutcome(end_error, t_f, completed, path)

@@ -19,7 +19,7 @@ advances the state by the same block, from rest and without map or
 noise: AdaptationDynamics.response, sysid's free run.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import frexp, fsum, inf, isfinite
@@ -320,8 +320,11 @@ class MotorNoise:
         return self.mean + self.std * self._block.pop()
 
     def reset(self, seed=None):
-        if seed is not None:
-            self.seed = replace(self, seed=seed).seed  # checked before it is stored
+        if seed is not None:  # checked as __post_init__ checks it, before it is stored
+            seed = check_value(seed, "seed", integer=True)
+            if seed < 0:
+                raise ValueError(f"seed = {seed} must be >= 0")
+            self.seed = seed
         self._rng = np.random.default_rng(self.seed)
         self._block = []
 
@@ -378,8 +381,8 @@ class SimulatedSubject:
         return self._step(theta)
 
     def reset(self, seed=None):
+        self._noise.reset(seed)  # first: a rejected seed leaves the state as it was
         self._bind(self._initial_state)
-        self._noise.reset(seed)
 
     def __reduce__(self):  # _step is a closure; rebuilt at the current state
         return (SimulatedSubject, (self._map, self._dynamics, self._noise,

@@ -34,6 +34,8 @@ Groups:
   whose Phi holds the subnormal 1e-310, then again after reset(seed),
   after its noise is replaced and after a pickle round trip;
 - reach: default_task() and every outcome of the 81-point theta grid;
+- reach-arms: the outcomes of five synergies on the arms, profiles and
+  time limits of REACH_ARMS, the edges of a reach's moving prefix;
 - golden, golden-Nehalem, golden-Prescott: the seed-0 episode of every
   algorithm on A and B written as CSV, under the default BLAS kernel and,
   in a subprocess, under OPENBLAS_CORETYPE Nehalem and Prescott, so kernels
@@ -230,18 +232,40 @@ def subject_steps_groups(tmp):
     return {"subject-steps": items}
 
 
+# (arm, profile, time limit) as (ArmGeometry args, ShoulderProfile args,
+# seconds): a zero peak, the shoulder moving at the limit, still from the
+# last sample, still from the one before it, one and two samples, and
+# another arm whose shoulder is still from sample 10
+REACH_ARMS = [((), (0.0,), 3.0), ((), (0.75, 4.0), 3.0), ((), (0.75, 3.0), 3.0),
+              ((), (0.75, 2.9, 10.0), 3.0), ((), (), 0.004), ((), (), 0.012),
+              ((45.0, 20.0, (5.0, -3.0)), (-0.6, 0.1, 90.0, 0.2), 2.0)]
+REACH_ARM_THETAS = (-2.0, 0.0, 1.33, 1.7, 4.0)
+
+
 def reach_groups():
-    from synergy_es.plant import (default_geometry, default_profile,
-                                  default_task, objective, simulate_reach)
+    from dataclasses import replace
+
+    from synergy_es.plant import (ArmGeometry, ShoulderProfile, default_geometry,
+                                  default_profile, default_task, objective,
+                                  simulate_reach)
+
+    def outcome(geom, task, theta, prof):
+        out = simulate_reach(geom, task, theta, prof)
+        return out.hand_path.tobytes() + " ".join((
+            out.end_error_cm.hex(), out.completion_time_s.hex(), str(out.completed),
+            objective(out).hex())).encode()
+
     geom, prof = default_geometry(), default_profile()
     task = default_task(geom, prof)
     items = [("task", repr(task).encode())]
-    for theta in GRID:
-        out = simulate_reach(geom, task, theta, prof)
-        items.append((theta.hex(), out.hand_path.tobytes() + " ".join((
-            out.end_error_cm.hex(), out.completion_time_s.hex(), str(out.completed),
-            objective(out).hex())).encode()))
-    return {"reach": items}
+    items += [(theta.hex(), outcome(geom, task, theta, prof)) for theta in GRID]
+    arms = []
+    for geom_args, prof_args, limit in REACH_ARMS:
+        geom, prof = ArmGeometry(*geom_args), ShoulderProfile(*prof_args)
+        task = replace(default_task(geom, prof), time_limit_s=limit)
+        arms += [(f"{geom} {prof} {limit} {theta}", outcome(geom, task, theta, prof))
+                 for theta in REACH_ARM_THETAS]
+    return {"reach": items, "reach-arms": arms}
 
 
 def golden_files(out):

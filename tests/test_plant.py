@@ -14,17 +14,21 @@ from numpy.testing import assert_allclose
 
 import synergy_es
 
-from synergy_es.plant import (_ELBOW_START_RAD, STOP_SPEED_CM_S, ArmGeometry,
-                              ReachOutcome, ReachTask, ShoulderProfile,
-                              _hand_position, default_geometry,
-                              default_profile, default_task, export_hand_path,
-                              objective, simulate_reach)
+from synergy_es.plant import (_ELBOW_START_RAD, STOP_SPEED_CM_S, T_MAX_S,
+                              ArmGeometry, ReachOutcome, ReachTask,
+                              ShoulderProfile, _arm_sweep, _hand_position,
+                              default_geometry, default_profile, default_task,
+                              export_hand_path, objective, simulate_reach)
 
 NAN, INF = float("nan"), float("inf")
 # default arm, profile rate and peak for the stop rule's edge cases
 STOP_RULE_EDGE = dict(theta=1.7, upper=30.0, forearm=35.0, shoulder=(0.0, 0.0),
                       peak=0.75, start=0.45, rate=90.0, field="duration_s",
                       value=0.2)
+
+
+# the default arm at a completing synergy, for the moving prefix's edges
+STILL_TAIL_EDGE = dict(theta=1.7, upper=30.0, forearm=35.0)
 
 
 def outcome(err, tf):
@@ -216,15 +220,24 @@ class TestSimulateReach:
 
     @given(theta=st.floats(-5.0, 5.0), upper=st.floats(5.0, 60.0),
            forearm=st.floats(5.0, 60.0), duration=st.floats(0.1, 4.0),
-           rate=st.floats(10.0, 240.0))
+           rate=st.floats(10.0, 240.0), peak=st.just(0.75), limit=st.just(T_MAX_S))
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     # 32 samples, whose last plus dt rounds to exactly the limit + dt/2
-    @example(theta=1.7, upper=30.0, forearm=35.0, duration=1.0, rate=10.5)
+    @example(**STILL_TAIL_EDGE, duration=1.0, rate=10.5, peak=0.75, limit=3.0)
+    # the moving prefix's edges: still from sample 0, the shoulder moving
+    # at the limit, still from the last sample, still from the one before
+    # it (the first still step is the last step), one and two samples
+    @example(**STILL_TAIL_EDGE, duration=1.5, rate=90.0, peak=0.0, limit=3.0)
+    @example(**STILL_TAIL_EDGE, duration=4.0, rate=90.0, peak=0.75, limit=3.0)
+    @example(**STILL_TAIL_EDGE, duration=3.0, rate=90.0, peak=0.75, limit=3.0)
+    @example(**STILL_TAIL_EDGE, duration=2.9, rate=10.0, peak=0.75, limit=3.0)
+    @example(**STILL_TAIL_EDGE, duration=1.5, rate=90.0, peak=0.75, limit=0.004)
+    @example(**STILL_TAIL_EDGE, duration=1.5, rate=90.0, peak=0.75, limit=0.012)
     def test_bitwise_equal_to_per_sample_loop(self, theta, upper, forearm,
-                                              duration, rate):
+                                              duration, rate, peak, limit):
         geom = ArmGeometry(upper_arm_cm=upper, forearm_hand_cm=forearm)
-        prof = ShoulderProfile(duration_s=duration, sample_rate_hz=rate)
-        task = default_task(geom, prof)
+        prof = ShoulderProfile(peak, duration_s=duration, sample_rate_hz=rate)
+        task = replace(default_task(geom, prof), time_limit_s=limit)
         out = simulate_reach(geom, task, theta, prof)
         ref = reference_reach(geom, task, theta, prof)
         assert np.array_equal(out.hand_path, ref.hand_path)
@@ -255,6 +268,11 @@ class TestSimulateReach:
     @example(**STOP_RULE_EDGE, duration=1.5, limit=0.004)
     @example(**STOP_RULE_EDGE, duration=3.0, limit=1.0)
     @example(**STOP_RULE_EDGE, duration=0.1, limit=3.0)
+    # the moving prefix's edges, as in the per-sample test
+    @example(**{**STOP_RULE_EDGE, "peak": 0.0}, duration=1.5, limit=3.0)
+    @example(**STOP_RULE_EDGE, duration=3.0, limit=3.0)
+    @example(**{**STOP_RULE_EDGE, "rate": 10.0}, duration=2.9, limit=3.0)
+    @example(**STOP_RULE_EDGE, duration=1.5, limit=0.012)
     def test_cached_sweep_never_mixes_arms(self, theta, upper, forearm,
                                            shoulder, peak, start, duration,
                                            rate, limit, field, value):
@@ -276,6 +294,23 @@ class TestSimulateReach:
         out.hand_path[:] = np.nan
         assert_same_outcome(simulate_reach(geom_a, task, theta, prof),
                             reference_reach(geom_a, task, theta, fresh))
+
+    @given(rate=st.floats(10.0, 240.0), s=st.floats(0.0),
+           scale=st.floats(0.5, 2.0))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_stop_threshold_answers_as_the_speed_test(self, rate, s, scale):
+        """A squared step s is at or above the sweep's threshold exactly when
+        sqrt(s) / dt >= STOP_SPEED_CM_S: at the threshold, one float either
+        side of it, 0, inf, NaN and any s >= 0."""
+        dt = 1.0 / rate
+        *_, stop_sq = _arm_sweep(default_geometry(), 0.004,
+                                 ShoulderProfile(sample_rate_hz=rate))
+        assert 0.0 < stop_sq < INF
+        steps = np.array([stop_sq, math.nextafter(stop_sq, 0.0),
+                          math.nextafter(stop_sq, INF), 0.0, INF, NAN, s,
+                          stop_sq * scale])
+        assert np.array_equal(steps >= stop_sq,
+                              np.sqrt(steps) / dt >= STOP_SPEED_CM_S)
 
     @pytest.mark.parametrize("field, equal_values", [
         ("sample_rate_hz", (90.0, np.float32(90.0))),  # a float32 dt before

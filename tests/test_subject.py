@@ -938,6 +938,36 @@ class TestSimulatedSubject:
         assert noise.seed == 5
         assert [first, noise.sample()] == np.random.default_rng(5).standard_normal(2).tolist()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejected_reset_leaves_the_subject_as_it_was(self, seed):
+        """A reset whose seed is rejected rebinds nothing: the state and
+        the next J are those of a twin that was never reset."""
+        subj, twin = subject_a(seed=3), subject_a(seed=3)
+        for s in (subj, twin):
+            for _ in range(7):
+                s.step(1.4)
+        assert subj.state != subj.initial_state
+        with pytest.raises(ValueError, match="^seed = "):
+            subj.reset(seed)
+        assert subj.state == twin.state and subj.noise.seed == 3
+        assert [subj.step(1.2) for _ in range(20)] == [twin.step(1.2) for _ in range(20)]
+
+    def test_reseed_builds_one_generator(self, monkeypatch):
+        """reset(seed) builds one generator, as reset() does, and the
+        stream is default_rng(seed)'s."""
+        noise = MotorNoise(0.0, 1.0, 5)
+        noise.sample()
+        built, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: built.append(a) or default_rng(*a))
+        noise.reset(11)
+        assert built == [(11,)] and noise.seed == 11
+        noise.reset()
+        assert built == [(11,), (11,)]
+        n = NOISE_BLOCK + 3
+        assert [noise.sample() for _ in range(n)] == \
+            default_rng(11).standard_normal(n).tolist()
+
     @pytest.mark.parametrize("name, value", [
         ("map", MAP_B),
         ("dynamics", AdaptationDynamics([[1.5, 0.0], [0.0, 0.0]], GAMMA_A, PSI_A)),
