@@ -17,6 +17,7 @@ threshold per arm sweep; the bits are those of the per-sample formulas.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,9 @@ class ShoulderProfile:
         # a peak of 0 is a valid profile: the arm never moves
         check_fields(self, positive=("duration_s", "sample_rate_hz"),
                      finite=("peak_flexion_rad", "start_flexion_rad"))
+        if not math.isfinite(1.0 / self.sample_rate_hz):
+            raise ValueError(f"sample_rate_hz = {self.sample_rate_hz} must have a "
+                             "finite sample period")
 
     def angle(self, t):
         """Shoulder flexion angle at time t (monotone, zero end velocity)."""
@@ -139,8 +143,16 @@ def _arm_sweep(geom, time_limit_s, profile):
     The threshold is the smallest double s with sqrt(s) / dt >= 1 cm/s:
     both roundings are correct and monotone, so s >= it gives the speed
     test's answer for every s >= 0, inf and NaN.
+    A sample count past sys.maxsize raises a ValueError naming the time
+    limit and the rate; the count is computed as np.arange computes it,
+    before anything is allocated.
     """
     dt = 1.0 / profile.sample_rate_hz
+    count = (time_limit_s + dt / 2) / dt
+    if not count < sys.maxsize:
+        raise ValueError(f"time_limit_s = {time_limit_s} at sample_rate_hz = "
+                         f"{profile.sample_rate_hz} gives {count} samples, "
+                         f"more than {sys.maxsize}")
     times = np.arange(0.0, time_limit_s + dt / 2, dt)
     shoulder = profile.angle(times)
     bits = shoulder.view(np.int64)

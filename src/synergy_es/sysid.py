@@ -8,6 +8,11 @@ least-squares residual basis per order, with no BLAS call; the
 unconstrained-ARX diagnostic is that form's minimum. Residuals are always
 evaluated from sample index 1 onward (zero history before sample 0) so
 that order-2 and order-3 fits are scored on the same samples.
+
+A fit builds input and output lagged 0..order once, as two zero-padded
+lag matrices; every search and the ARX fit slice them. Each grid level is
+`k * step + lo` on Python floats with `hi` last, the bits of
+`np.linspace(lo, hi, 13)` for every lo, hi in the fitter's range.
 """
 
 import warnings
@@ -67,28 +72,33 @@ def _poles_to_denominator(poles):
     return coeffs
 
 
-def _lagged(series, lag):
-    """Series delayed by `lag` samples with zero padding before the start."""
-    out = np.zeros_like(series, dtype=float)
-    if lag < len(series):
-        out[lag:] = series[:len(series) - lag]
-    return out
+@lru_cache(maxsize=8)
+def _lag_index(length, max_lag):
+    """Read-only gather index of the lag matrix of a length-sample series:
+    row i - _RESIDUAL_START, column k reads padded sample max_lag + i - k."""
+    rows = np.arange(max_lag + _RESIDUAL_START, max_lag + length)
+    index = rows[:, None] - np.arange(max_lag + 1)
+    index.flags.writeable = False
+    return index
 
 
-def _lag_columns(series, lags):
-    """Columns of `series` delayed by each lag, rows from _RESIDUAL_START."""
-    return np.column_stack([_lagged(series, k)[_RESIDUAL_START:] for k in lags])
+def _lag_matrix(series, max_lag):
+    """Columns of `series` delayed by 0..max_lag samples with zero padding
+    before the start, rows from _RESIDUAL_START."""
+    padded = np.concatenate((np.zeros(max_lag), series))
+    return padded[_lag_index(len(series), max_lag)]
 
 
-def _lag_residual_basis(u, y, n):
+def _lag_residual_basis(ylags, ulags, n):
     """Residual of y lagged 0..n after least squares on u lagged 1..n.
 
     `_arx_residuals` solves for target = (y lagged 0..n) @ den, and `lstsq` is
     linear in the right-hand side (QR is not, for rank-deficient u), so
     `basis @ den` is every candidate's residual from this one solve.
     """
-    ylag = _lag_columns(y, range(n + 1))
-    regress = _lag_columns(u, range(1, n + 1))
+    ylag = ylags[:, :n + 1]
+    # C-contiguous, so regress @ coef takes the BLAS call a built matrix took
+    regress = np.ascontiguousarray(ulags[:, 1:n + 1])
     coef, *_ = np.linalg.lstsq(regress, ylag, rcond=None)
     return ylag - regress @ coef
 
@@ -117,7 +127,7 @@ def _free_arx_mse(gram, rows):
     return max(0.0, float(_scores(gram, np.append(1.0, a)[:, None])[0])) / rows
 
 
-def _arx_residuals(u, y, den):
+def _arx_residuals(ylags, ulags, den):
     """One-step-ahead predictor with fixed AR part; LLS over the B part.
 
     yhat_i = -sum a_k y_{i-k} + sum b_k u_{i-k}, with zero initial history
@@ -125,10 +135,10 @@ def _arx_residuals(u, y, den):
     order, so MSEs of different orders are comparable.
     """
     n = len(den) - 1
-    target = y[_RESIDUAL_START:].astype(float)
+    target = ylags[:, 0].copy()
     for kk in range(1, n + 1):
-        target += den[kk] * _lagged(y, kk)[_RESIDUAL_START:]
-    regress = _lag_columns(u, range(1, n + 1))
+        target += den[kk] * ylags[:, kk]
+    regress = np.ascontiguousarray(ulags[:, 1:n + 1])
     b, *_ = np.linalg.lstsq(regress, target, rcond=None)
     resid = target - regress @ b
     return b, float(np.mean(resid ** 2))
@@ -144,6 +154,13 @@ def _companion_realization(b, den):
     gamma = np.zeros(n)
     gamma[0] = 1.0
     return phi, gamma, np.asarray(b, dtype=float)
+
+
+def _pole_grid(lo, hi):
+    """The 13 grid levels lo..hi on Python floats, and their step: the bits of
+    np.linspace(lo, hi, 13) unless 0 < |hi - lo| <= 6 * 2**-1074 (step 0)."""
+    step = (hi - lo) / 12
+    return [k * step + lo for k in range(12)] + [hi], step
 
 
 @lru_cache(maxsize=None)
@@ -180,37 +197,41 @@ def fit_adaptation_lti(u_series, j_series, order=2):
                       "cannot be identified")
 
     p_min, p_max = 1e-4, 1.0 - 1e-4
+    ylags, ulags = _lag_matrix(y, order), _lag_matrix(u, order)
 
-    def search(order_n, extra=()):
-        gram = _gram(_lag_residual_basis(u, y, order_n))
+    def search(order_n, extra=None):
+        gram = _gram(_lag_residual_basis(ylags, ulags, order_n))
         best = None
-        lo, hi, npts = p_min, p_max, 13
-        tuples = _pole_grid_indices(npts, order_n).T
+        lo, hi = p_min, p_max
+        tuples = _pole_grid_indices(13, order_n).T
         for _ in range(4):  # refinable grid
-            cands = np.column_stack([np.linspace(lo, hi, npts)[tuples], *extra])
+            levels, step = _pole_grid(lo, hi)
+            grid = np.array(levels)[tuples]
+            cands = grid if extra is None else np.column_stack([grid, extra])
             dens = _poles_to_denominator(cands)
             scores = _scores(gram, dens)
             k = int(np.argmin(scores))  # first minimum, as a sequential scan
             if best is None or scores[k] < best[0]:
                 best = (scores[k], cands[:, k], dens[:, k])
-            span = (hi - lo) / (npts - 1)
-            lo = max(p_min, min(best[1]) - span)
-            hi = min(p_max, max(best[1]) + span)
+            poles = best[1].tolist()
+            lo = max(p_min, min(poles) - step)
+            hi = min(p_max, max(poles) + step)
         return (*best, gram)
 
     # order 3 also scores the best order-2 pair behind a pole at zero
-    _, _, den, gram = search(order, () if order == 2 else [(0.0, *search(2)[1])])
-    b, mse = _arx_residuals(u, y, den)
+    _, _, den, gram = search(order, None if order == 2 else (0.0, *search(2)[1]))
+    b, mse = _arx_residuals(ylags, ulags, den)
 
     # one model per fit: Gamma scaled to unity gain, left as is at gain 0
     phi, gamma, psi = _companion_realization(b, den)
     gain = steady_state_gain(phi, gamma, psi)
     dyn = AdaptationDynamics(phi, gamma / gain if gain != 0.0 else gamma, psi)
 
-    # diagnostic only: compare with the unconstrained ARX fit
+    # diagnostic only: compare with the unconstrained ARX fit; the floor
+    # 1e-6 * max(1, var y) is at least 1e-6, so var y is needed only past that
     mse_free = _free_arx_mse(gram, len(u) - _RESIDUAL_START)
-    floor = 1e-6 * max(1.0, float(np.var(y)))
-    if mse > 4.0 * mse_free + floor:
+    bound = 4.0 * mse_free
+    if mse > bound + 1e-6 and mse > bound + 1e-6 * max(1.0, float(np.var(y))):
         warnings.warn(
             "pole constraint is strongly active (constrained mse "
             f"{mse:.4g} vs unconstrained {mse_free:.4g})", ConstrainedFitWarning)
@@ -252,8 +273,12 @@ def identify_from_records(thetas, performances, order=2):
     iterations), the map is fit, then the LTI is fit on (u, J) where
     u = map(theta), and the residual whiteness is analyzed.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    performances = np.asarray(performances, dtype=float)
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    performances = np.asarray(performances, dtype=float).ravel()
+    if thetas.shape != performances.shape:
+        raise ValueError("input and output series must have equal length")
+    if order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
     bad = ~(np.isfinite(thetas) & np.isfinite(performances))
     if bad.any():
         raise ValueError(f"non-finite sample at index {int(np.argmax(bad))}")

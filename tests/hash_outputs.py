@@ -2,17 +2,27 @@
 output byte of a checkout.
 
     python tests/hash_outputs.py [CHECKOUT]
+    python tests/hash_outputs.py PARENT CHANGE
 
 CHECKOUT (default: the checkout holding this script) is the tree whose
 src/ and demos/ are run. Run it on two checkouts, for example a change and
-its parent, and compare the lines. Everything is written to a temporary
-directory that is removed at the end. pytest does not collect this file.
+its parent, and compare the lines. Given two checkouts, it runs this script
+on each in its own subprocess, prints only the groups whose digests differ
+(group, PARENT's digest, CHANGE's digest; "-" for a group one side lacks)
+and exits 1 if any differ, 0 if none does. Everything is written to a
+temporary directory that is removed at the end. pytest does not collect
+this file.
 
 Groups:
 - identify-report, identify-ini, identify-residuals: a sweep of A and of B
   at seeds 0-59, identified at orders 2 and 3;
 - identify-noise0: the same three outputs of a sweep of A and of B with
   noise_std 0, identified at orders 2 and 3;
+- identify-edges: reports, INIs, residuals and warnings (or the error) of
+  records at the fitter's edges, identified at orders 2 and 3: sweeps of A
+  of 20 and 30 samples (order 3 rejects the first), B held at 5 levels for
+  8 samples each, a constant record (no excitation) and a record whose
+  dynamics have complex poles (the pole constraint warns);
 - batch-<algorithm>-<subject>: run_batch's trace CSVs, summary CSV and both
   SVGs over seeds 0-9, for grey-box A, black-box B, sweep A and fixed B;
 - compare-report, compare-cli: compare_traces on those batches' traces, in
@@ -79,12 +89,17 @@ def files(directory):
 def identified(trace, order, stem):
     """(report, INI, residuals) bytes of the trace's fit at order, the files
     written next to stem."""
-    from synergy_es.sysid import (identify_from_records, write_fitted_subject,
-                                  write_identification_report)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pref, dyn, mse, resid, report = identify_from_records(
-            trace.column("theta_applied"), trace.column("J"), order)
+        return fit_files(trace.column("theta_applied"), trace.column("J"), order, stem)
+
+
+def fit_files(thetas, perfs, order, stem):
+    """(report, INI, residuals) bytes of the record's fit at order, the files
+    written next to stem."""
+    from synergy_es.sysid import (identify_from_records, write_fitted_subject,
+                                  write_identification_report)
+    pref, dyn, mse, resid, report = identify_from_records(thetas, perfs, order)
     rpath, spath = stem.with_suffix(".txt"), stem.with_suffix(".ini")
     write_identification_report(rpath, pref, dyn, mse, report)
     write_fitted_subject(spath, pref, dyn, report)
@@ -109,6 +124,39 @@ def identify_groups(tmp):
             for kind, data in zip(kinds, identified(trace, order, tmp / name)):
                 groups["identify-noise0"].append((f"{name} {kind}", data))
     return groups
+
+
+def identify_edges_groups(tmp):
+    import numpy as np
+    from synergy_es.subject import (LAMBDA_A, AdaptationDynamics, PreferenceMap,
+                                    subject_a, subject_b)
+
+    def stepped(subject, thetas):
+        return thetas, np.array([subject.step(theta) for theta in thetas])
+
+    levels = np.repeat([0.8, 1.6, 2.4, 1.2, 2.0], 8)
+    # poles 0.6 +- 0.6j, outside the constraint
+    complex_poles = AdaptationDynamics([[1.2, -0.72], [1.0, 0.0]], [1.0, 0.0], [1.0, 0.5])
+    held = np.repeat([0.8, 2.4, 1.2, 2.0, 1.6, 1.0, 2.2], 10)
+    records = {"sweep20": stepped(subject_a(1), np.linspace(0.8, 2.4, 20)),
+               "sweep30": stepped(subject_a(1), np.linspace(0.8, 2.4, 30)),
+               "levels": stepped(subject_b(4), levels),
+               "constant": (levels, np.zeros(levels.size)),
+               "constrained": (held, np.array(complex_poles.response(
+                   PreferenceMap(LAMBDA_A).value(held).tolist())))}
+    items = []
+    for name, (thetas, perfs) in records.items():
+        for order in (2, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    outputs = fit_files(thetas, perfs, order, tmp / f"edge_{name}_o{order}")
+                except ValueError as exc:
+                    outputs = (repr(exc).encode(),)
+            warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+            items += [(f"{name} o{order} {k}", data)
+                      for k, data in enumerate((*outputs, warned.encode()))]
+    return {"identify-edges": items}
 
 
 def batch_groups(tmp):
@@ -338,13 +386,31 @@ def demo_groups(tmp, root):
     return groups
 
 
+def compare(parent, change):
+    """Print the groups whose digests differ between the two checkouts, each
+    hashed by this script in its own subprocess; 1 if any differ, else 0."""
+    digests = []
+    for root in (parent, change):
+        done = subprocess.run([sys.executable, __file__, root], check=True,
+                              capture_output=True, text=True, timeout=1800)
+        digests.append(dict(line.split() for line in done.stdout.splitlines()))
+    differ = [group for group in {**digests[0], **digests[1]}
+              if digests[0].get(group) != digests[1].get(group)]
+    for group in differ:
+        print(f"{group:<32} {digests[0].get(group, '-')} {digests[1].get(group, '-')}")
+    return 1 if differ else 0
+
+
 def main(argv):
+    if len(argv) == 2:
+        sys.exit(compare(*argv))
     root = Path(argv[0] if argv else Path(__file__).parent.parent).resolve()
     src = root / "src"
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        groups = {**identify_groups(tmp), **batch_groups(tmp),
+        groups = {**identify_groups(tmp), **identify_edges_groups(tmp),
+                  **batch_groups(tmp),
                   **file_subject_groups(tmp), **trace_groups(tmp),
                   **step_groups(), **subject_steps_groups(tmp), **reach_groups(),
                   **golden_groups(tmp, src), **mixed_paths_groups(tmp),

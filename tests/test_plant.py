@@ -105,6 +105,7 @@ class TestGeometryAndProfile:
         (ShoulderProfile, "sample_rate_hz", 0.0),
         (ShoulderProfile, "sample_rate_hz", -90.0),
         (ShoulderProfile, "sample_rate_hz", INF),
+        (ShoulderProfile, "sample_rate_hz", 5e-324),  # 1 / rate is inf
         (ShoulderProfile, "peak_flexion_rad", NAN),
         (ShoulderProfile, "start_flexion_rad", -INF),
         (ReachTask, "time_limit_s", -1.0),
@@ -211,6 +212,15 @@ class TestSimulateReach:
         switches = int(np.sum(np.diff(d) != 0))
         assert switches <= 1
         assert js.argmax() not in (0, len(js) - 1)
+
+    @pytest.mark.parametrize("limit, rate", [(3.0, 1e308), (3.0, 1e300),
+                                             (1.7e308, 90.0)])
+    def test_sample_count_past_maxsize_rejected_by_name(self, limit, rate):
+        """The count is checked before np.arange would try to allocate it."""
+        geom, prof = default_geometry(), ShoulderProfile(sample_rate_hz=rate)
+        task = replace(default_task(geom, prof), time_limit_s=limit)
+        with pytest.raises(ValueError, match="time_limit_s = .* sample_rate_hz = "):
+            simulate_reach(geom, task, 1.0, prof)
 
     def test_nonfinite_theta_rejected(self):
         geom, prof = default_geometry(), default_profile()

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from test_subject import normalized
@@ -19,12 +19,31 @@ from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, subject_a)
 from synergy_es.sysid import (_RESIDUAL_START, ConstrainedFitWarning, _arx_residuals,
-                              _free_arx_mse, _gram, _lag_columns,
-                              _lag_residual_basis, _pole_grid_indices,
+                              _free_arx_mse, _gram, _lag_index, _lag_matrix,
+                              _lag_residual_basis, _pole_grid, _pole_grid_indices,
                               _poles_to_denominator, _scores, fit_adaptation_lti,
                               fit_preference_map, identify_from_records,
                               whiteness_test, write_fitted_subject,
                               write_identification_report)
+
+
+def _lagged(series, lag):
+    """Series delayed by `lag` samples with zero padding before the start."""
+    out = np.zeros_like(series, dtype=float)
+    if lag < len(series):
+        out[lag:] = series[:len(series) - lag]
+    return out
+
+
+def _lag_columns(series, lags):
+    """Columns of `series` delayed by each lag, rows from _RESIDUAL_START:
+    the lag matrix built column by column."""
+    return np.column_stack([_lagged(series, k)[_RESIDUAL_START:] for k in lags])
+
+
+def lag_matrices(u, y, order):
+    """(y lags, u lags) of a fit at order, as fit_adaptation_lti builds them."""
+    return _lag_matrix(y, order), _lag_matrix(u, order)
 
 
 def samples_from(lam, thetas, noise=None):
@@ -169,6 +188,8 @@ def reference_search(u, y, order):
 
     Returns (mse, poles, den) of the selected candidate.
     """
+    ylags, ulags = _lag_columns(y, range(order + 1)), _lag_columns(u, range(order + 1))
+
     def search(order_n, extra=()):
         best = None
         lo, hi = 1e-4, 1.0 - 1e-4
@@ -178,7 +199,7 @@ def reference_search(u, y, order):
                      if all(c[j] <= c[j + 1] for j in range(order_n - 1))]
             for poles in cands + list(extra):
                 den = np.poly(poles)
-                _, mse = _arx_residuals(u, y, den)
+                _, mse = _arx_residuals(ylags, ulags, den)
                 if best is None or mse < best[0]:
                     best = (mse, poles, den)
             span = (hi - lo) / 12
@@ -225,9 +246,10 @@ class TestClosedFormScoring:
         dens = _poles_to_denominator(poles.T).T
         for den, p in zip(dens, poles):
             assert_allclose(den, np.poly(p), rtol=0, atol=1e-15)
-        basis = _lag_residual_basis(u, y, order)
+        ylags, ulags = lag_matrices(u, y, order)
+        basis = _lag_residual_basis(ylags, ulags, order)
         closed = _scores(_gram(basis), dens.T) / len(basis)
-        per_candidate = [_arx_residuals(u, y, den)[1] for den in dens]
+        per_candidate = [_arx_residuals(ylags, ulags, den)[1] for den in dens]
         assert_allclose(closed, per_candidate, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("order", [2, 3])
@@ -237,6 +259,34 @@ class TestClosedFormScoring:
         assert not grid.flags.writeable
         assert grid.tolist() == [list(c) for c in
                                  combinations_with_replacement(range(13), order)]
+
+    @given(length=st.integers(1, 40), max_lag=st.integers(0, 3), seed=st.integers(0, 99))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @example(length=1, max_lag=3, seed=0).via("length below the lag")
+    @example(length=3, max_lag=3, seed=0).via("length equal to the lag")
+    def test_lag_matrix_equals_column_reference(self, length, max_lag, seed):
+        series = np.random.default_rng(seed).standard_normal(length)
+        got = _lag_matrix(series, max_lag)
+        want = _lag_columns(series, range(max_lag + 1))
+        assert got.shape == want.shape == (length - _RESIDUAL_START, max_lag + 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_lag_index_cached_read_only(self):
+        index = _lag_index(50, 3)
+        assert index is _lag_index(50, 3)
+        assert not index.flags.writeable
+        assert _lag_index.cache_info().maxsize is not None
+
+    @given(lo=st.floats(1e-4, 1.0 - 1e-4), hi=st.floats(1e-4, 1.0 - 1e-4),
+           same=st.booleans())
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @example(lo=1e-4, hi=1.0 - 1e-4, same=False).via("the first grid")
+    @example(lo=0.5, hi=0.5, same=True).via("lo == hi")
+    def test_pole_grid_equals_linspace(self, lo, hi, same):
+        hi = lo if same else hi
+        levels, step = _pole_grid(lo, hi)
+        assert np.array(levels).tobytes() == np.linspace(lo, hi, 13).tobytes()
+        assert step == (hi - lo) / 12
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("order", [2, 3])
@@ -310,24 +360,34 @@ class TestFreeArxDiagnostic:
         # poles 0.6 +- 0.6j lie outside the constraint, so that fit warns
         gen = AdaptationDynamics(np.array([[1.2, -0.72], [1.0, 0.0]]),
                                  np.array([1.0, 0.0]), np.array([1.0, 0.5]))
-        u = np.random.default_rng(4).standard_normal(80)
-        records = [*criterion7_data(), (u, simulate(gen, u)), *sweep_records(range(10)),
-                   *sweep_records((0,), noise_std=0.0)]
-        warned_fits = 0
+        wu = np.random.default_rng(4).standard_normal(80)
+        wy = simulate(gen, wu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            excess = fit_adaptation_lti(wu, wy, order)[1] - 4.0 * unconstrained_arx(wu, wy, order)
+        # that record scaled so that its mse exceeds 4 * its free mse by 0.5e-6
+        # and by 3e-6, with var y < 1: either side of the floor 1e-6
+        edges = [(wu, wy * np.sqrt(target / excess)) for target in (0.5e-6, 3e-6)]
+        assert all(np.var(y) < 1.0 for _, y in edges)
+        records = [*criterion7_data(), (wu, wy), *sweep_records(range(10)),
+                   *sweep_records((0,), noise_std=0.0), *edges]
+        warned_fits = []
         for u, y in records:
             expected = unconstrained_arx(u, y, order)
             floor = 1e-6 * max(1.0, float(np.var(y)))
             # an exact fit's MSE is rounding: 2.6e-32 by lstsq, about 1e-18
             # from the Gram matrix; the warning sees it only next to floor
-            got = _free_arx_mse(_gram(_lag_residual_basis(u, y, order)), len(y) - 1)
+            basis = _lag_residual_basis(*lag_matrices(u, y, order), order)
+            got = _free_arx_mse(_gram(basis), len(y) - 1)
             assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * floor)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 _, mse = fit_adaptation_lti(u, y, order)
             warned = any(w.category is ConstrainedFitWarning for w in caught)
             assert warned == (mse > 4.0 * expected + floor)
-            warned_fits += warned
-        assert 0 < warned_fits < len(records)
+            warned_fits.append(warned)
+        assert 0 < sum(warned_fits) < len(records)
+        assert warned_fits[-2:] == [False, True]
 
 
 # the selected Phi of A and B sweeps at seeds 0-4, orders 2 and 3, as bits
@@ -425,6 +485,35 @@ class TestWhiteness:
         assert abs(rep.residual_std - 3.0) < 0.5
         # the sample std, with n - 1 in the denominator
         assert_allclose(rep.residual_std, statistics.stdev(e.tolist()), rtol=1e-12)
+
+
+class TestIdentifyChecksRecord:
+    """identify_from_records checks the record before any fit."""
+
+    @staticmethod
+    def sweep():
+        trace = run_episode(ExperimentConfig(subject="A", algorithm="sweep"), 0)
+        return trace.column("theta_applied"), trace.column("J")
+
+    def test_unequal_lengths_rejected(self):
+        thetas, perfs = self.sweep()
+        with pytest.raises(ValueError, match="must have equal length"):
+            identify_from_records(thetas, perfs[:-1])
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_2d_records_fit_as_flat(self):
+        thetas, perfs = self.sweep()
+        flat = identify_from_records(thetas, perfs, 3)
+        grid = identify_from_records(thetas.reshape(-1, 3), perfs.reshape(-1, 3), 3)
+        for a, b in zip(flat, grid):
+            assert repr(a) == repr(b)
+        assert flat[3].tobytes() == grid[3].tobytes()
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_bad_order_rejected_before_map_fit(self, order):
+        # one synergy level: the map fit would raise its own error first
+        with pytest.raises(ValueError, match="order must be 2 or 3"):
+            identify_from_records(np.full(50, 1.5), np.arange(50.0), order)
 
 
 def test_identify_pipeline_and_outputs(tmp_path):
