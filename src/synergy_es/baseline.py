@@ -9,14 +9,14 @@ the grey-box k) and the washout cutoff at omega_o / 5. Like the
 personalizer, the loop is run(plant, n), one flat body on Python floats
 held in locals, with sin(w i) from a per-config table; an episode is one
 run. J is tested as the personalizer's is, by an inline isfinite that
-calls personalizer.measured only to raise. Construction, applied_theta(),
+raises personalizer.SENSOR_FAULT. Construction, applied_theta(),
 step(J) (a one-iteration run), the table's growth and the trace, held as
 columns, are personalizer.EsLoop's.
 """
 
 import math
 
-from .personalizer import DEFAULT_CONFIG, EsLoop, clamp, measured
+from .personalizer import DEFAULT_CONFIG, SENSOR_FAULT, EsLoop, clamp
 
 GAIN = 0.005  # integrator gain of the comparison scheme
 HIGHPASS_CUTOFF_RATIO = 0.2  # washout cutoff = omega_o / 5
@@ -62,7 +62,7 @@ class BlackBoxEs(EsLoop):
             for i in range(start, start + iterations):
                 j = float(plant(theta))
                 if not isfinite(j):
-                    measured(j)  # raises: a sensor fault
+                    raise ValueError(SENSOR_FAULT)
                 if prev_j is None:
                     hp_y = 0.0  # start at the washout steady state
                 else:

@@ -5,7 +5,6 @@ Config files use configparser sections ([subject], [personalizer],
 matrices use ';' between rows ("0 1; 0.068 0.35").
 """
 
-import configparser
 import io
 import math
 import operator
@@ -147,6 +146,7 @@ def read_config(path):
     no interpolation ('%' is an ordinary character). A file that is not
     UTF-8 raises open_text's ValueError, and one the parser rejects a
     ValueError '<path>: line <n>: <reason>'."""
+    import configparser  # here, not at import: building a model reads no file
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -168,6 +168,7 @@ def read_config(path):
 
 def write_config(path, sections):
     """Write {section: {key: value}} to an INI file; sequences as vectors."""
+    import configparser
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     for name, kv in sections.items():

@@ -28,8 +28,8 @@ Implementation notes, fixed by numerical analysis of the printed design:
   switched update run inline, on the constants and state held in
   locals, since a Python call or attribute round trip costs about as
   much as a stage's arithmetic. An episode is one run. J is
-  float(plant(theta)), tested by an inline isfinite; measured() is called
-  only to raise, so the fault's one message lives there. The dither and
+  float(plant(theta)), tested by an inline isfinite; a non-finite J
+  raises a ValueError with the one message SENSOR_FAULT. The dither and
   the four phased references depend only on the config and the
   iteration index, so they come from a per-config table
   (PersonalizerConfig.tables) whose row i is built with the expressions
@@ -86,6 +86,8 @@ DEFAULT_L = np.array([1.5, 0.25, 0.25, 2.0, -2.0])
 
 NEWTON = "newton"
 GRADIENT = "gradient"
+# both loops' error for a non-finite J
+SENSOR_FAULT = "non-finite performance measurement (sensor fault)"
 
 
 def clamp(x, lo, hi):
@@ -318,15 +320,6 @@ class StepRecord(NamedTuple):
     branch: str
 
 
-def measured(performance):
-    """performance as a float; a non-finite one is a sensor fault. The
-    loops test isfinite inline and call this only to raise."""
-    j = float(performance)
-    if not math.isfinite(j):
-        raise ValueError("non-finite performance measurement (sensor fault)")
-    return j
-
-
 class EsLoop:
     """What both ES loops do once per loop or once per run; the loops add
     dither(i), _row(i) and run(plant, n), the flat per-iteration body."""
@@ -425,7 +418,7 @@ class Personalizer(EsLoop):
             for i in range(start, start + iterations):
                 j = float(plant(theta))
                 if not isfinite(j):
-                    measured(j)  # raises: a sensor fault
+                    raise ValueError(SENSOR_FAULT)
                 dither, sin1, cos1, sin2, cos2 = rows[i + 1]
                 if fresh:
                     x0, x1, fresh = dc0 * j, dc1 * j, False

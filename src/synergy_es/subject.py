@@ -20,7 +20,6 @@ noise: AdaptationDynamics.response, sysid's free run.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import frexp, fsum, inf, isfinite
 from operator import attrgetter
@@ -194,6 +193,7 @@ def _fma(a, x, s):
         return a * x + s
     if not isfinite(s):  # a*x is finite, so the sum is s; a float a*x may overflow
         return s
+    from fractions import Fraction  # here, not at import: only 'f' terms need it
     exact = Fraction(a) * Fraction(x) + Fraction(s)
     try:
         return float(exact)  # the sign of a 0 is lost to the kernels' + 0.0
@@ -262,6 +262,8 @@ class AdaptationDynamics:
 
     def __post_init__(self):
         n = len(np.atleast_1d(self.phi))
+        if not n:  # an order-0 model has no chain to compile
+            raise ValueError("phi is empty; the order must be at least 1")
         check_fields(self, lengths={"phi": (n, n), "gamma": (n,), "psi": (n,)})
         phi, gamma, psi = self.phi.tolist(), self.gamma.tolist(), self.psi.tolist()
         # (a, j) per term of each chain: one per row of Phi, then Psi's

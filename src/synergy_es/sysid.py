@@ -46,17 +46,40 @@ class WhitenessReport:
     residual_std: float
 
 
+def _record(inputs, outputs, order=None):
+    """inputs and outputs as flat float arrays, checked as a record: equal
+    lengths, order 2 or 3 if given, all finite (first bad index named)."""
+    u = np.asarray(inputs, dtype=float).ravel()
+    y = np.asarray(outputs, dtype=float).ravel()
+    if u.shape != y.shape:
+        raise ValueError("input and output series must have equal length")
+    if order is not None and order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
+    bad = ~(np.isfinite(u) & np.isfinite(y))
+    if bad.any():
+        raise ValueError(f"non-finite sample at index {int(np.argmax(bad))}")
+    return u, y
+
+
 def fit_preference_map(thetas, mean_performances):
     """Ordinary least squares on the basis [theta^2, theta, 1].
 
-    Takes the steady-state performance at each synergy value. Warns (but
-    still returns the fit) when the fitted map is not concave.
+    Takes the steady-state performance at each synergy value (checked by
+    _record). Warns (but still returns the fit) if the map is not concave.
+    A synergy whose square overflows (|theta| above about 1.34e154) is
+    named, by its index in thetas and its value, before the solve.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    y = np.asarray(mean_performances, dtype=float)
+    thetas, y = _record(thetas, mean_performances)
     if np.unique(thetas).size < 3:
         raise ValueError("need at least 3 distinct synergy values for a quadratic fit")
-    design = np.column_stack([thetas ** 2, thetas, np.ones_like(thetas)])
+    with np.errstate(over="ignore"):
+        squares = thetas ** 2
+    bad = ~np.isfinite(squares)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"synergy value {float(thetas[i])!r} at index {i} "
+                         "has no finite square")
+    design = np.column_stack([squares, thetas, np.ones_like(thetas)])
     lam, *_ = np.linalg.lstsq(design, y, rcond=None)
     if lam[0] >= 0:
         warnings.warn("fitted map is not concave (lam[0] >= 0)", ConstrainedFitWarning)
@@ -180,14 +203,9 @@ def fit_adaptation_lti(u_series, j_series, order=2):
     delay, whose predictor residuals equal the order-2 ones), so the
     order-3 MSE never exceeds the order-2 MSE on the same data. A record
     with constant input and output warns (the fit is still returned): it
-    shows no transient to identify poles from.
+    shows no transient to identify poles from. _record checks the record.
     """
-    u = np.asarray(u_series, dtype=float).ravel()
-    y = np.asarray(j_series, dtype=float).ravel()
-    if u.shape != y.shape:
-        raise ValueError("input and output series must have equal length")
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
+    u, y = _record(u_series, j_series, order)
     if len(u) < 10 * order:
         raise ValueError(f"need at least {10 * order} samples for an order-{order} fit")
     if np.ptp(u) == 0 and np.ptp(y) == 0:
@@ -273,15 +291,7 @@ def identify_from_records(thetas, performances, order=2):
     iterations), the map is fit, then the LTI is fit on (u, J) where
     u = map(theta), and the residual whiteness is analyzed.
     """
-    thetas = np.asarray(thetas, dtype=float).ravel()
-    performances = np.asarray(performances, dtype=float).ravel()
-    if thetas.shape != performances.shape:
-        raise ValueError("input and output series must have equal length")
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
-    bad = ~(np.isfinite(thetas) & np.isfinite(performances))
-    if bad.any():
-        raise ValueError(f"non-finite sample at index {int(np.argmax(bad))}")
+    thetas, performances = _record(thetas, performances, order)
     levels, which, counts = np.unique(thetas, return_inverse=True, return_counts=True)
     pref = fit_preference_map(levels, np.bincount(which, performances) / counts)
     u = pref.value(thetas)

@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synergy_es
 from synergy_es.baseline import BlackBoxEs
 from synergy_es.cli import main
 from synergy_es.harness import TRACE_COLUMNS, EpisodeTrace, read_trace_csv
@@ -599,6 +602,29 @@ def test_identify_rejects_nonfinite_sample(tmp_path, capfd):
         assert "non-finite sample at index 7" in err
         assert "DLASCL" not in out + err
         assert not (tmp_path / "out").exists()
+
+
+def test_identify_rejects_synergy_with_no_finite_square_at_once(tmp_path):
+    """A last synergy of 1e160 squares to inf; identify exits 2 naming it
+    instead of waiting on a least-squares solve of an inf design."""
+    assert main(["sweep", "--subject", "A", "--seed", "0", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep_A_s0.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    cells = lines[-1].split(",")
+    cells[TRACE_COLUMNS.index("theta_applied")] = "1e160"
+    lines[-1] = ",".join(cells)
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(synergy_es.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "synergy_es.cli", "identify", str(path),
+                           "--out", str(tmp_path / "out")], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == ("error: synergy value 1e+160 at index 200 has no "
+                           "finite square\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_error_exit_code(tmp_path, capsys):

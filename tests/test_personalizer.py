@@ -330,7 +330,8 @@ class TestPersonalizerLoop:
             th = p.step(subj.step(th))
         before = (p.iteration, len(p.columns.iteration), p.theta_hat,
                   p.applied_theta())
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^non-finite performance "
+                                             r"measurement \(sensor fault\)$"):
             p.step(float(bad))
         assert (p.iteration, len(p.columns.iteration), p.theta_hat,
                 p.applied_theta()) == before
@@ -945,17 +946,21 @@ def test_runtime_does_not_import_scipy():
 
 def test_setup_loads_no_harness_sysid_plant_plot_or_baseline():
     """The package loads its exports on first use, so importing it and
-    building both subjects and a Personalizer loads none of these."""
+    building both subjects and a Personalizer loads none of these, nor
+    fractions (the exact fma's) or configparser (the INI reader's)."""
     code = ("import sys, synergy_es\n"
             "synergy_es.subject_a(), synergy_es.subject_b(), synergy_es.Personalizer()\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('synergy_es.')))\n")
+            "print(*sorted(m for m in sys.modules if m.startswith('synergy_es.')))\n"
+            "print('fractions' in sys.modules, 'configparser' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(synergy_es.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
-    loaded = {m.split(".")[1] for m in out.stdout.split()}
+    modules, stdlib = out.stdout.splitlines()
+    loaded = {m.split(".")[1] for m in modules.split()}
     assert "personalizer" in loaded and "subject" in loaded
     assert not loaded & {"harness", "sysid", "plant", "svgplot", "baseline"}
+    assert stdlib == "False False"
 
 
 def test_every_export_is_its_submodules_object():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import synergy_es
-
+from synergy_es import plant
 from synergy_es.plant import (_ELBOW_START_RAD, STOP_SPEED_CM_S, T_MAX_S,
                               ArmGeometry, ReachOutcome, ReachTask,
                               ShoulderProfile, _arm_sweep, _hand_position,
@@ -321,6 +321,29 @@ class TestSimulateReach:
                           stop_sq * scale])
         assert np.array_equal(steps >= stop_sq,
                               np.sqrt(steps) / dt >= STOP_SPEED_CM_S)
+
+    def test_step_equal_to_the_threshold_is_moving(self, monkeypatch):
+        """A squared step exactly at the threshold counts as moving: with the
+        threshold set to the squared step at a reach's stop sample, the
+        reach stops at the next sample below it, not there."""
+        geom, prof = default_geometry(), default_profile()
+        task = default_task(geom, prof)
+        out = simulate_reach(geom, task, 1.7, prof)
+        times, hand = out.hand_path[:, 0], out.hand_path[:, 1:]
+        stop = int(np.flatnonzero(times == out.completion_time_s)[0])
+        dx, dy = (hand[1:] - hand[:-1]).T
+        steps = dx * dx + dy * dy
+        *sweep, _ = _arm_sweep(geom, task.time_limit_s, prof)
+        monkeypatch.setattr(plant, "_arm_sweep", lambda *_: (*sweep, steps[stop]))
+
+        def first_rest(moving):  # the first still step after a moving one
+            onset = int(np.argmax(moving))
+            return onset + int(np.argmin(moving[onset:]))
+
+        at_or_above = first_rest(steps >= steps[stop])
+        assert stop < at_or_above != first_rest(steps > steps[stop]) == stop
+        out = simulate_reach(geom, task, 1.7, prof)
+        assert out.completion_time_s == times[at_or_above]
 
     @pytest.mark.parametrize("field, equal_values", [
         ("sample_rate_hz", (90.0, np.float32(90.0))),  # a float32 dt before

@@ -1,6 +1,7 @@
 """Tests for the grey-box subject model."""
 
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import fsum, inf
@@ -1060,6 +1061,17 @@ class TestSimulatedSubject:
         dyn = AdaptationDynamics(np.array([[1.05]]), [1.0], [1.0])
         with pytest.raises(ValueError):
             SimulatedSubject(MAP_A, dyn)
+
+
+def test_empty_phi_rejected_by_name(tmp_path):
+    """An order-0 model is rejected before its kernel is compiled, built
+    directly or read from a [subject] file with an empty phi."""
+    with pytest.raises(ValueError, match="^phi is empty; the order must be at least 1$"):
+        AdaptationDynamics(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+    path = tmp_path / "empty.ini"
+    path.write_text("[subject]\nlambda = -1 3 -2\nphi =\ngamma =\npsi =\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: [subject]: phi is empty")):
+        load_subject(path)
 
 
 def test_subject_config_round_trip(tmp_path):

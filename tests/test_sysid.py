@@ -1,6 +1,7 @@
 """Tests for the identification toolkit."""
 
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -488,7 +489,7 @@ class TestWhiteness:
 
 
 class TestIdentifyChecksRecord:
-    """identify_from_records checks the record before any fit."""
+    """Each identification entry point checks its record before any fit."""
 
     @staticmethod
     def sweep():
@@ -514,6 +515,37 @@ class TestIdentifyChecksRecord:
         # one synergy level: the map fit would raise its own error first
         with pytest.raises(ValueError, match="order must be 2 or 3"):
             identify_from_records(np.full(50, 1.5), np.arange(50.0), order)
+
+    def test_every_entry_point_names_a_bad_record(self, capfd):
+        """The map fit, the LTI fit and the full pass check a record alike:
+        unequal lengths and the first non-finite sample are named, before
+        LAPACK sees the record."""
+        thetas, perfs = self.sweep()
+        for fit in (fit_preference_map, fit_adaptation_lti, identify_from_records):
+            with pytest.raises(ValueError, match="^input and output series must "
+                                                 "have equal length$"):
+                fit(thetas, perfs[:-1])
+            for k, bad, side in product([7, 200], [np.nan, np.inf, -np.inf], [0, 1]):
+                record = [thetas.copy(), perfs.copy()]
+                record[side][k] = bad
+                with pytest.raises(ValueError, match=f"^non-finite sample at index {k}$"):
+                    fit(*record)
+        assert "DLASCL" not in "".join(capfd.readouterr())
+
+    @pytest.mark.parametrize("big", [1e160, -1.35e154, 1.7976931348623157e308])
+    def test_synergy_with_no_finite_square_rejected(self, big):
+        """A synergy whose square overflows makes a design LAPACK may never
+        return from; the map fit names it first, by its index among the
+        synergies it is given (in the full pass, the distinct levels in
+        ascending order)."""
+        thetas, perfs = self.sweep()
+        thetas[-1] = big
+        message = f"synergy value {big!r} at index {{}} has no finite square"
+        with pytest.raises(ValueError, match=re.escape(message.format(200))):
+            fit_preference_map(thetas, perfs)
+        with pytest.raises(ValueError, match=re.escape(
+                message.format(200 if big > 0 else 0))):
+            identify_from_records(thetas, perfs)
 
 
 def test_identify_pipeline_and_outputs(tmp_path):
