@@ -13,6 +13,12 @@ A fit builds input and output lagged 0..order once, as two zero-padded
 lag matrices; every search and the ARX fit slice them. Each grid level is
 `k * step + lo` on Python floats with `hi` last, the bits of
 `np.linspace(lo, hi, 13)` for every lo, hi in the fitter's range.
+
+A pole search is a function of its Gram matrix alone, cached on the
+matrix's bytes: the order-3 fit's inner order-2 search slices the same lag
+values as the order-2 fit of that record, so it reuses that search. The
+first refinement's grid spans the whole pole range; its candidates and
+denominators are built once per order.
 """
 
 import warnings
@@ -28,6 +34,7 @@ from .subject import (AdaptationDynamics, MotorNoise, PreferenceMap,
                       SimulatedSubject, save_subject, steady_state_gain)
 
 _RESIDUAL_START = 1  # predictions start at sample 1 with zero-padded history
+_P_MIN, _P_MAX = 1e-4, 1.0 - 1e-4  # the searched pole range, inside (0, 1)
 _MAX_LAG = 10  # whiteness test: autocorrelation lags 1.._MAX_LAG at most
 _Z_95 = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile, 1.96
 
@@ -48,12 +55,14 @@ class WhitenessReport:
 
 def _record(inputs, outputs, order=None):
     """inputs and outputs as flat float arrays, checked as a record: equal
-    lengths, order 2 or 3 if given, all finite (first bad index named)."""
+    lengths, an integer order 2 or 3 if given, all finite (first bad index
+    named)."""
     u = np.asarray(inputs, dtype=float).ravel()
     y = np.asarray(outputs, dtype=float).ravel()
     if u.shape != y.shape:
         raise ValueError("input and output series must have equal length")
-    if order is not None and order not in (2, 3):
+    if order is not None and (not isinstance(order, (int, np.integer))
+                              or order not in (2, 3)):
         raise ValueError("order must be 2 or 3")
     bad = ~(np.isfinite(u) & np.isfinite(y))
     if bad.any():
@@ -90,8 +99,10 @@ def _poles_to_denominator(poles):
     # one monic z-polynomial per column of roots; row k is coefficient a_k
     coeffs = np.zeros((poles.shape[0] + 1, poles.shape[1]))
     coeffs[0] = 1.0
-    for j, p in enumerate(poles, start=1):  # multiply by (z - p)
-        coeffs[1:j + 1] -= coeffs[:j] * p
+    np.subtract(0.0, poles[0], out=coeffs[1])  # z - p: a_1 = 0 - p, as 1 * p = p
+    for j in range(2, len(coeffs)):  # multiply by (z - p)
+        head = coeffs[1:j + 1]
+        head -= coeffs[:j] * poles[j - 1]
     return coeffs
 
 
@@ -133,14 +144,17 @@ def _gram(basis):
 
 
 def _scores(gram, dens):
-    """d.T @ gram @ d per column d of dens, in a fixed order, no BLAS."""
-    g, total = gram.tolist(), 0.0
-    for i, di in enumerate(dens):
-        row = g[i][i] * di
-        for j in range(i + 1, len(dens)):
-            row += (2.0 * g[i][j]) * dens[j]
-        total += di * row
-    return total
+    """d.T @ gram @ d per column d of dens, in a fixed order, no BLAS: row i
+    is gram[i, i] d_i plus 2 gram[i, j] d_j for j = i + 1, i + 2, ... in
+    turn, added one superdiagonal at a time; the rows times d then add up
+    row by row from +0.0."""
+    m = len(dens)
+    twice = 2.0 * gram
+    rows = gram.diagonal()[:, None] * dens
+    for k in range(1, m):
+        head = rows[:m - k]
+        head += twice.diagonal(k)[:, None] * dens[k:]
+    return np.add.reduce(dens * rows, axis=0, initial=0.0)
 
 
 def _free_arx_mse(gram, rows):
@@ -195,15 +209,72 @@ def _pole_grid_indices(npts, order):
     return tuples
 
 
+@lru_cache(maxsize=None)
+def _full_range_candidates(order):
+    """Read-only poles (one candidate per column) and denominators of the
+    first refinement's grid, over the whole pole range, and its step."""
+    levels, step = _pole_grid(_P_MIN, _P_MAX)
+    poles = np.array(levels)[_pole_grid_indices(13, order).T]
+    dens = _poles_to_denominator(poles)
+    poles.flags.writeable = dens.flags.writeable = False
+    return poles, dens, step
+
+
+@lru_cache(maxsize=8)
+def _pole_search(gram_bytes, order, extra):
+    """(poles, den) with the least score d.T @ G @ d over 4 refinements of
+    the pole grid, G the order's Gram matrix as bytes; den is read-only.
+
+    extra, a tuple of order floats or (), is one more candidate, ranked
+    after the first grid. Its score never changes and the best score only
+    falls, so no later refinement could select it: only the first scores
+    it. extra has no default, so every call makes the same cache key.
+    """
+    gram = np.frombuffer(gram_bytes).reshape(order + 1, order + 1)
+    poles, dens, step = _full_range_candidates(order)
+    if extra:
+        column = np.array(extra)[:, None]
+        poles = np.concatenate((poles, column), axis=1)
+        dens = np.concatenate((dens, _poles_to_denominator(column)), axis=1)
+    tuples = _pole_grid_indices(13, order).T
+    best = None
+    for refinement in range(4):
+        if refinement:  # around the best poles so far
+            lo = max(_P_MIN, min(best[1]) - step)
+            hi = min(_P_MAX, max(best[1]) + step)
+            levels, step = _pole_grid(lo, hi)
+            poles = np.array(levels)[tuples]
+            dens = _poles_to_denominator(poles)
+        scores = _scores(gram, dens)
+        k = scores.argmin()  # first minimum, as a sequential scan
+        if best is None or scores[k] < best[0]:
+            best = (scores[k], poles[:, k].tolist(), dens[:, k])
+    den = best[2].copy()
+    den.flags.writeable = False
+    return tuple(best[1]), den
+
+
+def _searched(ylags, ulags, order, extra=()):
+    """(Gram matrix, poles, den) of the order's cached pole search."""
+    gram = _gram(_lag_residual_basis(ylags, ulags, order))
+    return gram, *_pole_search(gram.tobytes(), order, extra)
+
+
 def fit_adaptation_lti(u_series, j_series, order=2):
     """Constrained fit: real poles in (0, 1), unity gain, min one-step MSE.
 
     Returns (AdaptationDynamics, mse). The order-3 search also scores the
     best order-2 pole pair with the third pole at exactly zero (a pure
     delay, whose predictor residuals equal the order-2 ones), so the
-    order-3 MSE never exceeds the order-2 MSE on the same data. A record
-    with constant input and output warns (the fit is still returned): it
-    shows no transient to identify poles from. _record checks the record.
+    order-3 MSE never exceeds the order-2 MSE on the same data. That
+    order-2 search is the one an order-2 fit of the record runs, and comes
+    from the same cache. A record with constant input and output warns
+    (the fit is still returned): it shows no transient to identify poles
+    from. _record checks the record. A finite record whose fit would
+    overflow (a huge output, or an input tiny against the output) raises a
+    ValueError naming each series' largest magnitude, before any
+    RuntimeWarning: the fit runs with overflow and invalid operations
+    raised, which changes no bit of a fit that completes without them.
     """
     u, y = _record(u_series, j_series, order)
     if len(u) < 10 * order:
@@ -213,31 +284,23 @@ def fit_adaptation_lti(u_series, j_series, order=2):
         # too every candidate fits exactly and the argmin picks rounding noise
         warnings.warn("no excitation (u and y are constant); the poles "
                       "cannot be identified")
+    try:
+        return _fit_lti(u, y, order)
+    except FloatingPointError:
+        raise ValueError(
+            "record out of the fit's floating-point range (it overflows): "
+            f"largest magnitude {float(np.max(np.abs(u)))!r} in the input, "
+            f"{float(np.max(np.abs(y)))!r} in the output") from None
 
-    p_min, p_max = 1e-4, 1.0 - 1e-4
+
+@np.errstate(over="raise", invalid="raise")
+def _fit_lti(u, y, order):
+    """fit_adaptation_lti on a checked record."""
     ylags, ulags = _lag_matrix(y, order), _lag_matrix(u, order)
-
-    def search(order_n, extra=None):
-        gram = _gram(_lag_residual_basis(ylags, ulags, order_n))
-        best = None
-        lo, hi = p_min, p_max
-        tuples = _pole_grid_indices(13, order_n).T
-        for _ in range(4):  # refinable grid
-            levels, step = _pole_grid(lo, hi)
-            grid = np.array(levels)[tuples]
-            cands = grid if extra is None else np.column_stack([grid, extra])
-            dens = _poles_to_denominator(cands)
-            scores = _scores(gram, dens)
-            k = int(np.argmin(scores))  # first minimum, as a sequential scan
-            if best is None or scores[k] < best[0]:
-                best = (scores[k], cands[:, k], dens[:, k])
-            poles = best[1].tolist()
-            lo = max(p_min, min(poles) - step)
-            hi = min(p_max, max(poles) + step)
-        return (*best, gram)
-
     # order 3 also scores the best order-2 pair behind a pole at zero
-    _, _, den, gram = search(order, None if order == 2 else (0.0, *search(2)[1]))
+    gram, poles, den = _searched(ylags, ulags, 2)
+    if order == 3:
+        gram, _, den = _searched(ylags, ulags, 3, (0.0, *poles))
     b, mse = _arx_residuals(ylags, ulags, den)
 
     # one model per fit: Gamma scaled to unity gain, left as is at gain 0
@@ -260,12 +323,16 @@ def whiteness_test(residuals):
     """Max-normalized-autocorrelation whiteness test at the 95% level.
 
     threshold = z(0.975) / sqrt(N); lags 1..min(10, N//4).
-    At N=50 this reproduces the 0.277 validation criterion.
+    At N=50 this reproduces the 0.277 validation criterion. A non-finite
+    residual is rejected, its first index named.
     """
     e = np.asarray(residuals, dtype=float).ravel()
     n = e.size
     if n < 20:
         raise ValueError("need at least 20 residual samples")
+    bad = ~np.isfinite(e)
+    if bad.any():
+        raise ValueError(f"non-finite residual at index {int(np.argmax(bad))}")
     lags = min(_MAX_LAG, n // 4)
     r0 = float(e @ e)
     if r0 == 0.0:

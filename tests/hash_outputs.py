@@ -18,6 +18,10 @@ Groups:
   at seeds 0-59, identified at orders 2 and 3;
 - identify-noise0: the same three outputs of a sweep of A and of B with
   noise_std 0, identified at orders 2 and 3;
+- identify-order: reports, INIs and residuals of sweeps of A and B at
+  seeds 60-65 fitted in the orders (3, 2), (2, 2, 3) and interleaved
+  A2, B2, A3, B3, A2 (IDENTIFY_ORDER), so a fit that reuses an earlier
+  fit's pole search is compared with one that runs it;
 - identify-edges: reports, INIs, residuals and warnings (or the error) of
   records at the fitter's edges, identified at orders 2 and 3: sweeps of A
   of 20 and 30 samples (order 3 rejects the first), B held at 5 levels for
@@ -124,6 +128,26 @@ def identify_groups(tmp):
             for kind, data in zip(kinds, identified(trace, order, tmp / name)):
                 groups["identify-noise0"].append((f"{name} {kind}", data))
     return groups
+
+
+# (subject, sweep seed, order) in call order: the orders (3, 2) and
+# (2, 2, 3) on one record each, then records of A and B interleaved
+IDENTIFY_ORDER = [("A", 60, 3), ("A", 60, 2), ("A", 62, 2), ("A", 62, 2), ("A", 62, 3),
+                  ("B", 61, 3), ("B", 61, 2), ("B", 63, 2), ("B", 63, 2), ("B", 63, 3),
+                  ("A", 64, 2), ("B", 65, 2), ("A", 64, 3), ("B", 65, 3), ("A", 64, 2)]
+
+
+def identify_order_groups(tmp):
+    from synergy_es.harness import ExperimentConfig, run_episode
+    traces, items = {}, []
+    for k, (subject, seed, order) in enumerate(IDENTIFY_ORDER):
+        if (subject, seed) not in traces:
+            traces[subject, seed] = run_episode(
+                ExperimentConfig(subject=subject, algorithm="sweep"), seed)
+        name = f"{k}_{subject}_s{seed}_o{order}"
+        items += zip((f"{name} {kind}" for kind in ("report", "ini", "residuals")),
+                     identified(traces[subject, seed], order, tmp / name))
+    return {"identify-order": items}
 
 
 def identify_edges_groups(tmp):
@@ -409,7 +433,8 @@ def main(argv):
     sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        groups = {**identify_groups(tmp), **identify_edges_groups(tmp),
+        groups = {**identify_groups(tmp), **identify_order_groups(tmp),
+                  **identify_edges_groups(tmp),
                   **batch_groups(tmp),
                   **file_subject_groups(tmp), **trace_groups(tmp),
                   **step_groups(), **subject_steps_groups(tmp), **reach_groups(),

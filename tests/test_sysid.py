@@ -16,12 +16,14 @@ from numpy.testing import assert_allclose
 from test_subject import normalized
 
 import synergy_es
+from synergy_es import sysid
 from synergy_es.harness import ExperimentConfig, run_episode
 from synergy_es.subject import (LAMBDA_A, LAMBDA_B, AdaptationDynamics,
                                 PreferenceMap, subject_a)
 from synergy_es.sysid import (_RESIDUAL_START, ConstrainedFitWarning, _arx_residuals,
-                              _free_arx_mse, _gram, _lag_index, _lag_matrix,
-                              _lag_residual_basis, _pole_grid, _pole_grid_indices,
+                              _free_arx_mse, _full_range_candidates, _gram,
+                              _lag_index, _lag_matrix, _lag_residual_basis,
+                              _pole_grid, _pole_grid_indices, _pole_search,
                               _poles_to_denominator, _scores, fit_adaptation_lti,
                               fit_preference_map, identify_from_records,
                               whiteness_test, write_fitted_subject,
@@ -40,6 +42,24 @@ def _lag_columns(series, lags):
     """Columns of `series` delayed by each lag, rows from _RESIDUAL_START:
     the lag matrix built column by column."""
     return np.column_stack([_lagged(series, k)[_RESIDUAL_START:] for k in lags])
+
+
+def reference_scores(gram, dens):
+    """d.T @ gram @ d per column d of dens: row i as gram[i, i] d_i plus
+    2 gram[i, j] d_j for each j > i in turn, then total = 0.0 plus d_i times
+    row i for each i in turn; the double loop the fit scored with before."""
+    g, total = gram.tolist(), 0.0
+    for i, di in enumerate(dens):
+        row = g[i][i] * di
+        for j in range(i + 1, len(dens)):
+            row += (2.0 * g[i][j]) * dens[j]
+        total += di * row
+    return total
+
+
+def model_bytes(dyn):
+    """Every bit of a fitted model's Phi, Gamma and Psi."""
+    return dyn.phi.tobytes() + dyn.gamma.tobytes() + dyn.psi.tobytes()
 
 
 def lag_matrices(u, y, order):
@@ -289,6 +309,44 @@ class TestClosedFormScoring:
         assert np.array(levels).tobytes() == np.linspace(lo, hi, 13).tobytes()
         assert step == (hi - lo) / 12
 
+    @given(m=st.integers(1, 4), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 1e-300, 1e150, 1e300]))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @example(m=3, n=91, seed=0, scale=0.0).via("a zero Gram matrix")
+    @example(m=4, n=455, seed=1, scale=1e300).via("entries near 1e300")
+    @example(m=3, n=1, seed=2, scale=1.0).via("a single column")
+    def test_scores_equal_the_double_loop(self, m, n, seed, scale):
+        """Bit for bit, signed zeros, infs and NaNs included."""
+        rng = np.random.default_rng(seed)
+        gram = _gram(rng.standard_normal((30, m))) * scale
+        dens = rng.standard_normal((m, n))
+        dens[:, ::3] = -0.0
+        with np.errstate(all="ignore"):
+            got, want = _scores(gram, dens), reference_scores(gram, dens)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_every_search_score_equals_the_double_loop(self, monkeypatch):
+        records = list(sweep_records((0, 1)))
+        calls = []
+
+        def recording(gram, dens):
+            got = _scores(gram, dens)
+            calls.append((gram.copy(), dens.copy(), got))
+            return got
+
+        monkeypatch.setattr(sysid, "_scores", recording)
+        _pole_search.cache_clear()
+        for u, y in records:
+            for order in (2, 3):
+                fit_adaptation_lti(u, y, order)
+        # 4 refinements per search and the free-ARX form per fit; the
+        # order-3 fit's order-2 search is a cache hit
+        assert len(calls) == 10 * len(records)
+        for gram, dens, got in calls:
+            assert got.tobytes() == reference_scores(gram, dens).tobytes()
+
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("order", [2, 3])
     @pytest.mark.parametrize("subject", ["A", "B"])
@@ -328,6 +386,65 @@ class TestClosedFormScoring:
             assert ((poles.real > -1e-5) & (poles.real < 1.0)).all()
             assert_allclose(dyn.steady_state_gain(), 1.0, atol=1e-9)
         assert fits[3][1] <= fits[2][1] + 1e-12
+
+
+class TestPoleSearchCache:
+    """The pole search is cached on its Gram matrix's bytes."""
+
+    @staticmethod
+    def keys(u, y):
+        """(order-2 key, order-3 key) of a record, as its fits build them."""
+        ylags, ulags = lag_matrices(u, y, 3)
+        return tuple(_gram(_lag_residual_basis(ylags, ulags, n)).tobytes() for n in (2, 3))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_cached_search_equals_uncached(self):
+        for u, y in sweep_records(range(3)):
+            key2, key3 = self.keys(u, y)
+            extra = (0.0, *_pole_search(key2, 2, ())[0])
+            for args in ((key2, 2, ()), (key3, 3, extra)):
+                for _ in range(2):  # a miss or a hit, then a hit
+                    poles, den = _pole_search(*args)
+                    want_poles, want_den = _pole_search.__wrapped__(*args)
+                    assert np.array(poles).tobytes() == np.array(want_poles).tobytes()
+                    assert den.tobytes() == want_den.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_order3_fit_reuses_the_order2_search(self):
+        trace = run_episode(ExperimentConfig(subject="B", algorithm="sweep"), 3)
+        thetas, perfs = trace.column("theta_applied"), trace.column("J")
+        _pole_search.cache_clear()
+        identify_from_records(thetas, perfs, 2)
+        info = _pole_search.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        identify_from_records(thetas, perfs, 3)
+        info = _pole_search.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_bounded_and_read_only(self):
+        maxsize = _pole_search.cache_info().maxsize
+        assert maxsize is not None
+        _pole_search.cache_clear()
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            u = rng.standard_normal(40)
+            y = simulate(subject_a(noise_std=0.0).dynamics, u) + rng.standard_normal(40)
+            for order in (2, 3):
+                fit_adaptation_lti(u, y, order)
+            assert _pole_search.cache_info().currsize <= maxsize
+        assert _pole_search.cache_info().currsize == maxsize
+        key2, key3 = self.keys(u, y)
+        hits = _pole_search.cache_info().hits
+        poles, den = _pole_search(key2, 2, ())
+        for args in ((key2, 2, ()), (key3, 3, (0.0, *poles))):
+            poles, den = _pole_search(*args)
+            assert isinstance(poles, tuple) and not den.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                den[0] = 2.0
+        assert _pole_search.cache_info().hits == hits + 3
+        for order in (2, 3):
+            assert not any(a.flags.writeable for a in _full_range_candidates(order)[:2])
 
 
 def unconstrained_arx(u, y, n):
@@ -478,6 +595,15 @@ class TestWhiteness:
         with pytest.raises(ValueError):
             whiteness_test(np.ones(19))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_residual_rejected(self, bad):
+        with pytest.raises(ValueError, match="^non-finite residual at index 30$"):
+            whiteness_test([1.0] * 30 + [bad])
+        e = np.random.default_rng(6).standard_normal(50)
+        e[[7, 20]] = bad
+        with pytest.raises(ValueError, match="^non-finite residual at index 7$"):
+            whiteness_test(e)
+
     def test_reports_moments(self):
         rng = np.random.default_rng(3)
         e = 2.0 + 3.0 * rng.standard_normal(500)
@@ -515,6 +641,63 @@ class TestIdentifyChecksRecord:
         # one synergy level: the map fit would raise its own error first
         with pytest.raises(ValueError, match="order must be 2 or 3"):
             identify_from_records(np.full(50, 1.5), np.arange(50.0), order)
+
+    @pytest.mark.parametrize("order", [2.0, np.float64(3)])
+    def test_float_order_rejected(self, order):
+        thetas, perfs = self.sweep()
+        for fit in (fit_adaptation_lti, identify_from_records):
+            with pytest.raises(ValueError, match="^order must be 2 or 3$"):
+                fit(thetas, perfs, order)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_numpy_integer_order_fits_as_int(self):
+        thetas, perfs = self.sweep()
+        got = identify_from_records(thetas, perfs, np.int64(3))
+        want = identify_from_records(thetas, perfs, 3)
+        assert got[0].lam == want[0].lam
+        assert model_bytes(got[1]) == model_bytes(want[1])
+        assert (got[2], repr(got[4])) == (want[2], repr(want[4]))
+        assert got[3].tobytes() == want[3].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("big", [5e153, 1e154, -1.3e154])
+    def test_synergy_the_fit_overflows_on_named(self, big):
+        """A huge synergy leaves the map's other values near 1e-306, and the
+        input coefficients would overflow: one ValueError, with the largest
+        magnitude of each LTI series, and no RuntimeWarning first."""
+        thetas, perfs = self.sweep()
+        thetas[-1] = big
+        message = (r"^record out of the fit's floating-point range \(it overflows\): "
+                   r"largest magnitude \S+ in the input, "
+                   f"{re.escape(repr(float(np.max(np.abs(perfs)))))} in the output$")
+        with pytest.raises(ValueError, match=message):
+            identify_from_records(thetas, perfs)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_output_the_fit_overflows_on_named(self, order):
+        with pytest.raises(ValueError, match=r"largest magnitude 1\.0 in the input, "
+                                             r"1e\+200 in the output$"):
+            fit_adaptation_lti(np.linspace(0, 1, 40), np.full(40, 1e200), order)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("big", [1e140, 1e150, 1e152])
+    def test_records_that_fit_keep_their_bits(self, big):
+        """Raising on overflow changes no bit of a fit that has none: each
+        fit equals the unguarded fit, searched afresh, run with
+        RuntimeWarnings as errors."""
+        thetas, perfs = self.sweep()
+        thetas[-1] = big
+        pref = identify_from_records(thetas, perfs)[0]
+        records = [(pref.value(thetas), perfs),
+                   (np.linspace(0, 1, 40), np.full(40, big))]
+        for u, y in records:
+            for order in (2, 3):
+                dyn, mse = fit_adaptation_lti(u, y, order)
+                _pole_search.cache_clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    want_dyn, want_mse = sysid._fit_lti.__wrapped__(u, y, order)
+                assert (model_bytes(dyn), mse) == (model_bytes(want_dyn), want_mse)
 
     def test_every_entry_point_names_a_bad_record(self, capfd):
         """The map fit, the LTI fit and the full pass check a record alike:
